@@ -47,7 +47,7 @@ from .oscillation import (
     oscillation_objective,
     weighted_bmo_seminorm,
 )
-from .reports import VerificationReport
+from .reports import InvariantViolation, VerificationReport
 from .verify import (
     EnvelopeFit,
     SurvivalCurve,
@@ -124,6 +124,7 @@ __all__ = [
     "CZResult",
     "cz_decompose",
     "cz_verify",
+    "InvariantViolation",
     "VerificationReport",
     "SurvivalCurve",
     "EnvelopeFit",

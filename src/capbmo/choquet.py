@@ -16,8 +16,9 @@ import numpy as np
 from .content import (
     ContentParams,
     cube_content,
-    dyadic_content,
+    cube_frames,
     frame_for_cube,
+    job_chunks,
     masked_integral,
     masked_integral_many,
 )
@@ -77,13 +78,6 @@ class JensenSides(NamedTuple):
     log_domain: bool = False
 
 
-def _cube_mask(grid: Grid, cube: CubeSpec) -> np.ndarray:
-    cube.validate(grid)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[cube.slices()] = True
-    return mask.ravel()
-
-
 def choquet(f: StepFunction, region: DyadicSet, params: ContentParams) -> float:
     """Layer-cake integral of f over the region; f must be >= 0 there."""
     if f.grid != region.grid:
@@ -122,25 +116,36 @@ def choquet_wrt(
 
 
 def signed_average(f: StepFunction, Q: CubeSpec, params: ContentParams) -> SignedAverage:
-    grid = f.grid
-    mask = _cube_mask(grid, Q)
-    pos_mask = mask & (f.values >= 0)
-    neg_mask = mask & (f.values < 0)
-    ones = np.ones(grid.num_cells)
-    frame = frame_for_cube(grid, Q)
-    pos_int, neg_int, pos_cont, neg_cont = masked_integral_many(
-        grid,
-        [(f.values, pos_mask), (-f.values, neg_mask), (ones, pos_mask), (ones, neg_mask)],
-        params,
-        frame,
-    )
-    return SignedAverage(
-        value=(pos_int - neg_int) / (pos_cont + neg_cont),
-        pos_part_integral=float(pos_int),
-        neg_part_integral=float(neg_int),
-        pos_content=float(pos_cont),
-        neg_content=float(neg_cont),
-    )
+    return signed_averages(f, [Q], params)[0]
+
+
+def signed_averages(f: StepFunction, cubes, params: ContentParams) -> list[SignedAverage]:
+    """signed_average on every cube; cubes whose frames share a depth share
+    one integrator call (four jobs per cube)."""
+    out = [None] * len(cubes)
+    for positions, frames in cube_frames(f.grid, cubes, params):
+        positions = np.asarray(positions)
+        for sl in job_chunks(len(positions), 4 * frames.cells):
+            which = np.arange(len(positions))[sl]
+            vals = frames.rows(f.values, which)
+            mask = frames.masks(which)
+            pos_mask = mask & (vals >= 0)
+            neg_mask = mask & (vals < 0)
+            ones = np.ones_like(vals)
+            pos_int, neg_int, pos_cont, neg_cont = frames.integrate(
+                np.concatenate([vals, -vals, ones, ones]),
+                np.concatenate([pos_mask, neg_mask, pos_mask, neg_mask]),
+            ).reshape(4, -1)
+            value = (pos_int - neg_int) / (pos_cont + neg_cont)
+            for k, i in enumerate(positions[sl]):
+                out[i] = SignedAverage(
+                    value=value[k],
+                    pos_part_integral=float(pos_int[k]),
+                    neg_part_integral=float(neg_int[k]),
+                    pos_content=float(pos_cont[k]),
+                    neg_content=float(neg_cont[k]),
+                )
+    return out
 
 
 def essential_bounds(f: StepFunction, Q: CubeSpec) -> EssentialBounds:
@@ -151,7 +156,7 @@ def essential_bounds(f: StepFunction, Q: CubeSpec) -> EssentialBounds:
     a negative esinf (the variant restricted to positive thresholds would
     degenerate for such f and is deliberately not used).
     """
-    inside = f.values[_cube_mask(f.grid, Q)]
+    inside = f.values[Q.mask(f.grid)]
     return EssentialBounds(esinf=float(inside.min()), esup=float(inside.max()))
 
 
@@ -160,14 +165,14 @@ def cube_choquet(
 ) -> float:
     """Integral of non-negative cell values over a cube."""
     return masked_integral(
-        grid, values, _cube_mask(grid, cube), params, frame_for_cube(grid, cube)
+        grid, values, cube.mask(grid), params, frame_for_cube(grid, cube)
     )
 
 
 def jensen_sides(f: StepFunction, Q: CubeSpec, params: ContentParams) -> JensenSides:
     grid = f.grid
     avg = signed_average(f, Q, params).value
-    mask = _cube_mask(grid, Q)
+    mask = Q.mask(grid)
     pos_mask = mask & (f.values >= 0)
     neg_mask = mask & (f.values < 0)
     frame = frame_for_cube(grid, Q)

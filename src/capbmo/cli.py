@@ -1,8 +1,9 @@
 """Command-line front end: point computations, verification suites, and
 reproduction of the closed-form reference examples.
 
-Exit codes: 0 success, 1 a verification or reproduction check failed,
-2 usage error (bad flags, missing or malformed files).
+Exit codes: 0 success, 1 a verification or reproduction check failed or
+an internal invariant was violated (its witness goes to stderr), 2 usage
+error (bad flags, missing or malformed files).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .czd import cz_decompose, cz_verify
 from .fixtures import log_abs_function, spike_and_slab_example, two_cell_example
 from .grid import CubeSpec, DyadicSet, StepFunction
 from .oscillation import blo_seminorm, bmo_seminorm, gamma_interval, weighted_bmo_seminorm
-from .reports import to_jsonable
+from .reports import InvariantViolation, to_jsonable
 from .serialization import (
     atomic_write_text,
     curves_to_csv,
@@ -456,6 +457,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InvariantViolation as e:
+        print(f"invariant violated: {e}", file=sys.stderr)
+        print(json.dumps(to_jsonable(e.witness), sort_keys=True), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exact dyadic Hausdorff content and weighted content.
+"""Exact dyadic Hausdorff content, weighted content and the layer-cake integrator.
 
 The content of a cell set E is the minimum of sum(side(Q_i)**delta) over
 covers of E by dyadic subcubes of the root, computed by the tree
@@ -7,12 +7,21 @@ subtrees at cost 0. Restricting covers to subcubes of the root loses
 nothing: a dyadic cube strictly containing the root costs at least
 root_side**delta, which the root cover already achieves. The same nesting
 argument lets every computation run inside the minimal dyadic cube
-containing the occupied cells (any dyadic cube meeting the set either
-lies inside that cube or contains it and costs at least as much), which
-is what the frame machinery below exploits.
+containing the occupied cells, its frame (any dyadic cube meeting the set
+either lies inside that cube or contains it and costs at least as much).
 
-This module also hosts the masked layer-cake integrator that the Choquet
-engine wraps: all batched tree reductions funnel through here.
+All integrals funnel through ``layer_cake``, which works on stacked
+frame-local rows: row j of a (jobs, 2**(n*depth)) value array is
+integrated over row j of a mask array of the same shape. One sort finds
+every row's distinct positive thresholds t_1 < t_2 < ...; the occupancy
+row {value >= t_k} of each threshold is reduced by the tree kernel in
+blocks of at most ``_ROW_CELLS`` leaf cells, and each job's layer-cake
+sum of (t_k - t_{k-1}) * content is taken with ``math.fsum``. Rows of
+different cubes may share a call as long as their frames share a depth,
+which is how ``CubeFrames`` batches a whole cube family; callers stack at
+most ``_JOB_CELLS`` cells of job rows per call (``job_chunks``). Both
+budgets bound memory only: a job's thresholds, frame and exactly rounded
+sum do not depend on which call it rides in, so results do not either.
 """
 
 from __future__ import annotations
@@ -27,8 +36,11 @@ from .grid import CubeSpec, DyadicSet, Grid, StepFunction
 
 __all__ = ["ContentParams", "dyadic_content", "weighted_content", "cube_content"]
 
-# Threshold rows are reduced in chunks to bound workspace memory.
-_CHUNK_ROWS = 256
+# Leaf cells per tree reduction: bounds the float64 threshold-row workspace.
+_ROW_CELLS = 1 << 17
+# Cells of stacked job rows per integrator call: bounds the value, mask
+# and threshold arrays of one call, whatever the number of jobs.
+_JOB_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -90,10 +102,12 @@ def _frame_for_mask(grid: Grid, membership: np.ndarray) -> _Frame:
     return _aligned_frame(grid, lo, hi)
 
 
-def _extract(grid: Grid, frame: _Frame, flat: np.ndarray) -> np.ndarray:
-    if frame.depth == grid.depth:
-        return flat
-    return np.ascontiguousarray(flat.reshape(grid.shape)[frame.slices()]).ravel()
+def _frame_rows(grid: Grid, frame: _Frame, arrays) -> np.ndarray:
+    """Stack the frame's cells of each flat grid array, row-major within the frame."""
+    sl = frame.slices()
+    return np.stack([np.asarray(a).reshape(grid.shape)[sl] for a in arrays]).reshape(
+        len(arrays), -1
+    )
 
 
 def level_caps(grid: Grid, sub_depth: int, delta: float) -> np.ndarray:
@@ -106,19 +120,100 @@ def level_caps(grid: Grid, sub_depth: int, delta: float) -> np.ndarray:
     return np.power(sides, delta)
 
 
-def content_of_occupancy_rows(
-    occ: np.ndarray, ndim: int, sub_depth: int, caps: np.ndarray
+def job_chunks(count: int, row_cells: int):
+    """Slices of at most _JOB_CELLS // row_cells jobs (at least one) covering count jobs."""
+    step = max(1, _JOB_CELLS // row_cells)
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def layer_cake(
+    values: np.ndarray, masks: np.ndarray, ndim: int, depth: int, caps: np.ndarray
 ) -> np.ndarray:
-    """Minimal cover cost per occupancy row (rows, 2**(ndim*sub_depth))."""
-    rows = occ.shape[0]
-    out = np.empty(rows, dtype=np.float64)
-    for start in range(0, rows, _CHUNK_ROWS):
-        block = occ[start : start + _CHUNK_ROWS].astype(np.float64)
-        block *= caps[sub_depth]
-        out[start : start + block.shape[0]] = kernels.reduce_tree(
-            block, ndim, sub_depth, caps
-        )
-    return out
+    """Choquet integral of each row of values over the same row of masks.
+
+    Rows are frame-local, shape (jobs, 2**(ndim*depth)); caps are the
+    frame's level caps. Only positive values inside the mask contribute.
+    """
+    jobs, cells = values.shape
+    levels = np.where(masks & (values > 0), values, 0.0)
+    order = np.argsort(levels, axis=1)
+    by_job = np.arange(jobs)[:, None]
+    levels = levels[by_job, order]
+    distinct = levels > 0
+    distinct[:, 1:] &= levels[:, 1:] != levels[:, :-1]
+    # rank[j, x]: index of cell x's value among job j's thresholds (-1 when
+    # it has none), so threshold k of job j occupies {x: rank[j, x] >= k}.
+    sorted_rank = np.cumsum(distinct, axis=1, dtype=np.int32) - 1
+    rank = np.empty_like(sorted_rank)
+    rank[by_job, order] = sorted_rank
+    job, col = np.nonzero(distinct)
+    thresholds = levels[job, col]
+    level = sorted_rank[job, col]
+    bounds = np.searchsorted(job, np.arange(jobs + 1))
+    below = np.empty_like(thresholds)
+    below[1:] = thresholds[:-1]
+    below[level == 0] = 0.0
+    contents = np.empty_like(thresholds)
+    step = max(1, _ROW_CELLS // cells)
+    for s in range(0, len(job), step):
+        occ = rank[job[s : s + step]] >= level[s : s + step, None]
+        leaf = occ.astype(np.float64)
+        leaf *= caps[depth]
+        contents[s : s + step] = kernels.reduce_tree(leaf, ndim, depth, caps)
+    terms = ((thresholds - below) * contents).tolist()
+    return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+class CubeFrames:
+    """Frame-local rows for cubes whose frames share one depth.
+
+    Each cube is evaluated inside its own frame, as a one-cube call would
+    be, so rows of different cubes reduce in the same tree pass.
+    """
+
+    def __init__(self, grid: Grid, cubes: list[CubeSpec], frames: list[_Frame],
+                 params: ContentParams):
+        self.ndim = grid.n
+        self.depth = frames[0].depth
+        self.caps = level_caps(grid, self.depth, params.delta)
+        side = 1 << self.depth
+        self._local = np.indices((side,) * grid.n).reshape(grid.n, -1).T
+        self.cells = len(self._local)
+        self._base = np.ravel_multi_index(self._local.T, grid.shape)
+        corners = np.array([fr.corner for fr in frames], dtype=np.int64)
+        self._offset = np.ravel_multi_index(corners.T, grid.shape)
+        self._lo = np.array([Q.corner for Q in cubes], dtype=np.int64) - corners
+        self._hi = self._lo + np.array([Q.side_cells for Q in cubes], dtype=np.int64)[:, None]
+
+    def rows(self, flat: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """(len(which), cells) frame-local values of a flat grid array."""
+        return flat[self._offset[which][:, None] + self._base]
+
+    def masks(self, which: np.ndarray) -> np.ndarray:
+        """(len(which), cells) membership of each cube within its frame."""
+        out = np.ones((len(which), self.cells), dtype=bool)
+        for a in range(self.ndim):
+            x = self._local[:, a]
+            out &= (x >= self._lo[which, a, None]) & (x < self._hi[which, a, None])
+        return out
+
+    def integrate(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        return layer_cake(values, masks, self.ndim, self.depth, self.caps)
+
+
+def cube_frames(grid: Grid, cubes, params: ContentParams):
+    """Group cubes by frame depth: a list of (positions in cubes, CubeFrames)."""
+    params.validate(grid)
+    groups: dict[int, tuple[list, list]] = {}
+    for i, Q in enumerate(cubes):
+        frame = frame_for_cube(grid, Q)
+        positions, frames = groups.setdefault(frame.depth, ([], []))
+        positions.append(i)
+        frames.append(frame)
+    return [
+        (positions, CubeFrames(grid, [cubes[i] for i in positions], frames, params))
+        for positions, frames in groups.values()
+    ]
 
 
 def masked_integral_many(
@@ -143,31 +238,12 @@ def masked_integral_many(
             return np.zeros(len(jobs))
         frame = _frame_for_mask(grid, union)
     caps = level_caps(grid, frame.depth, params.delta)
-
-    blocks = []
-    spans = []
-    diffs = []
-    for values, mask in jobs:
-        sub_vals = _extract(grid, frame, values)
-        sub_mask = _extract(grid, frame, mask)
-        inside = sub_vals[sub_mask]
-        thresholds = np.unique(inside[inside > 0]) if inside.size else np.empty(0)
-        spans.append(len(thresholds))
-        if len(thresholds):
-            diffs.append(np.diff(thresholds, prepend=0.0))
-            blocks.append((sub_vals >= thresholds[:, None]) & sub_mask)
-    out = np.zeros(len(jobs), dtype=np.float64)
-    if not blocks:
-        return out
-    occ = np.concatenate(blocks, axis=0)
-    contents = content_of_occupancy_rows(occ, grid.n, frame.depth, caps)
-    pos = 0
-    k = 0
-    for j, span in enumerate(spans):
-        if span:
-            out[j] = math.fsum(diffs[k] * contents[pos : pos + span])
-            pos += span
-            k += 1
+    out = np.empty(len(jobs), dtype=np.float64)
+    for sl in job_chunks(len(jobs), frame.side_cells**grid.n):
+        chunk = jobs[sl]
+        values = _frame_rows(grid, frame, [v for v, _ in chunk]).astype(np.float64, copy=False)
+        masks = _frame_rows(grid, frame, [m for _, m in chunk]).astype(bool, copy=False)
+        out[sl] = layer_cake(values, masks, grid.n, frame.depth, caps)
     return out
 
 
@@ -184,6 +260,13 @@ def masked_integral(
     return float(masked_integral_many(grid, [(values, mask)], params, frame)[0])
 
 
+def _set_content(grid: Grid, frame: _Frame, membership: np.ndarray, params: ContentParams) -> float:
+    """Content of a cell set inside the given frame: its layer cake at height 1."""
+    occ = _frame_rows(grid, frame, [membership])
+    caps = level_caps(grid, frame.depth, params.delta)
+    return float(layer_cake(np.ones(occ.shape), occ, grid.n, frame.depth, caps)[0])
+
+
 def dyadic_content(grid: Grid, E: DyadicSet, params: ContentParams) -> float:
     """Minimal dyadic-cover cost of E; exact up to rounding of the powers."""
     params.validate(grid)
@@ -191,10 +274,7 @@ def dyadic_content(grid: Grid, E: DyadicSet, params: ContentParams) -> float:
         raise ValueError("set was built on a different grid")
     if E.is_empty():
         return 0.0
-    frame = _frame_for_mask(grid, E.membership)
-    occ = _extract(grid, frame, E.membership)
-    caps = level_caps(grid, frame.depth, params.delta)
-    return float(content_of_occupancy_rows(occ[None, :], grid.n, frame.depth, caps)[0])
+    return _set_content(grid, _frame_for_mask(grid, E.membership), E.membership, params)
 
 
 def weighted_content(
@@ -214,10 +294,4 @@ def weighted_content(
 def cube_content(grid: Grid, cube: CubeSpec, params: ContentParams) -> float:
     """Content of a full cube of cells (not necessarily dyadic)."""
     params.validate(grid)
-    cube.validate(grid)
-    frame = frame_for_cube(grid, cube)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[cube.slices()] = True
-    occ = _extract(grid, frame, mask.ravel())
-    caps = level_caps(grid, frame.depth, params.delta)
-    return float(content_of_occupancy_rows(occ[None, :], grid.n, frame.depth, caps)[0])
+    return _set_content(grid, frame_for_cube(grid, cube), cube.mask(grid), params)

@@ -35,9 +35,7 @@ def _weighted_average(
     params: ContentParams,
 ) -> tuple[float, float]:
     """(average of |f| against w-content on cube, w-content of cube)."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[cube.slices()] = True
-    mask = mask.ravel()
+    mask = cube.mask(grid)
     frame = frame_for_cube(grid, cube)
     num, den = masked_integral_many(grid, [(absf * w, mask), (w, mask)], params, frame)
     return float(num / den), float(den)
@@ -180,9 +178,7 @@ def cz_verify(
             disjoint_ok = False
             witnesses.append({"issue": "overlap", "cube": cube.cube_id()})
         region[...] = True
-    root_mask = np.zeros(grid.shape, dtype=bool)
-    root_mask[root.slices()] = True
-    uncovered = root_mask & ~covered
+    uncovered = root.mask(grid).reshape(grid.shape) & ~covered
     small_ok = bool(np.all(absf.reshape(grid.shape)[uncovered] <= lam + 1e-12))
     if not small_ok:
         bad = int(np.argmax((np.abs(f.values).reshape(grid.shape) * uncovered).ravel()))

@@ -185,6 +185,13 @@ class CubeSpec:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(c, c + self.side_cells) for c in self.corner)
 
+    def mask(self, grid: Grid) -> np.ndarray:
+        """Flat boolean membership of the cube's cells in the grid."""
+        self.validate(grid)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[self.slices()] = True
+        return mask.ravel()
+
     def contains_cell(self, cell: tuple[int, ...]) -> bool:
         return all(
             c <= x < c + self.side_cells for c, x in zip(self.corner, cell)
@@ -248,10 +255,7 @@ def empty_set(grid: Grid) -> DyadicSet:
 
 
 def cube_set(grid: Grid, cube: CubeSpec) -> DyadicSet:
-    cube.validate(grid)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[cube.slices()] = True
-    return DyadicSet(grid, mask.ravel())
+    return DyadicSet(grid, cube.mask(grid))
 
 
 def dyadic_cubes(grid: Grid):

@@ -6,18 +6,29 @@ minimum and the minimizer plateau are found by ternary search plus
 bisection. For q = 1 on cubes with few distinct (value, weight) pairs,
 F is piecewise linear with breakpoints at the cell values and at the
 weighted crossing points, and the minimum is computed exactly from the
-breakpoint lattice instead.
+breakpoint lattice instead. For q < 1 a dense scan over the cell values
+and their midpoints is used.
+
+Every search is a generator over one cube: it yields the centres it
+wants evaluated and is sent their F values. ``_lockstep`` runs the
+searches of a whole cube family together. Cubes whose frames share a
+depth advance in lockstep: each step stacks the integrands of every
+pending (cube, centre) pair, plus the normaliser w(Q) of each cube that
+asks for its first F value, into one layer-cake integrator call (split
+only where the rows exceed the integrator's cell budget). A cube never
+asks when its search needs no integral, so constant cubes cost nothing.
+The one-cube entry points run the same loop on a one-cube family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .content import ContentParams, frame_for_cube, masked_integral_many
-from .grid import CubeFamilyPolicy, CubeSpec, Grid, StepFunction, enumerate_cubes
+from .choquet import signed_averages
+from .content import ContentParams, cube_frames, job_chunks
+from .grid import CubeFamilyPolicy, CubeSpec, StepFunction, enumerate_cubes
 
 __all__ = [
     "GammaInterval",
@@ -54,55 +65,78 @@ class SeminormReport:
     policy: CubeFamilyPolicy | None = None
 
 
-class _CubeObjective:
-    """Evaluator for F(c) on one cube, batching and caching evaluations."""
+def _lockstep(f: StepFunction, w: StepFunction | None, q: float,
+              params: ContentParams, cubes, search) -> list:
+    """Run search(i, values, weights) for every cube i; return the results in order.
 
-    def __init__(self, f: StepFunction, w: StepFunction | None, q: float,
-                 Q: CubeSpec, params: ContentParams):
-        grid = f.grid
-        Q.validate(grid)
-        mask = np.zeros(grid.shape, dtype=bool)
-        mask[Q.slices()] = True
-        self.grid = grid
-        self.mask = mask.ravel()
-        self.frame = frame_for_cube(grid, Q)
-        self.params = params
-        self.q = float(q)
-        self.fv = f.values
-        self.wv = None if w is None else w.values
-        weight_vals = np.ones(grid.num_cells) if w is None else w.values
-        self.normalizer = float(
-            masked_integral_many(grid, [(weight_vals, self.mask)], params, self.frame)[0]
-        )
-        self.cache: dict[float, float] = {}
+    values and weights are f and w (ones when w is None) on cube i. A
+    search is a generator that yields lists of centres, is sent their F
+    values as floats, and returns its result.
+    """
+    grid = f.grid
+    q = float(q)
+    shaped_f = f.values.reshape(grid.shape)
+    shaped_w = None if w is None else w.values.reshape(grid.shape)
+    results = [None] * len(cubes)
+    for positions, frames in cube_frames(grid, cubes, params):
+        pending = {}
 
-    def inside_values(self) -> np.ndarray:
-        return self.fv[self.mask]
+        def advance(k, gen, sent):
+            try:
+                pending[k] = (gen, gen.send(sent))
+            except StopIteration as stop:
+                pending.pop(k, None)
+                results[positions[k]] = stop.value
 
-    def inside_weights(self) -> np.ndarray:
-        if self.wv is None:
-            return np.ones(int(self.mask.sum()))
-        return self.wv[self.mask]
+        for k, i in enumerate(positions):
+            sl = cubes[i].slices()
+            vals = shaped_f[sl].ravel()
+            wts = np.ones(vals.size) if w is None else shaped_w[sl].ravel()
+            advance(k, search(i, vals, wts), None)
 
-    def _integrand(self, c: float) -> np.ndarray:
-        base = np.abs(self.fv - c)
-        if self.q != 1.0:
-            base = base**self.q
-        if self.wv is not None:
-            base = base * self.wv
-        return base
+        norm = [None] * len(positions)
+        while pending:
+            order = list(pending)
+            # the first rows integrate w (or 1) for cubes asking for the first time
+            first = [k for k in order if norm[k] is None]
+            cube = np.array(first + [k for k in order for _ in pending[k][1]], dtype=np.intp)
+            centre = np.array([0.0] * len(first) + [c for k in order for c in pending[k][1]])
+            raw = np.empty(len(cube))
+            for sl in job_chunks(len(cube), frames.cells):
+                head = slice(0, max(0, len(first) - sl.start))
+                vals = np.abs(frames.rows(f.values, cube[sl]) - centre[sl, None])
+                if q != 1.0:
+                    vals = vals**q
+                if w is None:
+                    vals[head] = 1.0
+                else:
+                    wts = frames.rows(w.values, cube[sl])
+                    vals = vals * wts
+                    vals[head] = wts[head]
+                raw[sl] = frames.integrate(vals, frames.masks(cube[sl]))
+            for k, value in zip(first, raw):
+                norm[k] = value
+            pos = len(first)
+            for k in order:
+                gen, cs = pending[k]
+                advance(k, gen, (raw[pos : pos + len(cs)] / norm[k]).tolist())
+                pos += len(cs)
+    return results
 
-    def many(self, cs) -> np.ndarray:
-        fresh = [float(c) for c in cs if float(c) not in self.cache]
-        if fresh:
-            jobs = [(self._integrand(c), self.mask) for c in fresh]
-            vals = masked_integral_many(self.grid, jobs, self.params, self.frame)
-            for c, v in zip(fresh, vals):
-                self.cache[c] = float(v) / self.normalizer
-        return np.array([self.cache[float(c)] for c in cs])
 
-    def __call__(self, c: float) -> float:
-        return float(self.many([c])[0])
+def _many(cache: dict, cs):
+    """F at every centre of cs, asking only for centres not evaluated yet."""
+    fresh = [float(c) for c in cs if float(c) not in cache]
+    if fresh:
+        cache.update(zip(fresh, (yield fresh)))
+    return np.array([cache[float(c)] for c in cs])
+
+
+def _value_at(vals: np.ndarray, c: float):
+    """F(c); when f equals c on the whole cube, F(c) = 0 needs no integral."""
+    if np.all(vals == c):
+        return 0.0
+    return float((yield [float(c)])[0])
 
 
 def oscillation_objective(
@@ -118,11 +152,10 @@ def oscillation_objective(
         raise ValueError("q must be positive")
     if w is not None and np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive")
-    return _CubeObjective(f, w, q, Q, params)(c)
+    return _lockstep(f, w, q, params, [Q], lambda i, vals, wts: _value_at(vals, c))[0]
 
 
-def _ternary_plateau(obj: _CubeObjective, tol: float) -> GammaInterval:
-    vals = obj.inside_values()
+def _ternary_plateau(vals: np.ndarray, cache: dict, tol: float):
     a = float(vals.min()) - 1.0
     b = float(vals.max()) + 1.0
     # F**(1/q) is convex, so F is unimodal and flat only at its minimum;
@@ -131,7 +164,7 @@ def _ternary_plateau(obj: _CubeObjective, tol: float) -> GammaInterval:
     while b - a > tol and it < _MAX_SEARCH_ITER:
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        f1, f2 = obj.many([m1, m2])
+        f1, f2 = yield from _many(cache, [m1, m2])
         if f1 < f2:
             b = m2
         elif f1 > f2:
@@ -140,21 +173,20 @@ def _ternary_plateau(obj: _CubeObjective, tol: float) -> GammaInterval:
             a, b = m1, m2
         it += 1
     c_star = 0.5 * (a + b)
-    obj.many([c_star])
-    min_value = min(obj.cache.values())
+    yield from _many(cache, [c_star])
+    min_value = min(cache.values())
     thr = min_value + tol
-    lo = _plateau_edge(obj, c_star, thr, tol, -1.0)
-    hi = _plateau_edge(obj, c_star, thr, tol, +1.0)
+    lo = yield from _plateau_edge(cache, c_star, thr, tol, -1.0)
+    hi = yield from _plateau_edge(cache, c_star, thr, tol, +1.0)
     return GammaInterval(lo=lo, hi=hi, min_value=min_value, tol=tol)
 
 
-def _plateau_edge(obj: _CubeObjective, c_in: float, thr: float,
-                  tol: float, direction: float) -> float:
+def _plateau_edge(cache: dict, c_in: float, thr: float, tol: float, direction: float):
     step = max(1.0, abs(c_in))
     out = None
     for _ in range(80):
         cand = c_in + direction * step
-        if obj(cand) > thr:
+        if (yield from _many(cache, [cand]))[0] > thr:
             out = cand
             break
         step *= 2.0
@@ -164,7 +196,7 @@ def _plateau_edge(obj: _CubeObjective, c_in: float, thr: float,
     it = 0
     while abs(inn - out) > tol and it < _MAX_SEARCH_ITER:
         mid = 0.5 * (inn + out)
-        if obj(mid) <= thr:
+        if (yield from _many(cache, [mid]))[0] <= thr:
             inn = mid
         else:
             out = mid
@@ -188,10 +220,10 @@ def _linear_breakpoints(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return out[np.isfinite(out)]
 
 
-def _exact_linear_gamma(obj: _CubeObjective, tol: float) -> GammaInterval:
-    breaks = _linear_breakpoints(obj.inside_values(), obj.inside_weights())
+def _exact_linear_gamma(vals: np.ndarray, wts: np.ndarray, cache: dict, tol: float):
+    breaks = _linear_breakpoints(vals, wts)
     cands = np.concatenate([[breaks[0] - 1.0], breaks, [breaks[-1] + 1.0]])
-    F = obj.many(cands)
+    F = yield from _many(cache, cands)
     min_value = float(F.min())
     thr = min_value + tol
     ok = F <= thr
@@ -222,13 +254,13 @@ def _linear_cross(cands, F, idx, thr, left: bool) -> float:
     return float(cands[a] + frac * (cands[b] - cands[a]))
 
 
-def _dense_gamma(obj: _CubeObjective, tol: float) -> GammaInterval:
+def _dense_gamma(vals: np.ndarray, cache: dict, tol: float):
     """Fallback for q < 1 (no convexity): grid over values and midpoints."""
-    vals = np.unique(obj.inside_values())
+    vals = np.unique(vals)
     cands = vals
     if len(vals) > 1:
         cands = np.unique(np.concatenate([vals, 0.5 * (vals[1:] + vals[:-1])]))
-    F = obj.many(cands)
+    F = yield from _many(cache, cands)
     min_value = float(F.min())
     keep = F <= min_value + tol
     return GammaInterval(
@@ -237,6 +269,28 @@ def _dense_gamma(obj: _CubeObjective, tol: float) -> GammaInterval:
         min_value=min_value,
         tol=tol,
         used_fallback=True,
+    )
+
+
+def _gamma_search(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
+    """Search for the minimizer plateau of F on one cube."""
+    if vals.max() == vals.min():
+        a = float(vals[0])
+        half = tol ** (1.0 / q)
+        return GammaInterval(lo=a - half, hi=a + half, min_value=0.0, tol=tol)
+    cache: dict[float, float] = {}
+    if q < 1:
+        return (yield from _dense_gamma(vals, cache, tol))
+    if q == 1:
+        pairs = np.unique(np.column_stack([vals, wts]), axis=0)
+        if len(pairs) <= _EXACT_PAIR_LIMIT:
+            return (yield from _exact_linear_gamma(vals, wts, cache, tol))
+    return (yield from _ternary_plateau(vals, cache, tol))
+
+
+def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
+    return _lockstep(
+        f, w, q, params, cubes, lambda i, vals, wts: _gamma_search(vals, wts, q, tol)
     )
 
 
@@ -255,33 +309,20 @@ def gamma_interval(
         raise ValueError("tol must be positive")
     if w is not None and np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive")
-    obj = _CubeObjective(f, w, q, Q, params)
-    vals = obj.inside_values()
-    if vals.max() == vals.min():
-        a = float(vals[0])
-        half = tol ** (1.0 / q)
-        return GammaInterval(lo=a - half, hi=a + half, min_value=0.0, tol=tol)
-    if q < 1:
-        return _dense_gamma(obj, tol)
-    if q == 1:
-        pairs = np.unique(np.column_stack([vals, obj.inside_weights()]), axis=0)
-        if len(pairs) <= _EXACT_PAIR_LIMIT:
-            return _exact_linear_gamma(obj, tol)
-    return _ternary_plateau(obj, tol)
+    return _gamma_intervals(f, w, q, [Q], params, tol)[0]
 
 
-def _family(f: StepFunction, policy: CubeFamilyPolicy):
-    return enumerate_cubes(f.grid, policy)
-
-
-def _report(contribs, centers, policy) -> SeminormReport:
+def _report(cubes, values, centers, policy) -> SeminormReport:
     best = None
     best_val = 0.0
-    for cube, val in contribs:
+    for cube, val in zip(cubes, values):
         if best is None or val > best_val:
             best, best_val = cube, val
     return SeminormReport(
-        value=best_val, worst_cube=best, per_cube_centers=centers, policy=policy
+        value=best_val,
+        worst_cube=best,
+        per_cube_centers=dict(zip(cubes, centers)),
+        policy=policy,
     )
 
 
@@ -296,24 +337,19 @@ def bmo_seminorm(
     centering "inf_c" minimizes the average over the center; "f_Q_delta"
     centers at the signed average of f on the cube.
     """
-    from .choquet import signed_average
-
     if centering not in ("inf_c", "f_Q_delta"):
         raise ValueError(f"unknown centering {centering!r}")
-    contribs = []
-    centers = {}
-    for Q in _family(f, policy):
-        if centering == "inf_c":
-            gi = gamma_interval(f, None, 1.0, Q, params)
-            center = 0.5 * (gi.lo + gi.hi)
-            value = gi.min_value
-        else:
-            center = signed_average(f, Q, params).value
-            obj = _CubeObjective(f, None, 1.0, Q, params)
-            value = obj(center)
-        contribs.append((Q, value))
-        centers[Q] = center
-    return _report(contribs, centers, policy)
+    cubes = enumerate_cubes(f.grid, policy)
+    if centering == "inf_c":
+        gis = _gamma_intervals(f, None, 1.0, cubes, params)
+        centers = [0.5 * (gi.lo + gi.hi) for gi in gis]
+        values = [gi.min_value for gi in gis]
+    else:
+        centers = [avg.value for avg in signed_averages(f, cubes, params)]
+        values = _lockstep(
+            f, None, 1.0, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
+        )
+    return _report(cubes, values, centers, policy)
 
 
 def blo_seminorm(
@@ -325,15 +361,12 @@ def blo_seminorm(
     """Supremum of the q-mean of f - esinf_Q f; centers are the esinfs."""
     if q <= 0:
         raise ValueError("q must be positive")
-    contribs = []
-    centers = {}
-    for Q in _family(f, policy):
-        inside = f.values[_cube_flat_mask(f.grid, Q)]
-        center = float(inside.min())
-        obj = _CubeObjective(f, None, q, Q, params)
-        contribs.append((Q, obj(center) ** (1.0 / q)))
-        centers[Q] = center
-    return _report(contribs, centers, policy)
+    cubes = enumerate_cubes(f.grid, policy)
+    centers = [float(f.values[Q.mask(f.grid)].min()) for Q in cubes]
+    F = _lockstep(
+        f, None, q, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
+    )
+    return _report(cubes, [v ** (1.0 / q) for v in F], centers, policy)
 
 
 def weighted_bmo_seminorm(
@@ -346,17 +379,11 @@ def weighted_bmo_seminorm(
     """sup over cubes of (inf_c F(c))**(1/q) for the weighted objective."""
     if np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive")
-    contribs = []
-    centers = {}
-    for Q in _family(f, policy):
-        gi = gamma_interval(f, w, q, Q, params)
-        contribs.append((Q, gi.min_value ** (1.0 / q)))
-        centers[Q] = 0.5 * (gi.lo + gi.hi)
-    return _report(contribs, centers, policy)
-
-
-def _cube_flat_mask(grid: Grid, Q: CubeSpec) -> np.ndarray:
-    Q.validate(grid)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[Q.slices()] = True
-    return mask.ravel()
+    cubes = enumerate_cubes(f.grid, policy)
+    gis = _gamma_intervals(f, w, q, cubes, params)
+    return _report(
+        cubes,
+        [gi.min_value ** (1.0 / q) for gi in gis],
+        [0.5 * (gi.lo + gi.hi) for gi in gis],
+        policy,
+    )

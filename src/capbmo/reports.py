@@ -11,7 +11,19 @@ import numpy as np
 
 from .grid import CubeSpec
 
-__all__ = ["VerificationReport", "to_jsonable"]
+__all__ = ["InvariantViolation", "VerificationReport", "to_jsonable"]
+
+
+class InvariantViolation(RuntimeError):
+    """A computed quantity broke a property that holds for every input.
+
+    This is a fault in the program (for example a broken content), not in
+    the data; ``witness`` holds the offending values.
+    """
+
+    def __init__(self, message: str, witness: dict):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,11 @@ from .grid import (
     CubeFamilyPolicy,
     CubeSpec,
     DyadicSet,
-    Grid,
     StepFunction,
     enumerate_cubes,
 )
 from .oscillation import bmo_seminorm, blo_seminorm, gamma_interval, weighted_bmo_seminorm
-from .reports import VerificationReport
+from .reports import InvariantViolation, VerificationReport
 from .weights import a1_constant, ap_constant, maximal_function
 from . import fixtures
 
@@ -69,12 +68,6 @@ class EnvelopeFit:
     witness: tuple[float, float] | None
 
 
-def _cube_mask(grid: Grid, cube: CubeSpec) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[cube.slices()] = True
-    return mask.ravel()
-
-
 def survival_curve(
     f: StepFunction,
     center: float,
@@ -100,7 +93,7 @@ def survival_curve(
     if ts.size and (np.any(ts < 0) or np.any(np.diff(ts) < 0)):
         raise ValueError("t_grid must be non-negative and increasing")
 
-    cube_mask = _cube_mask(grid, Q)
+    cube_mask = Q.mask(grid)
     dev = np.abs(f.values - center)
     jumps = np.unique(dev[cube_mask])
     pos = jumps[jumps > 0]
@@ -119,8 +112,20 @@ def survival_curve(
     # job-specific thresholds, so rounding may wiggle by a few ulps. Anything
     # beyond that means a broken content, not rounding.
     tol = 1e-12 * max(norm, 1.0)
-    assert np.all(np.diff(surv) <= tol), "survival curve must be non-increasing"
-    assert surv.size == 0 or surv[0] <= norm + tol, "survival exceeds the cube content"
+    rises = np.flatnonzero(~(np.diff(surv) <= tol))
+    if rises.size:
+        k = int(rises[0])
+        raise InvariantViolation(
+            f"survival curve rises on cube {Q.cube_id()}",
+            {"cube": Q.cube_id(), "t": [float(samples[k]), float(samples[k + 1])],
+             "survival": [float(surv[k]), float(surv[k + 1])]},
+        )
+    if surv.size and not surv[0] <= norm + tol:
+        raise InvariantViolation(
+            f"survival exceeds the cube content on cube {Q.cube_id()}",
+            {"cube": Q.cube_id(), "t": float(samples[0]), "survival": float(surv[0]),
+             "normalizer": norm},
+        )
     surv = np.minimum(np.minimum.accumulate(surv), norm)
     return SurvivalCurve(
         t_samples=tuple(float(t) for t in samples),
@@ -163,7 +168,7 @@ def fit_envelope(curve: SurvivalCurve, seminorm: float) -> EnvelopeFit:
 
 def _jn_center(kind, f, w, q, Q, params):
     if kind == "blo":
-        return float(f.values[_cube_mask(f.grid, Q)].min())
+        return float(f.values[Q.mask(f.grid)].min())
     gi = gamma_interval(f, w if kind == "weighted" else None, q if kind == "weighted" else 1.0, Q, params)
     return 0.5 * (gi.lo + gi.hi)
 
@@ -263,7 +268,7 @@ def _forward_characterization(kind, weight, p, params, policy):
     a1 = a1_constant(weight, params, policy).ap_constant if kind == "blo_a1" else None
     ones = np.ones(grid.num_cells)
     for Q in enumerate_cubes(grid, policy):
-        mask = _cube_mask(grid, Q)
+        mask = Q.mask(grid)
         frame = frame_for_cube(grid, Q)
         jobs = [(wv, mask), (ones, mask)]
         if dual is not None:
@@ -461,7 +466,7 @@ def _chain_blo(f: StepFunction, chain, params: ContentParams) -> float:
 
     best = 0.0
     for Q in chain:
-        center = float(f.values[_cube_mask(f.grid, Q)].min())
+        center = float(f.values[Q.mask(f.grid)].min())
         best = max(best, oscillation_objective(f, None, 1.0, Q, params, center))
     return best
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .content import ContentParams, frame_for_cube, masked_integral, masked_integral_many
 from .grid import CubeFamilyPolicy, CubeSpec, Grid, StepFunction, enumerate_cubes
+from .reports import InvariantViolation
 
 __all__ = [
     "WeightReport",
@@ -54,12 +55,6 @@ class A1Factorization:
     base_a1_constant: float
 
 
-def _cube_mask(grid: Grid, cube: CubeSpec) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[cube.slices()] = True
-    return mask.ravel()
-
-
 def _require_positive(w: StepFunction) -> None:
     if np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive on every cell")
@@ -72,7 +67,7 @@ def cube_averages(
     params: ContentParams,
 ) -> np.ndarray:
     """Content-normalized averages of several non-negative arrays on a cube."""
-    mask = _cube_mask(grid, cube)
+    mask = cube.mask(grid)
     frame = frame_for_cube(grid, cube)
     ones = np.ones(grid.num_cells)
     jobs = [(arr, mask) for arr in value_arrays] + [(ones, mask)]
@@ -117,7 +112,12 @@ def ap_constant(
         product = avg_w * avg_dual ** (p - 1.0)
         # Choquet-Hoelder gives product >= 1 per cube; a failure here means
         # a broken content, not a property of the weight.
-        assert product >= 1.0 - 1e-9, f"A_p product {product} < 1 on {Q}"
+        if not product >= 1.0 - 1e-9:
+            raise InvariantViolation(
+                f"A_p product {product} < 1 on cube {Q.cube_id()}",
+                {"cube": Q.cube_id(), "product": float(product), "avg_w": float(avg_w),
+                 "avg_dual": float(avg_dual), "p": float(p)},
+            )
         if product > best:
             best, worst = product, Q
     value = math.inf if best > INFINITE_CONSTANT else float(best)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from capbmo.content import ContentParams
 from capbmo.grid import build_grid, step_function
+
+# Generated cases are derived from each test's name, not from a random
+# seed, so every run draws the same examples.
+settings.register_profile(
+    "capbmo", derandomize=True, max_examples=3, deadline=None, database=None
+)
+settings.load_profile("capbmo")
 
 
 @pytest.fixture

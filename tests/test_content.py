@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from capbmo import kernels
 from capbmo.content import (
     ContentParams,
+    _frame_for_mask,
     cube_content,
     dyadic_content,
     level_caps,
@@ -180,3 +184,47 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ContentParams(delta=2.5).validate(g)
     ContentParams(delta=2.0).validate(g)
+
+
+def per_job_integrals(grid, jobs, params):
+    """The layer cake one job at a time, as a reference for the stacked
+    integrator: np.unique thresholds, one dense occupancy block per job,
+    the tree kernel, then math.fsum, all in the frame of the mask union."""
+    union = np.zeros(grid.num_cells, dtype=bool)
+    for _, mask in jobs:
+        union |= mask
+    if not union.any():
+        return [0.0] * len(jobs)
+    frame = _frame_for_mask(grid, union)
+    caps = level_caps(grid, frame.depth, params.delta)
+    out = []
+    for values, mask in jobs:
+        sub_vals = values.reshape(grid.shape)[frame.slices()].ravel()
+        sub_mask = mask.reshape(grid.shape)[frame.slices()].ravel()
+        inside = sub_vals[sub_mask]
+        thresholds = np.unique(inside[inside > 0])
+        if not thresholds.size:
+            out.append(0.0)
+            continue
+        occ = ((sub_vals >= thresholds[:, None]) & sub_mask).astype(np.float64)
+        occ *= caps[frame.depth]
+        contents = kernels.reduce_tree(occ, grid.n, frame.depth, caps)
+        out.append(math.fsum(np.diff(thresholds, prepend=0.0) * contents))
+    return out
+
+
+@pytest.mark.parametrize("n,depth", [(1, 4), (2, 3), (3, 2)])
+@given(data=st.data())
+def test_stacked_integrator_equals_per_job_reference(n, depth, data):
+    g = build_grid(n, depth, 2.0)
+    cells = g.num_cells
+    # quarters in [-2, 4]: repeated thresholds, zeros and negatives that
+    # must be skipped, and masks from empty to full
+    values = st.lists(st.integers(-8, 16).map(lambda k: k / 4), min_size=cells, max_size=cells)
+    masks = st.lists(st.booleans(), min_size=cells, max_size=cells)
+    jobs = [
+        (np.array(v), np.array(m))
+        for v, m in data.draw(st.lists(st.tuples(values, masks), min_size=1, max_size=5))
+    ]
+    params = ContentParams(delta=data.draw(st.sampled_from([0.5, 1.0, float(n)])))
+    assert masked_integral_many(g, jobs, params).tolist() == per_job_integrals(g, jobs, params)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import capbmo.fixtures
+import capbmo.weights
 from capbmo.cli import main
 from capbmo.grid import CubeFamilyPolicy, CubeSpec, build_grid
 from capbmo.serialization import (
@@ -368,3 +369,17 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "remark-average" in proc.stdout
+
+
+def test_cli_invariant_violation_exits_1_with_witness(files, capsys, monkeypatch):
+    monkeypatch.setattr(capbmo.weights, "cube_averages", lambda *args: np.array([0.5, 0.5]))
+    code, out, err = run_cli(
+        capsys, ["weight", "--grid", files["grid"], "--wt", files["wt"], "--p", "2.0"]
+    )
+    assert code == 1
+    assert out == ""
+    message, witness = err.strip().splitlines()
+    assert message.startswith("invariant violated: A_p product 0.25 < 1")
+    assert json.loads(witness) == {
+        "avg_dual": 0.5, "avg_w": 0.5, "cube": "0:4", "p": 2.0, "product": 0.25
+    }

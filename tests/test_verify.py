@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import capbmo.verify
 from capbmo.content import ContentParams
 from capbmo.fixtures import (
     log_abs_function,
@@ -11,6 +12,7 @@ from capbmo.fixtures import (
     two_cell_example,
 )
 from capbmo.grid import CubeSpec, DyadicSet, build_grid, full_set, step_function
+from capbmo.reports import InvariantViolation
 from capbmo.verify import (
     fit_envelope,
     survival_curve,
@@ -287,3 +289,27 @@ def test_weak_restricted_strong(rng):
     other = build_grid(1, 5, 1.0)
     with pytest.raises(ValueError):
         weak_restricted_strong_check(f, full_set(other), 2.0, 1.0, params)
+
+
+@pytest.mark.parametrize("fault", ["rising", "above normalizer"])
+def test_survival_curve_invariants_raise_with_witness(monkeypatch, fault):
+    g, f = two_cell_example()
+    real = capbmo.verify.masked_integral_many
+
+    def broken(grid, jobs, params, frame=None):
+        vals = real(grid, jobs, params, frame)  # survival samples, then w(Q)
+        if fault == "rising":
+            vals[1] = vals[0] + 1.0
+        else:
+            vals[:-1] = vals[-1] + 1.0
+        return vals
+
+    monkeypatch.setattr(capbmo.verify, "masked_integral_many", broken)
+    with pytest.raises(InvariantViolation) as err:
+        survival_curve(f, 0.0, CubeSpec((0,), 2), None, ContentParams(delta=1.0))
+    witness = err.value.witness
+    assert witness["cube"] == "0:2"
+    if fault == "rising":
+        assert witness["survival"][1] == witness["survival"][0] + 1.0
+    else:
+        assert witness["survival"] == witness["normalizer"] + 1.0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import capbmo.weights
 from capbmo.choquet import choquet
 from capbmo.content import ContentParams, cube_content, dyadic_content
 from capbmo.fixtures import random_positive_weight
+from capbmo.reports import InvariantViolation
 from capbmo.grid import (
     CubeFamilyPolicy,
     CubeSpec,
@@ -299,3 +301,17 @@ def test_cube_averages_batches_consistently(rng):
         assert batch[k] == pytest.approx(want, rel=1e-12)
     ones = cube_averages(g, [np.ones(g.num_cells)], root, params)[0]
     assert ones == pytest.approx(1.0, rel=1e-13)
+
+
+def test_ap_product_below_one_raises_invariant_violation(monkeypatch):
+    # Choquet-Hoelder keeps every cube's A_p product >= 1; force a broken
+    # average and the check must fire (it is not an assert, so -O keeps it)
+    g = build_grid(1, 2, 1.0)
+    w = step_function(g, np.ones(g.num_cells))
+    monkeypatch.setattr(capbmo.weights, "cube_averages", lambda *args: np.array([0.5, 0.5]))
+    with pytest.raises(InvariantViolation) as err:
+        ap_constant(w, 2.0, ContentParams(delta=1.0))
+    assert not isinstance(err.value, ValueError)
+    assert err.value.witness == {
+        "cube": "0:4", "product": 0.25, "avg_w": 0.5, "avg_dual": 0.5, "p": 2.0
+    }
