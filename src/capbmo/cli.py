@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -279,16 +277,7 @@ def _run_check(check: str, fixture_path: str):
 
 def _cmd_verify(args) -> int:
     paths = args.fixture
-    workers = len(paths)
-    env_cap = os.environ.get("CAPBMO_THREADS")
-    if env_cap:
-        workers = max(1, min(workers, int(env_cap)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _run_check(args.check, p), paths))
-    else:
-        results = [_run_check(args.check, p) for p in paths]
-
+    results = [_run_check(args.check, p) for p in paths]
     reports = [rep for rep, _ in results]
     for path, rep in zip(paths, reports):
         print(f"{path}: {rep.summary()}")

@@ -14,8 +14,8 @@ All integrals funnel through ``layer_cake``, which works on stacked
 frame-local rows: row j of a (jobs, 2**(n*depth)) value array is
 integrated over row j of a mask array of the same shape. One sort finds
 every row's distinct positive thresholds t_1 < t_2 < ...; the occupancy
-row {value >= t_k} of each threshold is reduced by the tree kernel in
-blocks of at most ``_ROW_CELLS`` leaf cells, and each job's layer-cake
+row {value >= t_k} of each threshold is reduced by ``kernels.reduce_tree``
+in blocks of at most ``_ROW_CELLS`` leaf cells, and each job's layer-cake
 sum of (t_k - t_{k-1}) * content is taken with ``math.fsum``. Rows of
 different cubes may share a call as long as their frames share a depth,
 which is how ``CubeFrames`` batches a whole cube family; callers stack at

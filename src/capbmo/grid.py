@@ -37,9 +37,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Largest number of cells a grid may have: 2**20, that is depth 20 in
+# 1-D, 10 in 2-D and 6 in 3-D. One float64 array over such a grid takes
+# 8 MB and the integrator's work arrays for one job a few tens of MB, so
+# a grid read from a file cannot ask for more memory than that.
+MAX_CELLS = 1 << 20
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform dyadic mesh of 2**depth half-open cells per axis."""
+    """Uniform dyadic mesh of 2**depth half-open cells per axis, at most
+    MAX_CELLS cells in all."""
 
     n: int
     depth: int
@@ -51,6 +59,12 @@ class Grid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
+        # compare exponents: 2**(n*depth) itself may be too large to build
+        if self.n * self.depth > MAX_CELLS.bit_length() - 1:
+            raise ValueError(
+                f"a grid of n={self.n}, depth={self.depth} has 2**{self.n * self.depth} cells;"
+                f" the limit is MAX_CELLS = {MAX_CELLS}"
+            )
         if not self.root_side > 0:
             raise ValueError("root_side must be positive")
         origin = tuple(float(x) for x in self.origin)

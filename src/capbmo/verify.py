@@ -25,7 +25,7 @@ from .grid import (
     StepFunction,
     enumerate_cubes,
 )
-from .oscillation import bmo_seminorm, blo_seminorm, gamma_interval, weighted_bmo_seminorm
+from .oscillation import bmo_seminorm, blo_seminorm, weighted_bmo_seminorm
 from .reports import InvariantViolation, VerificationReport
 from .weights import a1_constant, ap_constant, maximal_function
 from . import fixtures
@@ -166,13 +166,6 @@ def fit_envelope(curve: SurvivalCurve, seminorm: float) -> EnvelopeFit:
     return EnvelopeFit(c=c, C=C, passed=passed, witness=witness)
 
 
-def _jn_center(kind, f, w, q, Q, params):
-    if kind == "blo":
-        return float(f.values[Q.mask(f.grid)].min())
-    gi = gamma_interval(f, w if kind == "weighted" else None, q if kind == "weighted" else 1.0, Q, params)
-    return 0.5 * (gi.lo + gi.hi)
-
-
 def verify_jn(
     kind: str,
     f: StepFunction,
@@ -184,7 +177,9 @@ def verify_jn(
 ) -> VerificationReport:
     """Uniform exponential decay of oscillation level sets over a family.
 
-    Fits a per-cube envelope around the kind's canonical center, then
+    Fits a per-cube envelope around the center the kind's seminorm report
+    chose for that cube (the midpoint of the minimizer plateau for bmo and
+    weighted, the essential infimum for blo), then
     asserts that the single pair (min c, max C) satisfies the bound at
     every sample of every cube. A constant function passes trivially.
     """
@@ -195,11 +190,12 @@ def verify_jn(
     if params is None:
         raise ValueError("params is required")
     if kind == "bmo":
-        seminorm = bmo_seminorm(f, params, policy).value
+        report = bmo_seminorm(f, params, policy)
     elif kind == "blo":
-        seminorm = blo_seminorm(f, params, policy).value
+        report = blo_seminorm(f, params, policy)
     else:
-        seminorm = weighted_bmo_seminorm(f, w, q, params, policy).value
+        report = weighted_bmo_seminorm(f, w, q, params, policy)
+    seminorm = report.value
 
     base_params = {"kind": kind, "q": q, "delta": params.delta, "family": policy.kind}
     if seminorm <= 0:
@@ -215,8 +211,7 @@ def verify_jn(
     fits = []
     curves = []
     for Q in enumerate_cubes(f.grid, policy):
-        center = _jn_center(kind, f, w, q, Q, params)
-        curve = survival_curve(f, center, Q, weight, params, (0.0,))
+        curve = survival_curve(f, report.per_cube_centers[Q], Q, weight, params, (0.0,))
         curves.append(curve)
         fits.append(fit_envelope(curve, seminorm))
     if curves_out is not None:
@@ -491,6 +486,8 @@ def verify_inclusions(
     if thresholds:
         thr.update(thresholds)
     depths = list(depth_range)
+    for depth in depths:
+        fixtures.log_grid(n, depth)  # reject an oversized depth before any work
     blo_neg, sup_neg, bmo_pos, chain_pos = [], [], [], []
     for depth in depths:
         f_neg = fixtures.neg_log_abs_function(n, depth)

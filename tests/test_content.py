@@ -75,6 +75,70 @@ def test_content_equals_exhaustive_cover_minimum_on_all_subsets(delta):
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+def cover_search_minimum(n, depth, delta):
+    """Minimal dyadic-cover cost of every subset of a grid with cell side 1,
+    found by trying every set of dyadic subcubes as a cover.
+
+    Returns an array indexed by the subset's bit code (bit x = row-major
+    cell x). A cover's cost is summed along the tree, children in
+    lexicographic offset order, so that the minimum rounds as the tree
+    recursion does: floating-point addition is monotone, so the sum of
+    per-child minima is the minimum of the sums.
+    """
+    side = 1 << depth
+    cells = np.arange(side**n).reshape((side,) * n)
+    cubes = []  # (level, corner) in preorder, each with its cell bits
+    bits = []
+
+    def visit(level, corner):
+        size = side >> level
+        cubes.append((level, corner))
+        block = cells[tuple(slice(c, c + size) for c in corner)]
+        bits.append(int(sum(1 << int(x) for x in block.ravel())))
+        if size > 1:
+            for offsets in np.ndindex(*(2,) * n):
+                visit(level + 1, tuple(c + o * size // 2 for c, o in zip(corner, offsets)))
+
+    visit(0, (0,) * n)
+    index = {cube: i for i, cube in enumerate(cubes)}
+
+    def tree_cost(cover, level, corner):
+        size = side >> level
+        if cover >> index[(level, corner)] & 1:
+            return float(size) ** delta
+        total = 0.0
+        if size > 1:
+            for offsets in np.ndindex(*(2,) * n):
+                child = tuple(c + o * size // 2 for c, o in zip(corner, offsets))
+                total += tree_cost(cover, level + 1, child)
+        return total
+
+    union = np.zeros(1 << len(cubes), dtype=np.int64)
+    for cover in range(1, len(union)):
+        lowest = (cover & -cover).bit_length() - 1
+        union[cover] = union[cover & (cover - 1)] | bits[lowest]
+    cost = np.array([tree_cost(cover, 0, (0,) * n) for cover in range(len(union))])
+    subsets = np.arange(1 << side**n, dtype=np.int64)
+    return np.array([cost[(union & s) == s].min() for s in subsets])
+
+
+@pytest.mark.parametrize("n,depth", [(1, 3), (3, 1)])
+@pytest.mark.parametrize("delta_of_n", [0.3, 1.0, "n"])
+def test_content_equals_exhaustive_cover_search_1d_3d(n, depth, delta_of_n):
+    delta = float(n) if delta_of_n == "n" else delta_of_n
+    g = build_grid(n, depth, float(1 << depth))
+    params = ContentParams(delta=delta)
+    expected = cover_search_minimum(n, depth, delta)
+    codes = np.arange(len(expected))
+    masks = ((codes[:, None] >> np.arange(g.num_cells)) & 1).astype(bool)
+    ones = np.ones(g.num_cells)
+    bulk = masked_integral_many(g, [(ones, m) for m in masks], params)
+    assert np.array_equal(bulk, expected)
+    # one set at a time, each in its own frame
+    single = [dyadic_content(g, DyadicSet(g, m), params) for m in masks]
+    assert np.array_equal(single, expected)
+
+
 def test_dyadic_content_agrees_with_bulk_path(rng):
     g = build_grid(2, 2, 4.0)
     for delta in (0.3, 1.0, 1.7):

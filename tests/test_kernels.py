@@ -1,14 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import capbmo
 from capbmo import kernels
-from capbmo.kernels import _numpy
 
 
 def random_tree_inputs(rng, ndim, depth, rows):
@@ -20,7 +13,7 @@ def random_tree_inputs(rng, ndim, depth, rows):
 
 
 def reference_reduce(costs, ndim, depth, caps):
-    """Slow recursive reduction, independent of the level-loop kernels."""
+    """Slow recursive reduction, independent of the level-loop kernel."""
 
     def reduce_one(block, level):
         side = block.shape[0]
@@ -46,57 +39,9 @@ def test_fallback_matches_reference_reduction(rng, ndim, depth):
     if ndim == 3 and depth == 3:
         depth = 2  # keep the 3-d case small
     costs, caps = random_tree_inputs(rng, ndim, depth, rows=17)
-    got = kernels.reduce_tree(costs.copy(), ndim, depth, caps, impl=_numpy)
+    got = kernels.reduce_tree(costs.copy(), ndim, depth, caps)
     expect = reference_reduce(costs, ndim, depth, caps)
     assert got == pytest.approx(expect, abs=1e-13)
-
-
-@pytest.mark.skipif(not kernels.USING_COMPILED, reason="compiled kernel unavailable")
-@pytest.mark.parametrize("ndim", [1, 2, 3])
-def test_compiled_and_fallback_bit_identical(rng, ndim):
-    from capbmo.kernels import _tree
-
-    depth = 3 if ndim < 3 else 2
-    costs, caps = random_tree_inputs(rng, ndim, depth, rows=64)
-    a = kernels.reduce_tree(costs.copy(), ndim, depth, caps, impl=_tree)
-    b = kernels.reduce_tree(costs.copy(), ndim, depth, caps, impl=_numpy)
-    # same accumulation order in both paths: equality must be bitwise
-    assert np.array_equal(a, b)
-
-
-def selected_kernel(force_fallback):
-    """kernel_name() and USING_COMPILED as a fresh interpreter reports them.
-
-    The child inherits this process's environment, with capbmo's parent
-    directory first on PYTHONPATH so that it imports the package copy under
-    test, and CAPBMO_FORCE_FALLBACK set only when force_fallback is true.
-    """
-    code = "import capbmo.kernels as k; print(k.kernel_name(), k.USING_COMPILED)"
-    env = dict(os.environ)
-    env.pop("CAPBMO_FORCE_FALLBACK", None)
-    if force_fallback:
-        env["CAPBMO_FORCE_FALLBACK"] = "1"
-    package_root = str(Path(capbmo.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-def test_kernel_selection_env():
-    assert selected_kernel(force_fallback=True) == "numpy False"
-    # without the variable the compiled kernel wins wherever it is built
-    try:
-        from capbmo.kernels import _tree  # noqa: F401
-
-        expected = "compiled True"
-    except ImportError:
-        expected = "numpy False"
-    assert selected_kernel(force_fallback=False) == expected
 
 
 def test_reduce_tree_validates_shapes(rng):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import capbmo.fixtures
 import capbmo.weights
 from capbmo.cli import main
-from capbmo.grid import CubeFamilyPolicy, CubeSpec, build_grid
+from capbmo.grid import MAX_CELLS, CubeFamilyPolicy, CubeSpec, build_grid
 from capbmo.serialization import (
     atomic_write_text,
     canonical_json,
@@ -38,6 +39,36 @@ def test_load_grid_roundtrip_and_errors():
     assert g2.origin == (-1.0,)
     with pytest.raises(ValueError, match="missing field"):
         load_grid({"n": 2, "depth": 3})
+
+
+def test_oversized_grid_is_rejected_before_allocation(files, capsys, tmp_path):
+    # n=3, depth=20 would be 2**60 cells; the grid is refused from n and
+    # depth alone, so none of these calls allocates anything grid-sized.
+    assert build_grid(2, 10).num_cells == MAX_CELLS
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        build_grid(2, 11)
+    huge = {"n": 3, "depth": 20, "root_side": 1.0}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            load_grid(huge)
+        grid = write_json(tmp_path / "huge.json", huge)
+        code, _, err = run_cli(capsys, ["content", "--grid", grid, "--set", files["set"]])
+        assert code == 2 and "MAX_CELLS" in err
+        # every depth is checked before the first one is computed
+        fx = write_json(
+            tmp_path / "fx.json",
+            {
+                "grid": {"n": 1, "depth": 1, "root_side": 2.0},
+                "parameters": {"delta": 1.0, "n": 2, "depth_range": [3, 40]},
+            },
+        )
+        code, _, err = run_cli(capsys, ["verify", "inclusions", "--fixture", fx])
+        assert code == 2 and "depth=11" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_function_flat_and_nested():
@@ -261,7 +292,7 @@ def test_cli_weight_and_czd(files, capsys):
     assert "root average" in err
 
 
-def test_cli_verify_single_and_multi(files, capsys, tmp_path, monkeypatch):
+def test_cli_verify_single_and_multi(files, capsys, tmp_path):
     fx = write_json(
         tmp_path / "fx.json",
         {
@@ -284,7 +315,6 @@ def test_cli_verify_single_and_multi(files, capsys, tmp_path, monkeypatch):
     assert doc["body"]["seed"] == 11
     assert curves_path.read_text().startswith("cube_id,t,survival,normalizer")
 
-    monkeypatch.setenv("CAPBMO_THREADS", "1")
     code, out, _ = run_cli(
         capsys, ["verify", "equiv", "--fixture", fx, "--fixture", fx, "--out", str(out_path)]
     )

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from capbmo.fixtures import (
     random_positive_weight,
     two_cell_example,
 )
-from capbmo.grid import CubeSpec, DyadicSet, build_grid, full_set, step_function
+from capbmo.grid import CubeFamilyPolicy, CubeSpec, DyadicSet, build_grid, full_set, step_function
 from capbmo.reports import InvariantViolation
 from capbmo.verify import (
     fit_envelope,
@@ -118,6 +119,34 @@ def test_verify_jn_all_kinds_pass(rng):
             assert rep.constants["c"] > 0
             assert len(curves) > 0
             assert rep.check_name == "john-nirenberg"
+
+
+def test_verify_jn_takes_centers_from_the_seminorm_report(rng, monkeypatch):
+    # The seminorm already searched every cube for its center; running a
+    # one-cube gamma_interval search again must not change any report.
+    g = build_grid(2, 2, 4.0)
+    f = step_function(g, rng.normal(size=g.num_cells))
+    w = random_positive_weight(g, rng)
+    params = ContentParams(delta=0.5)
+    policy = CubeFamilyPolicy("lattice")
+
+    def run_all():
+        out = []
+        for kind, weight, q in (("bmo", None, 1.0), ("blo", None, 1.0), ("weighted", w, 2.0)):
+            curves = []
+            rep = verify_jn(kind, f, w=weight, q=q, params=params, policy=policy, curves_out=curves)
+            out.append((rep, curves))
+        return out
+
+    expected = run_all()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("verify_jn ran a one-cube gamma_interval search")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "capbmo" and hasattr(module, "gamma_interval"):
+            monkeypatch.setattr(module, "gamma_interval", no_search)
+    assert run_all() == expected
 
 
 def test_verify_jn_trivial_and_errors(grid_1d):
