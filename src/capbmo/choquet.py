@@ -13,15 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .content import (
-    ContentParams,
-    cube_content,
-    cube_frames,
-    frame_for_cube,
-    job_chunks,
-    masked_integral,
-    masked_integral_many,
-)
+from .content import ContentParams, cube_content, cube_integrals, masked_integral
 from .grid import CubeSpec, DyadicSet, Grid, StepFunction
 
 __all__ = [
@@ -120,32 +112,24 @@ def signed_average(f: StepFunction, Q: CubeSpec, params: ContentParams) -> Signe
 
 
 def signed_averages(f: StepFunction, cubes, params: ContentParams) -> list[SignedAverage]:
-    """signed_average on every cube; cubes whose frames share a depth share
-    one integrator call (four jobs per cube)."""
-    out = [None] * len(cubes)
-    for positions, frames in cube_frames(f.grid, cubes, params):
-        positions = np.asarray(positions)
-        for sl in job_chunks(len(positions), 4 * frames.cells):
-            which = np.arange(len(positions))[sl]
-            vals = frames.rows(f.values, which)
-            mask = frames.masks(which)
-            pos_mask = mask & (vals >= 0)
-            neg_mask = mask & (vals < 0)
-            ones = np.ones_like(vals)
-            pos_int, neg_int, pos_cont, neg_cont = frames.integrate(
-                np.concatenate([vals, -vals, ones, ones]),
-                np.concatenate([pos_mask, neg_mask, pos_mask, neg_mask]),
-            ).reshape(4, -1)
-            value = (pos_int - neg_int) / (pos_cont + neg_cont)
-            for k, i in enumerate(positions[sl]):
-                out[i] = SignedAverage(
-                    value=value[k],
-                    pos_part_integral=float(pos_int[k]),
-                    neg_part_integral=float(neg_int[k]),
-                    pos_content=float(pos_cont[k]),
-                    neg_content=float(neg_cont[k]),
-                )
-    return out
+    """signed_average on every cube, four jobs per cube in one family call."""
+    pos, neg = f.values >= 0, f.values < 0
+    ones = np.ones(f.grid.num_cells)
+    vals = cube_integrals(
+        f.grid, cubes, [(f.values, pos), (-f.values, neg), (ones, pos), (ones, neg)], params
+    )
+    pos_int, neg_int, pos_cont, neg_cont = vals.T
+    value = (pos_int - neg_int) / (pos_cont + neg_cont)
+    return [
+        SignedAverage(
+            value=value[k],
+            pos_part_integral=float(pos_int[k]),
+            neg_part_integral=float(neg_int[k]),
+            pos_content=float(pos_cont[k]),
+            neg_content=float(neg_cont[k]),
+        )
+        for k in range(len(cubes))
+    ]
 
 
 def essential_bounds(f: StepFunction, Q: CubeSpec) -> EssentialBounds:
@@ -164,9 +148,7 @@ def cube_choquet(
     grid: Grid, values: np.ndarray, cube: CubeSpec, params: ContentParams
 ) -> float:
     """Integral of non-negative cell values over a cube."""
-    return masked_integral(
-        grid, values, cube.mask(grid), params, frame_for_cube(grid, cube)
-    )
+    return masked_integral(grid, values, cube.mask(grid), params)
 
 
 def jensen_sides(f: StepFunction, Q: CubeSpec, params: ContentParams) -> JensenSides:
@@ -175,18 +157,14 @@ def jensen_sides(f: StepFunction, Q: CubeSpec, params: ContentParams) -> JensenS
     mask = Q.mask(grid)
     pos_mask = mask & (f.values >= 0)
     neg_mask = mask & (f.values < 0)
-    frame = frame_for_cube(grid, Q)
     norm = cube_content(grid, Q, params)
     peak = max(np.abs(f.values[mask]).max(), abs(avg))
     if peak <= _EXP_LIMIT:
         ef = np.exp(f.values)
         enf = np.exp(-f.values)
-        a, b, c, d = masked_integral_many(
-            grid,
-            [(ef, pos_mask), (ef, neg_mask), (enf, pos_mask), (enf, neg_mask)],
-            params,
-            frame,
-        )
+        a, b, c, d = cube_integrals(
+            grid, [Q], [(ef, pos_mask), (ef, neg_mask), (enf, pos_mask), (enf, neg_mask)], params
+        )[0]
         return JensenSides(
             lhs_pos=math.exp(avg),
             rhs_pos=(a + b) / norm,
@@ -206,7 +184,7 @@ def jensen_sides(f: StepFunction, Q: CubeSpec, params: ContentParams) -> JensenS
             g = sign * f.values
             m = g[part].max()
             scaled = np.exp(np.where(part, g - m, 0.0))
-            integral = masked_integral(grid, scaled, part, params, frame)
+            integral = cube_integrals(grid, [Q], [(scaled, part)], params)[0, 0]
             part_logs.append(m + math.log(integral))
         log_parts.append(np.logaddexp(part_logs[0], part_logs[1]) - math.log(norm))
     return JensenSides(

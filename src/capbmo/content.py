@@ -16,12 +16,17 @@ integrated over row j of a mask array of the same shape. One sort finds
 every row's distinct positive thresholds t_1 < t_2 < ...; the occupancy
 row {value >= t_k} of each threshold is reduced by ``kernels.reduce_tree``
 in blocks of at most ``_ROW_CELLS`` leaf cells, and each job's layer-cake
-sum of (t_k - t_{k-1}) * content is taken with ``math.fsum``. Rows of
-different cubes may share a call as long as their frames share a depth,
-which is how ``CubeFrames`` batches a whole cube family; callers stack at
-most ``_JOB_CELLS`` cells of job rows per call (``job_chunks``). Both
-budgets bound memory only: a job's thresholds, frame and exactly rounded
-sum do not depend on which call it rides in, so results do not either.
+sum of (t_k - t_{k-1}) * content is taken with ``math.fsum``.
+
+Every integral rides on a cube family: ``cube_frames`` groups cubes by
+frame depth into ``CubeFrames``, whose rows of different cubes share
+layer-cake calls. ``cube_integrals`` takes jobs common to every cube,
+``superlevel_integrals`` per-cube level sets, and ``masked_integral_many``
+any (values, mask) jobs, on the one-cube family of their mask union's
+frame. Callers stack at most ``_JOB_CELLS`` cells of job rows per call
+(``job_chunks``). Both budgets bound memory only: a job's thresholds,
+frame and exactly rounded sum do not depend on which call it rides in,
+so results do not either.
 """
 
 from __future__ import annotations
@@ -75,39 +80,22 @@ class _Frame:
         return tuple(slice(c, c + side) for c in self.corner)
 
 
-def _root_frame(grid: Grid) -> _Frame:
-    return _Frame((0,) * grid.n, grid.depth)
-
-
-def _aligned_frame(grid: Grid, lo: np.ndarray, hi: np.ndarray) -> _Frame:
-    """Minimal dyadic cube containing cell range [lo, hi] per axis."""
-    for j in range(grid.depth + 1):
-        if np.all((lo >> j) == (hi >> j)):
-            corner = tuple(int(c) for c in ((lo >> j) << j))
-            return _Frame(corner, j)
-    return _root_frame(grid)
+def _aligned_frame(lo, hi) -> _Frame:
+    """Minimal dyadic cube containing cell range [lo, hi] per axis: the
+    smallest j with lo >> j == hi >> j on every axis."""
+    j = max(int(a ^ b).bit_length() for a, b in zip(lo, hi))
+    return _Frame(tuple(int(c) >> j << j for c in lo), j)
 
 
 def frame_for_cube(grid: Grid, cube: CubeSpec) -> _Frame:
     cube.validate(grid)
-    lo = np.array(cube.corner, dtype=np.int64)
-    return _aligned_frame(grid, lo, lo + cube.side_cells - 1)
+    return _aligned_frame(cube.corner, [c + cube.side_cells - 1 for c in cube.corner])
 
 
 def _frame_for_mask(grid: Grid, membership: np.ndarray) -> _Frame:
     idx = np.flatnonzero(membership)
     multi = np.unravel_index(idx, grid.shape)
-    lo = np.array([int(m.min()) for m in multi], dtype=np.int64)
-    hi = np.array([int(m.max()) for m in multi], dtype=np.int64)
-    return _aligned_frame(grid, lo, hi)
-
-
-def _frame_rows(grid: Grid, frame: _Frame, arrays) -> np.ndarray:
-    """Stack the frame's cells of each flat grid array, row-major within the frame."""
-    sl = frame.slices()
-    return np.stack([np.asarray(a).reshape(grid.shape)[sl] for a in arrays]).reshape(
-        len(arrays), -1
-    )
+    return _aligned_frame([m.min() for m in multi], [m.max() for m in multi])
 
 
 def level_caps(grid: Grid, sub_depth: int, delta: float) -> np.ndarray:
@@ -216,55 +204,79 @@ def cube_frames(grid: Grid, cubes, params: ContentParams):
     ]
 
 
+def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray:
+    """(len(cubes), len(jobs)) Choquet integrals of each job over each cube.
+
+    A job is a flat (values, mask) pair, mask None for the whole cube; it
+    is integrated over cube cap mask. Rows are built one chunk at a time.
+    """
+    jobs = [(np.asarray(v, dtype=np.float64), m if m is None else np.asarray(m, dtype=bool))
+            for v, m in jobs]
+    out = np.empty((len(cubes), len(jobs)))
+    for positions, frames in cube_frames(grid, cubes, params):
+        k, total = len(positions), len(jobs) * len(positions)
+        for sl in job_chunks(total, frames.cells):
+            # (job, cube) pairs run job-major, so each job is one run of the chunk
+            job, which = np.divmod(np.arange(sl.start, min(sl.stop, total)), k)
+            inside = frames.masks(which)
+            values = []
+            for j in range(job[0], job[-1] + 1):
+                run = slice(max(j * k - sl.start, 0), (j + 1) * k - sl.start)
+                v, m = jobs[j]
+                values.append(frames.rows(v, which[run]))
+                if m is not None:
+                    inside[run] &= frames.rows(m, which[run])
+            out[np.asarray(positions)[which], job] = frames.integrate(np.concatenate(values), inside)
+    return out
+
+
+def superlevel_integrals(grid: Grid, cubes, values, centers, levels, weights, params):
+    """Per cube Q_i, the integrals of weights over Q_i cap {|values - centers[i]| > t}
+    for each t in levels[i], every (cube, level) job stacked on the family's rows."""
+    centers = np.asarray(centers, dtype=np.float64)
+    out = [None] * len(cubes)
+    for positions, frames in cube_frames(grid, cubes, params):
+        counts = [len(levels[i]) for i in positions]
+        local = np.repeat(np.arange(len(positions)), counts)
+        thresholds = np.concatenate([levels[i] for i in positions])
+        shift = centers[positions]
+        vals = np.empty(len(local))
+        for sl in job_chunks(len(local), frames.cells):
+            which = local[sl]
+            dev = np.abs(frames.rows(values, which) - shift[which, None])
+            masks = frames.masks(which) & (dev > thresholds[sl, None])
+            vals[sl] = frames.integrate(frames.rows(weights, which), masks)
+        for i, part in zip(positions, np.split(vals, np.cumsum(counts)[:-1])):
+            out[i] = part
+    return out
+
+
 def masked_integral_many(
-    grid: Grid,
-    jobs: list[tuple[np.ndarray, np.ndarray]],
-    params: ContentParams,
-    frame: _Frame | None = None,
+    grid: Grid, jobs: list[tuple[np.ndarray, np.ndarray]], params: ContentParams
 ) -> np.ndarray:
     """Layer-cake Choquet integrals for several (values, mask) jobs at once.
 
     Each job integrates its non-negative values over its mask against the
-    dyadic content. Jobs share one frame (computed from the union of
-    masks when not given), so their threshold rows batch into the same
-    tree reduction.
+    dyadic content. The jobs ride on the one-cube family of the frame of
+    their mask union, so their threshold rows batch into the same calls.
     """
     params.validate(grid)
-    if frame is None:
-        union = np.zeros(grid.num_cells, dtype=bool)
-        for _, mask in jobs:
-            union |= mask
-        if not union.any():
-            return np.zeros(len(jobs))
-        frame = _frame_for_mask(grid, union)
-    caps = level_caps(grid, frame.depth, params.delta)
-    out = np.empty(len(jobs), dtype=np.float64)
-    for sl in job_chunks(len(jobs), frame.side_cells**grid.n):
-        chunk = jobs[sl]
-        values = _frame_rows(grid, frame, [v for v, _ in chunk]).astype(np.float64, copy=False)
-        masks = _frame_rows(grid, frame, [m for _, m in chunk]).astype(bool, copy=False)
-        out[sl] = layer_cake(values, masks, grid.n, frame.depth, caps)
-    return out
+    union = np.zeros(grid.num_cells, dtype=bool)
+    for _, mask in jobs:
+        union |= mask
+    if not union.any():
+        return np.zeros(len(jobs))
+    frame = _frame_for_mask(grid, union)
+    return cube_integrals(grid, [CubeSpec(frame.corner, frame.side_cells)], jobs, params)[0]
 
 
 def masked_integral(
-    grid: Grid,
-    values: np.ndarray,
-    mask: np.ndarray,
-    params: ContentParams,
-    frame: _Frame | None = None,
+    grid: Grid, values: np.ndarray, mask: np.ndarray, params: ContentParams
 ) -> float:
     """Choquet integral of non-negative values over the masked cells."""
     if not mask.any():
         return 0.0
-    return float(masked_integral_many(grid, [(values, mask)], params, frame)[0])
-
-
-def _set_content(grid: Grid, frame: _Frame, membership: np.ndarray, params: ContentParams) -> float:
-    """Content of a cell set inside the given frame: its layer cake at height 1."""
-    occ = _frame_rows(grid, frame, [membership])
-    caps = level_caps(grid, frame.depth, params.delta)
-    return float(layer_cake(np.ones(occ.shape), occ, grid.n, frame.depth, caps)[0])
+    return float(masked_integral_many(grid, [(values, mask)], params)[0])
 
 
 def dyadic_content(grid: Grid, E: DyadicSet, params: ContentParams) -> float:
@@ -274,7 +286,7 @@ def dyadic_content(grid: Grid, E: DyadicSet, params: ContentParams) -> float:
         raise ValueError("set was built on a different grid")
     if E.is_empty():
         return 0.0
-    return _set_content(grid, _frame_for_mask(grid, E.membership), E.membership, params)
+    return masked_integral(grid, np.ones(grid.num_cells), E.membership, params)
 
 
 def weighted_content(
@@ -294,4 +306,4 @@ def weighted_content(
 def cube_content(grid: Grid, cube: CubeSpec, params: ContentParams) -> float:
     """Content of a full cube of cells (not necessarily dyadic)."""
     params.validate(grid)
-    return _set_content(grid, frame_for_cube(grid, cube), cube.mask(grid), params)
+    return masked_integral(grid, np.ones(grid.num_cells), cube.mask(grid), params)

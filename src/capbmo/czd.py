@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentParams, frame_for_cube, masked_integral_many
+from .content import ContentParams, cube_integrals
 from .grid import CubeSpec, Grid, StepFunction
 from .reports import VerificationReport
 
@@ -27,18 +27,10 @@ class CZResult:
     parent_ratios: tuple[float, ...]
 
 
-def _weighted_average(
-    grid: Grid,
-    absf: np.ndarray,
-    w: np.ndarray,
-    cube: CubeSpec,
-    params: ContentParams,
-) -> tuple[float, float]:
-    """(average of |f| against w-content on cube, w-content of cube)."""
-    mask = cube.mask(grid)
-    frame = frame_for_cube(grid, cube)
-    num, den = masked_integral_many(grid, [(absf * w, mask), (w, mask)], params, frame)
-    return float(num / den), float(den)
+def _weighted_averages(grid: Grid, absf, w, cubes, params: ContentParams):
+    """Per cube: (average of |f| against w-content, w-content of the cube)."""
+    num, den = cube_integrals(grid, cubes, [(absf * w, None), (w, None)], params).T
+    return (num / den).tolist(), den.tolist()
 
 
 def _children(cube: CubeSpec) -> list[CubeSpec]:
@@ -78,7 +70,7 @@ def cz_decompose(
     grid = f.grid
     absf = np.abs(f.values)
     wv = w.values
-    root_avg, root_wc = _weighted_average(grid, absf, wv, root, params)
+    (root_avg,), (root_wc,) = _weighted_averages(grid, absf, wv, [root], params)
     if root_avg > threshold:
         raise ValueError(
             f"threshold {threshold} is below the root average {root_avg}"
@@ -87,20 +79,20 @@ def cz_decompose(
     selected: list[CubeSpec] = []
     ratios: list[float] = []
     parent_ratios: list[float] = []
-
-    def descend(cube: CubeSpec, cube_wc: float) -> None:
-        if cube.side_cells == 1:
-            return
-        for child in _children(cube):
-            avg, wc = _weighted_average(grid, absf, wv, child, params)
+    # Level by level: the children of every unselected cube of a level are
+    # averaged in one family call; selected children stop, the rest descend.
+    level = [(root, root_wc)] if root.side_cells > 1 else []
+    while level:
+        kids = [(child, cube_wc) for cube, cube_wc in level for child in _children(cube)]
+        avgs, wcs = _weighted_averages(grid, absf, wv, [c for c, _ in kids], params)
+        level = []
+        for (child, cube_wc), avg, wc in zip(kids, avgs, wcs):
             if avg > threshold:
                 selected.append(child)
                 ratios.append(avg / threshold)
                 parent_ratios.append(cube_wc / wc)
-            else:
-                descend(child, wc)
-
-    descend(root, root_wc)
+            elif child.side_cells > 1:
+                level.append((child, wc))
     order = sorted(
         range(len(selected)),
         key=lambda i: (-selected[i].side_cells, selected[i].corner),
@@ -123,14 +115,15 @@ def _dyadic_subcubes(root: CubeSpec) -> list[CubeSpec]:
     return out
 
 
-def _is_strict_ancestor(anc: CubeSpec, cube: CubeSpec) -> bool:
-    if anc.side_cells <= cube.side_cells:
-        return False
-    return all(
-        anc.corner[a] <= cube.corner[a]
-        and cube.corner[a] + cube.side_cells <= anc.corner[a] + anc.side_cells
-        for a in range(len(anc.corner))
-    )
+def _ancestors(cube: CubeSpec, stats: dict):
+    """The strict dyadic ancestors of cube among the keys of stats, nearest first."""
+    side = cube.side_cells
+    while True:
+        side *= 2
+        parent = CubeSpec(tuple(c - c % side for c in cube.corner), side)
+        if parent not in stats:
+            return
+        yield parent
 
 
 def cz_verify(
@@ -149,14 +142,11 @@ def cz_verify(
     grid = f.grid
     absf = np.abs(f.values)
     lam = result.threshold
-    stats = {
-        cube: _weighted_average(grid, absf, w.values, cube, params)
-        for cube in _dyadic_subcubes(root)
-    }
-    over = [c for c, (avg, _) in stats.items() if avg > lam]
+    cubes = _dyadic_subcubes(root)
+    stats = dict(zip(cubes, zip(*_weighted_averages(grid, absf, w.values, cubes, params))))
     maximal = [
-        c for c in over
-        if not any(_is_strict_ancestor(a, c) for a in over)
+        c for c, (avg, _) in stats.items()
+        if avg > lam and not any(stats[a][0] > lam for a in _ancestors(c, stats))
     ]
     key = lambda c: (-c.side_cells, c.corner)
     witnesses: list = []
@@ -195,10 +185,7 @@ def cz_verify(
                 {"issue": "average beyond parent ratio", "cube": cube.cube_id()}
             )
     ancestors_ok = all(
-        stats[a][0] <= lam + 1e-12
-        for c in result.selected
-        for a in stats
-        if _is_strict_ancestor(a, c)
+        stats[a][0] <= lam + 1e-12 for c in result.selected for a in _ancestors(c, stats)
     )
     if not ancestors_ok:
         witnesses.append({"issue": "ancestor average above threshold"})

@@ -16,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choquet import signed_average
-from .content import ContentParams, dyadic_content, frame_for_cube, masked_integral, masked_integral_many
+from .choquet import signed_averages
+from .content import (
+    ContentParams,
+    cube_integrals,
+    dyadic_content,
+    masked_integral,
+    masked_integral_many,
+    superlevel_integrals,
+)
 from .grid import (
     CubeFamilyPolicy,
     CubeSpec,
@@ -34,6 +41,7 @@ __all__ = [
     "SurvivalCurve",
     "EnvelopeFit",
     "survival_curve",
+    "survival_curves",
     "fit_envelope",
     "verify_jn",
     "verify_characterization",
@@ -82,8 +90,22 @@ def survival_curve(
     with points just below each jump, so the staircase shape of the curve
     is captured regardless of the grid supplied.
     """
+    return survival_curves(f, [center], [Q], weight, params, t_grid)[0]
+
+
+def survival_curves(
+    f: StepFunction,
+    centers,
+    cubes,
+    weight: StepFunction | None,
+    params: ContentParams,
+    t_grid: tuple[float, ...] = (0.0,),
+) -> list[SurvivalCurve]:
+    """survival_curve of every cube around its own center, with every
+    (cube, sample) job of the family in shared layer-cake calls."""
     grid = f.grid
-    Q.validate(grid)
+    for Q in cubes:
+        Q.validate(grid)
     if weight is not None:
         if weight.grid != grid:
             raise ValueError("weight lives on a different grid")
@@ -93,47 +115,47 @@ def survival_curve(
     if ts.size and (np.any(ts < 0) or np.any(np.diff(ts) < 0)):
         raise ValueError("t_grid must be non-negative and increasing")
 
-    cube_mask = Q.mask(grid)
-    dev = np.abs(f.values - center)
-    jumps = np.unique(dev[cube_mask])
-    pos = jumps[jumps > 0]
-    just_below = pos - 1e-9 * np.maximum(pos, 1.0)
-    samples = np.unique(np.concatenate([ts, jumps, np.maximum(just_below, 0.0)]))
-
-    ones = np.ones(grid.num_cells)
-    wv = ones if weight is None else weight.values
-    frame = frame_for_cube(grid, Q)
-    jobs = [(wv, cube_mask & (dev > t)) for t in samples]
-    jobs.append((wv, cube_mask))
-    vals = masked_integral_many(grid, jobs, params, frame)
-    surv, norm = vals[:-1], float(vals[-1])
-
-    # Contents of nested sets are monotone; the weighted layer cake picks
-    # job-specific thresholds, so rounding may wiggle by a few ulps. Anything
-    # beyond that means a broken content, not rounding.
-    tol = 1e-12 * max(norm, 1.0)
-    rises = np.flatnonzero(~(np.diff(surv) <= tol))
-    if rises.size:
-        k = int(rises[0])
-        raise InvariantViolation(
-            f"survival curve rises on cube {Q.cube_id()}",
-            {"cube": Q.cube_id(), "t": [float(samples[k]), float(samples[k + 1])],
-             "survival": [float(surv[k]), float(surv[k + 1])]},
-        )
-    if surv.size and not surv[0] <= norm + tol:
-        raise InvariantViolation(
-            f"survival exceeds the cube content on cube {Q.cube_id()}",
-            {"cube": Q.cube_id(), "t": float(samples[0]), "survival": float(surv[0]),
-             "normalizer": norm},
-        )
-    surv = np.minimum(np.minimum.accumulate(surv), norm)
-    return SurvivalCurve(
-        t_samples=tuple(float(t) for t in samples),
-        survival=tuple(float(s) for s in surv),
-        normalizer=norm,
-        cube=Q,
-        weighted=weight is not None,
-    )
+    levels = []
+    for Q, center in zip(cubes, centers):
+        jumps = np.unique(np.abs(f.values[Q.mask(grid)] - center))
+        pos = jumps[jumps > 0]
+        just_below = pos - 1e-9 * np.maximum(pos, 1.0)
+        samples = np.unique(np.concatenate([ts, jumps, np.maximum(just_below, 0.0)]))
+        # the final level -inf takes the whole cube: the normaliser w(Q)
+        levels.append(np.append(samples, -np.inf))
+    wv = np.ones(grid.num_cells) if weight is None else weight.values
+    curves = []
+    for Q, level, vals in zip(
+        cubes, levels, superlevel_integrals(grid, cubes, f.values, centers, levels, wv, params)
+    ):
+        samples, surv, norm = level[:-1], vals[:-1], float(vals[-1])
+        # Contents of nested sets are monotone; the weighted layer cake picks
+        # job-specific thresholds, so rounding may wiggle by a few ulps. Anything
+        # beyond that means a broken content, not rounding.
+        tol = 1e-12 * max(norm, 1.0)
+        rises = np.flatnonzero(~(np.diff(surv) <= tol))
+        if rises.size:
+            k = int(rises[0])
+            raise InvariantViolation(
+                f"survival curve rises on cube {Q.cube_id()}",
+                {"cube": Q.cube_id(), "t": [float(samples[k]), float(samples[k + 1])],
+                 "survival": [float(surv[k]), float(surv[k + 1])]},
+            )
+        if surv.size and not surv[0] <= norm + tol:
+            raise InvariantViolation(
+                f"survival exceeds the cube content on cube {Q.cube_id()}",
+                {"cube": Q.cube_id(), "t": float(samples[0]), "survival": float(surv[0]),
+                 "normalizer": norm},
+            )
+        surv = np.minimum(np.minimum.accumulate(surv), norm)
+        curves.append(SurvivalCurve(
+            t_samples=tuple(float(t) for t in samples),
+            survival=tuple(float(s) for s in surv),
+            normalizer=norm,
+            cube=Q,
+            weighted=weight is not None,
+        ))
+    return curves
 
 
 def fit_envelope(curve: SurvivalCurve, seminorm: float) -> EnvelopeFit:
@@ -208,12 +230,10 @@ def verify_jn(
         )
 
     weight = w if kind == "weighted" else None
-    fits = []
-    curves = []
-    for Q in enumerate_cubes(f.grid, policy):
-        curve = survival_curve(f, report.per_cube_centers[Q], Q, weight, params, (0.0,))
-        curves.append(curve)
-        fits.append(fit_envelope(curve, seminorm))
+    cubes = enumerate_cubes(f.grid, policy)
+    centers = [report.per_cube_centers[Q] for Q in cubes]
+    curves = survival_curves(f, centers, cubes, weight, params, (0.0,))
+    fits = [fit_envelope(curve, seminorm) for curve in curves]
     if curves_out is not None:
         curves_out.extend(curves)
 
@@ -261,16 +281,15 @@ def _forward_characterization(kind, weight, p, params, policy):
     worst_percube = 0.0
     witnesses = []
     a1 = a1_constant(weight, params, policy).ap_constant if kind == "blo_a1" else None
-    ones = np.ones(grid.num_cells)
-    for Q in enumerate_cubes(grid, policy):
-        mask = Q.mask(grid)
-        frame = frame_for_cube(grid, Q)
-        jobs = [(wv, mask), (ones, mask)]
-        if dual is not None:
-            jobs.append((dual, mask))
-        vals = masked_integral_many(grid, jobs, params, frame)
+    cubes = enumerate_cubes(grid, policy)
+    jobs = [(wv, None), (np.ones(grid.num_cells), None)]
+    if dual is not None:
+        jobs.append((dual, None))
+    family = cube_integrals(grid, cubes, jobs, params)
+    averages = signed_averages(lnw, cubes, params)
+    for Q, vals, avg in zip(cubes, family, averages):
         int_w, content = float(vals[0]), float(vals[1])
-        m = signed_average(lnw, Q, params).value
+        m = avg.value
         ratio = math.exp(m) * content / (2.0 * int_w)
         worst_jensen = max(worst_jensen, ratio)
         if ratio > 1 + _REL:
@@ -284,7 +303,7 @@ def _forward_characterization(kind, weight, p, params, policy):
                 jensen_ok = False
                 witnesses.append({"issue": "dual exp bound", "cube": Q.cube_id(), "ratio": ratio2})
         if kind == "blo_a1":
-            min_w = float(wv[mask].min())
+            min_w = float(wv[Q.mask(grid)].min())
             lhs = (int_w / content) / min_w
             used = lhs / a1
             worst_percube = max(worst_percube, used)
@@ -428,7 +447,7 @@ def verify_equivalences(
     q_ratios = {}
     for q in q_list:
         wq = weighted_bmo_seminorm(f, w, q, params, policy).value
-        lq = blo_seminorm(f, params, policy, q=q).value
+        lq = blo if q == 1.0 else blo_seminorm(f, params, policy, q=q).value
         entry = {}
         if bmo > 0:
             entry["weighted_over_bmo"] = wq / bmo

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentParams, frame_for_cube, masked_integral, masked_integral_many
+from .content import ContentParams, cube_integrals, masked_integral, masked_integral_many
 from .grid import CubeFamilyPolicy, CubeSpec, Grid, StepFunction, enumerate_cubes
 from .reports import InvariantViolation
 
@@ -60,19 +60,12 @@ def _require_positive(w: StepFunction) -> None:
         raise ValueError("weight must be strictly positive on every cell")
 
 
-def cube_averages(
-    grid: Grid,
-    value_arrays: list[np.ndarray],
-    cube: CubeSpec,
-    params: ContentParams,
-) -> np.ndarray:
-    """Content-normalized averages of several non-negative arrays on a cube."""
-    mask = cube.mask(grid)
-    frame = frame_for_cube(grid, cube)
-    ones = np.ones(grid.num_cells)
-    jobs = [(arr, mask) for arr in value_arrays] + [(ones, mask)]
-    vals = masked_integral_many(grid, jobs, params, frame)
-    return vals[:-1] / vals[-1]
+def cube_averages(grid: Grid, value_arrays, cubes, params: ContentParams) -> np.ndarray:
+    """(len(cubes), len(value_arrays)) content-normalized averages of
+    non-negative arrays on each cube, in one family call."""
+    jobs = [(arr, None) for arr in value_arrays] + [(np.ones(grid.num_cells), None)]
+    vals = cube_integrals(grid, cubes, jobs, params)
+    return vals[:, :-1] / vals[:, -1:]
 
 
 def maximal_function(
@@ -86,8 +79,8 @@ def maximal_function(
     if np.any(w.values < 0):
         raise ValueError("maximal_function expects a non-negative weight")
     out = np.zeros(grid.shape)
-    for Q in enumerate_cubes(grid, policy):
-        avg = cube_averages(grid, [w.values], Q, params)[0]
+    cubes = enumerate_cubes(grid, policy)
+    for Q, (avg,) in zip(cubes, cube_averages(grid, [w.values], cubes, params)):
         region = out[Q.slices()]
         np.maximum(region, avg, out=region)
     return StepFunction(grid, out.ravel())
@@ -107,8 +100,8 @@ def ap_constant(
     dual = w.values ** (-1.0 / (p - 1.0))
     best = -math.inf
     worst = None
-    for Q in enumerate_cubes(grid, policy):
-        avg_w, avg_dual = cube_averages(grid, [w.values, dual], Q, params)
+    cubes = enumerate_cubes(grid, policy)
+    for Q, (avg_w, avg_dual) in zip(cubes, cube_averages(grid, [w.values, dual], cubes, params)):
         product = avg_w * avg_dual ** (p - 1.0)
         # Choquet-Hoelder gives product >= 1 per cube; a failure here means
         # a broken content, not a property of the weight.
@@ -131,7 +124,12 @@ def a1_constant(
 ) -> WeightReport:
     """[w]_{A_1} over the family: max over cells of M w / w."""
     _require_positive(w)
-    ratios = maximal_function(w, params, policy).values / w.values
+    return _a1_report(w, maximal_function(w, params, policy), policy)
+
+
+def _a1_report(w: StepFunction, mw: StepFunction, policy: CubeFamilyPolicy) -> WeightReport:
+    """The A_1 report of w given its maximal function mw."""
+    ratios = mw.values / w.values
     idx = int(np.argmax(ratios))
     best = float(ratios[idx])
     cell = tuple(int(c) for c in np.unravel_index(idx, w.grid.shape))
@@ -176,10 +174,11 @@ def a1_factorize(
     grid = w.grid
     for gamma in sorted(gamma_grid, reverse=True):
         base = StepFunction(grid, w.values ** (1.0 + gamma))
-        report = a1_constant(base, params, policy)
+        _require_positive(base)
+        m_base = maximal_function(base, params, policy)
+        report = _a1_report(base, m_base, policy)
         if report.ap_constant <= cap:
             alpha = 1.0 / (1.0 + gamma)
-            m_base = maximal_function(base, params, policy)
             b_vals = w.values * m_base.values**-alpha
             return A1Factorization(
                 b=StepFunction(grid, b_vals),

@@ -157,7 +157,9 @@ def test_verify_rejects_tampered_results(rng):
     demoted = CZResult(
         (child_of_first,) + good.selected[1:], lam, good.ratios, good.parent_ratios
     )
-    assert not cz_verify(f, w, root, demoted, params).passed
+    rep = cz_verify(f, w, root, demoted, params)
+    assert not rep.passed
+    assert any(wit["issue"] == "ancestor average above threshold" for wit in rep.witnesses)
 
     overlapping = CZResult(
         good.selected + (child_of_first,),

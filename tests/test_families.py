@@ -1,0 +1,191 @@
+"""Family integration paths against a per-cube reference.
+
+Every quantity that integrates over each cube of a family goes through
+``content.cube_frames``. The reference here integrates one cube at a time
+with ``masked_integral_many(grid, [(values, Q.mask(grid) & ...), ...])``,
+whose frame is the cube's own, and every comparison is bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from capbmo import czd
+from capbmo.choquet import signed_averages
+from capbmo.content import ContentParams, cube_integrals, masked_integral_many
+from capbmo.fixtures import random_positive_weight
+from capbmo.grid import CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, step_function
+from capbmo.verify import survival_curves, verify_characterization
+from capbmo.weights import ap_constant, maximal_function
+
+GRIDS = {1: 4, 2: 3, 3: 2}  # dimension -> depth
+POLICIES = [
+    CubeFamilyPolicy("dyadic"),
+    CubeFamilyPolicy("lattice"),
+    CubeFamilyPolicy("sampled", sample_count=7, rng_seed=3),
+]
+CASES = [(n, policy) for n in GRIDS for policy in POLICIES]
+IDS = [f"n{n}-{policy.kind}" for n, policy in CASES]
+
+
+def reference(grid, Q, jobs, params):
+    """One cube's integrals: each job is (values, mask or None) within Q."""
+    inside = Q.mask(grid)
+    return masked_integral_many(
+        grid, [(v, inside if m is None else inside & m) for v, m in jobs], params
+    )
+
+
+def inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid(n, GRIDS[n], 2.0)
+    # repeated values give ties in the layer cake
+    f = step_function(grid, rng.integers(-4, 5, size=grid.num_cells) * 0.75)
+    w = random_positive_weight(grid, rng, spread=0.7)
+    params = ContentParams(delta=float(rng.uniform(0.3, 1.0)) * n)
+    return grid, f, w, params
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_cube_integrals_match_per_cube_reference(n, policy):
+    grid, f, w, params = inputs(n, 1)
+    cubes = enumerate_cubes(grid, policy)
+    jobs = [(w.values, None), (np.abs(f.values), f.values > 0), (np.ones(grid.num_cells), None)]
+    got = cube_integrals(grid, cubes, jobs, params)
+    want = np.array([reference(grid, Q, jobs, params) for Q in cubes])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_maximal_function_matches_per_cube_reference(n, policy):
+    grid, _, w, params = inputs(n, 2)
+    ones = np.ones(grid.num_cells)
+    want = np.zeros(grid.shape)
+    for Q in enumerate_cubes(grid, policy):
+        a, b = reference(grid, Q, [(w.values, None), (ones, None)], params)
+        region = want[Q.slices()]
+        np.maximum(region, a / b, out=region)
+    assert np.array_equal(maximal_function(w, params, policy).values, want.ravel())
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_ap_constant_matches_per_cube_reference(n, policy, p):
+    grid, _, w, params = inputs(n, 3)
+    ones = np.ones(grid.num_cells)
+    dual = w.values ** (-1.0 / (p - 1.0))
+    best, worst = -math.inf, None
+    for Q in enumerate_cubes(grid, policy):
+        a, b, c = reference(grid, Q, [(w.values, None), (dual, None), (ones, None)], params)
+        product = (a / c) * (b / c) ** (p - 1.0)
+        if product > best:
+            best, worst = product, Q
+    report = ap_constant(w, p, params, policy)
+    assert report.ap_constant == best
+    assert report.worst_cube == worst
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_signed_averages_match_per_cube_reference(n, policy):
+    grid, f, _, params = inputs(n, 4)
+    cubes = enumerate_cubes(grid, policy)
+    pos, neg = f.values >= 0, f.values < 0
+    ones = np.ones(grid.num_cells)
+    for Q, avg in zip(cubes, signed_averages(f, cubes, params)):
+        a, b, c, d = reference(grid, Q, [(f.values, pos), (-f.values, neg), (ones, pos), (ones, neg)], params)
+        assert (avg.pos_part_integral, avg.neg_part_integral) == (a, b)
+        assert (avg.pos_content, avg.neg_content) == (c, d)
+        assert avg.value == (a - b) / (c + d)
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_survival_curves_match_per_cube_reference(n, policy, weighted):
+    grid, f, w, params = inputs(n, 5)
+    cubes = enumerate_cubes(grid, policy)
+    centers = [float(np.median(f.values[Q.mask(grid)])) + 0.1 for Q in cubes]
+    weight = w if weighted else None
+    wv = w.values if weighted else np.ones(grid.num_cells)
+    curves = survival_curves(f, centers, cubes, weight, params, (0.0, 0.5))
+    for Q, c, curve in zip(cubes, centers, curves):
+        dev = np.abs(f.values - c)
+        jobs = [(wv, dev > t) for t in curve.t_samples] + [(wv, None)]
+        raw = reference(grid, Q, jobs, params)
+        assert curve.cube == Q and curve.weighted == weighted
+        assert curve.normalizer == raw[-1]
+        clipped = np.minimum(np.minimum.accumulate(raw[:-1]), raw[-1])
+        assert curve.survival == tuple(clipped.tolist())
+        assert set(np.unique(dev[Q.mask(grid)]).tolist()) <= set(curve.t_samples)
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_cz_stats_match_per_cube_reference(n, policy):
+    grid, f, w, params = inputs(n, 6)
+    cubes = enumerate_cubes(grid, policy)
+    absf = np.abs(f.values)
+    avgs, wcs = czd._weighted_averages(grid, absf, w.values, cubes, params)
+    for Q, avg, wc in zip(cubes, avgs, wcs):
+        num, den = reference(grid, Q, [(absf * w.values, None), (w.values, None)], params)
+        assert (avg, wc) == (float(num / den), float(den))
+
+
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_cz_decompose_matches_recursive_descent(n):
+    grid, f, w, params = inputs(n, 7)
+    root = CubeSpec.root(grid)
+    absf = np.abs(f.values)
+
+    def average(Q):
+        num, den = reference(grid, Q, [(absf * w.values, None), (w.values, None)], params)
+        return float(num / den), float(den)
+
+    root_avg, root_wc = average(root)
+    for lam in (1.05 * root_avg, 1.5 * root_avg, 3.0 * root_avg):
+        found = []
+
+        def descend(cube, cube_wc):
+            if cube.side_cells == 1:
+                return
+            for child in czd._children(cube):
+                avg, wc = average(child)
+                if avg > lam:
+                    found.append((child, avg / lam, cube_wc / wc))
+                else:
+                    descend(child, wc)
+
+        descend(root, root_wc)
+        found.sort(key=lambda s: (-s[0].side_cells, s[0].corner))
+        result = czd.cz_decompose(f, w, root, lam, params)
+        assert result.selected == tuple(s[0] for s in found)
+        assert result.ratios == tuple(s[1] for s in found)
+        assert result.parent_ratios == tuple(s[2] for s in found)
+        assert czd.cz_verify(f, w, root, result, params).passed
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+@pytest.mark.parametrize("kind", ["bmo_ap", "blo_a1"])
+def test_forward_characterization_matches_per_cube_reference(n, policy, kind):
+    grid, _, w, params = inputs(n, 8)
+    p = 2.0
+    lnw = np.log(w.values)
+    ones = np.ones(grid.num_cells)
+    dual = w.values ** (-1.0 / (p - 1.0))
+    report = verify_characterization(kind, params, policy, weight=w, p=p)
+    a1 = report.constants.get("a1_constant")
+    jensen, percube = 0.0, 0.0
+    for Q in enumerate_cubes(grid, policy):
+        int_w, content, int_dual = reference(grid, Q, [(w.values, None), (ones, None), (dual, None)], params)
+        a, b, c, d = reference(
+            grid, Q, [(lnw, lnw >= 0), (-lnw, lnw < 0), (ones, lnw >= 0), (ones, lnw < 0)], params
+        )
+        m = (a - b) / (c + d)
+        jensen = max(jensen, math.exp(m) * float(content) / (2.0 * float(int_w)))
+        if kind == "bmo_ap":
+            jensen = max(jensen, math.exp(-m / (p - 1.0)) * float(content) / (2.0 * float(int_dual)))
+        else:
+            lhs = (float(int_w) / float(content)) / float(w.values[Q.mask(grid)].min())
+            percube = max(percube, lhs / a1)
+    assert report.constants["jensen_usage"] == jensen
+    if kind == "blo_a1":
+        assert report.constants["percube_usage"] == percube

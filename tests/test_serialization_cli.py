@@ -402,7 +402,11 @@ def test_console_entry_point_runs():
 
 
 def test_cli_invariant_violation_exits_1_with_witness(files, capsys, monkeypatch):
-    monkeypatch.setattr(capbmo.weights, "cube_averages", lambda *args: np.array([0.5, 0.5]))
+    monkeypatch.setattr(
+        capbmo.weights,
+        "cube_averages",
+        lambda grid, arrays, cubes, params: np.full((len(cubes), len(arrays)), 0.5),
+    )
     code, out, err = run_cli(
         capsys, ["weight", "--grid", files["grid"], "--wt", files["wt"], "--p", "2.0"]
     )

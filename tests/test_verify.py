@@ -263,6 +263,31 @@ def test_verify_equivalences(rng):
     assert rep.constants["bmo"] == 0.0
 
 
+def test_verify_equivalences_reuses_blo_at_q_one(rng, monkeypatch):
+    g = build_grid(2, 2, 4.0)
+    f = step_function(g, rng.normal(size=g.num_cells))
+    w = random_positive_weight(g, rng)
+    params = ContentParams(delta=1.0)
+    blo = capbmo.verify.blo_seminorm(f, params).value
+    q_blo = {q: capbmo.verify.blo_seminorm(f, params, q=q).value for q in (0.5, 2.0)}
+
+    calls = []
+    real = capbmo.verify.blo_seminorm
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("q", 1.0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(capbmo.verify, "blo_seminorm", counting)
+    rep = verify_equivalences(f, w, (0.5, 1.0, 2.0), params)
+    assert sorted(calls) == [0.5, 1.0, 2.0]
+    assert rep.constants["blo"] == blo
+    ratios = rep.constants["q_ratios"]
+    assert ratios["1"]["q_over_blo"] == 1.0
+    for q, value in q_blo.items():
+        assert ratios[f"{q:g}"]["q_over_blo"] == value / blo
+
+
 def test_verify_inclusions_passes_and_respects_overrides():
     params = ContentParams(delta=1.0)
     rep = verify_inclusions((3, 4), params)
@@ -323,17 +348,18 @@ def test_weak_restricted_strong(rng):
 @pytest.mark.parametrize("fault", ["rising", "above normalizer"])
 def test_survival_curve_invariants_raise_with_witness(monkeypatch, fault):
     g, f = two_cell_example()
-    real = capbmo.verify.masked_integral_many
+    real = capbmo.verify.superlevel_integrals
 
-    def broken(grid, jobs, params, frame=None):
-        vals = real(grid, jobs, params, frame)  # survival samples, then w(Q)
+    def broken(*args):
+        out = real(*args)
+        vals = out[0]  # survival samples, then w(Q)
         if fault == "rising":
             vals[1] = vals[0] + 1.0
         else:
             vals[:-1] = vals[-1] + 1.0
-        return vals
+        return out
 
-    monkeypatch.setattr(capbmo.verify, "masked_integral_many", broken)
+    monkeypatch.setattr(capbmo.verify, "superlevel_integrals", broken)
     with pytest.raises(InvariantViolation) as err:
         survival_curve(f, 0.0, CubeSpec((0,), 2), None, ContentParams(delta=1.0))
     witness = err.value.witness

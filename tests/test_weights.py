@@ -196,6 +196,32 @@ def test_a1_factorize_errors(grid_1d, rng):
         a1_factorize(spiky, params, cap=1.0001)
 
 
+def test_a1_factorize_runs_one_maximal_function_per_gamma(rng, monkeypatch):
+    g = build_grid(2, 2, 1.0)
+    params = ContentParams(delta=1.0)
+    w = random_positive_weight(g, rng, spread=2.0)
+    gammas = (1.0, 0.5, 0.25, 0.125)
+    bases = [step_function(g, w.values ** (1.0 + gamma)) for gamma in gammas]
+    consts = [a1_constant(base, params).ap_constant for base in bases]
+    assert consts[0] > consts[1] > consts[2]  # the cap below rejects two gammas
+    m_base = maximal_function(bases[2], params)
+
+    calls = []
+    real = capbmo.weights.maximal_function
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(capbmo.weights, "maximal_function", counting)
+    fac = a1_factorize(w, params, gamma_grid=gammas, cap=consts[2])
+    assert len(calls) == 3
+    assert fac.gamma == 0.25
+    assert fac.base_a1_constant == consts[2]
+    assert np.array_equal(fac.base.values, bases[2].values)
+    assert np.array_equal(fac.b.values, w.values * m_base.values ** -fac.alpha)
+
+
 def test_weighted_l1_comparison_bounds(rng):
     for _ in range(100):
         g = random_grid(rng, max_depth_1d=4, max_depth_2d=3)
@@ -258,10 +284,8 @@ def test_reverse_holder_probe_records_finite_constant(rng):
         recorded = None
         for gamma in (2.0**-k for k in range(0, 11)):
             worst = 0.0
-            for Q in enumerate_cubes(g, CubeFamilyPolicy("dyadic")):
-                hi, lo = cube_averages(
-                    g, [w.values ** (1.0 + gamma), w.values], Q, params
-                )
+            cubes = enumerate_cubes(g, CubeFamilyPolicy("dyadic"))
+            for hi, lo in cube_averages(g, [w.values ** (1.0 + gamma), w.values], cubes, params):
                 worst = max(worst, hi ** (1.0 / (1.0 + gamma)) / lo)
             if np.isfinite(worst):
                 recorded = (gamma, worst)
@@ -293,13 +317,13 @@ def test_cube_averages_batches_consistently(rng):
     params = random_params(rng, g.n)
     arrays = [rng.exponential(size=g.num_cells) for _ in range(3)]
     root = CubeSpec((0,) * g.n, g.shape[0])
-    batch = cube_averages(g, arrays, root, params)
+    batch = cube_averages(g, arrays, [root], params)[0]
     norm = cube_content(g, root, params)
     for k, arr in enumerate(arrays):
         region = cube_set(g, root)
         want = choquet(step_function(g, arr), region, params) / norm
         assert batch[k] == pytest.approx(want, rel=1e-12)
-    ones = cube_averages(g, [np.ones(g.num_cells)], root, params)[0]
+    ones = cube_averages(g, [np.ones(g.num_cells)], [root], params)[0, 0]
     assert ones == pytest.approx(1.0, rel=1e-13)
 
 
@@ -308,7 +332,11 @@ def test_ap_product_below_one_raises_invariant_violation(monkeypatch):
     # average and the check must fire (it is not an assert, so -O keeps it)
     g = build_grid(1, 2, 1.0)
     w = step_function(g, np.ones(g.num_cells))
-    monkeypatch.setattr(capbmo.weights, "cube_averages", lambda *args: np.array([0.5, 0.5]))
+    monkeypatch.setattr(
+        capbmo.weights,
+        "cube_averages",
+        lambda grid, arrays, cubes, params: np.full((len(cubes), len(arrays)), 0.5),
+    )
     with pytest.raises(InvariantViolation) as err:
         ap_constant(w, 2.0, ContentParams(delta=1.0))
     assert not isinstance(err.value, ValueError)
