@@ -160,8 +160,11 @@ def jensen_sides(f: StepFunction, Q: CubeSpec, params: ContentParams) -> JensenS
     norm = cube_content(grid, Q, params)
     peak = max(np.abs(f.values[mask]).max(), abs(avg))
     if peak <= _EXP_LIMIT:
-        ef = np.exp(f.values)
-        enf = np.exp(-f.values)
+        # only the cube's cells enter; values outside it may overflow exp
+        ef = np.zeros(grid.num_cells)
+        enf = np.zeros(grid.num_cells)
+        ef[mask] = np.exp(f.values[mask])
+        enf[mask] = np.exp(-f.values[mask])
         a, b, c, d = cube_integrals(
             grid, [Q], [(ef, pos_mask), (ef, neg_mask), (enf, pos_mask), (enf, neg_mask)], params
         )[0]

@@ -15,8 +15,11 @@ frame-local rows: row j of a (jobs, 2**(n*depth)) value array is
 integrated over row j of a mask array of the same shape. One sort finds
 every row's distinct positive thresholds t_1 < t_2 < ...; the occupancy
 row {value >= t_k} of each threshold is reduced by ``kernels.reduce_tree``
-in blocks of at most ``_ROW_CELLS`` leaf cells, and each job's layer-cake
-sum of (t_k - t_{k-1}) * content is taken with ``math.fsum``.
+in blocks of at most ``_ROW_CELLS`` leaf cells. The result is each job's
+chain (``Chains``): its thresholds, the content H_k of each superlevel
+set and one cell per threshold. The integral is the chain's layer-cake
+sum of (t_k - t_{k-1}) * H_k, taken with ``math.fsum``; the centre
+searches of ``oscillation`` read the chain itself.
 
 Every integral rides on a cube family: ``cube_frames`` groups cubes by
 frame depth into ``CubeFrames``, whose rows of different cubes share
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,42 +118,91 @@ def job_chunks(count: int, row_cells: int):
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
+@dataclass(frozen=True)
+class Chains:
+    """The chains of one layer-cake call.
+
+    Job j owns the slice bounds[j]:bounds[j + 1] of the flat arrays: its
+    thresholds t_1 <= t_2 <= ... ascending, contents[k] = H_k, the content
+    of the k-th superlevel set, and cells[k], one frame-local cell whose
+    value is t_k.
+    """
+
+    thresholds: np.ndarray
+    contents: np.ndarray
+    cells: np.ndarray
+    bounds: np.ndarray
+
+    def integrals(self) -> np.ndarray:
+        """Each job's layer-cake sum of (t_k - t_{k-1}) * H_k, t_0 = 0."""
+        below = np.empty_like(self.thresholds)
+        below[1:] = self.thresholds[:-1]
+        starts = self.bounds[:-1]
+        below[starts[starts < len(below)]] = 0.0
+        terms = ((self.thresholds - below) * self.contents).tolist()
+        b = self.bounds.tolist()
+        return np.array([math.fsum(terms[lo:hi]) for lo, hi in zip(b[:-1], b[1:])])
+
+
 def layer_cake(
-    values: np.ndarray, masks: np.ndarray, ndim: int, depth: int, caps: np.ndarray
-) -> np.ndarray:
-    """Choquet integral of each row of values over the same row of masks.
+    values: np.ndarray, masks: np.ndarray, ndim: int, depth: int, caps: np.ndarray,
+    keys: np.ndarray | None = None,
+) -> Chains:
+    """The chain of each row of values over the same row of masks.
 
     Rows are frame-local, shape (jobs, 2**(ndim*depth)); caps are the
-    frame's level caps. Only positive values inside the mask contribute.
+    frame's level caps. Without keys only positive values inside the mask
+    form levels, one per distinct value. With keys every masked cell does,
+    ranked by (value, key): cells of equal value and different keys get
+    nested levels of the same threshold, which add zero terms to the sum.
     """
     jobs, cells = values.shape
-    levels = np.where(masks & (values > 0), values, 0.0)
-    order = np.argsort(levels, axis=1)
     by_job = np.arange(jobs)[:, None]
-    levels = levels[by_job, order]
-    distinct = levels > 0
-    distinct[:, 1:] &= levels[:, 1:] != levels[:, :-1]
-    # rank[j, x]: index of cell x's value among job j's thresholds (-1 when
-    # it has none), so threshold k of job j occupies {x: rank[j, x] >= k}.
+    if keys is None:
+        levels = np.where(masks & (values > 0), values, 0.0)
+        order = np.argsort(levels, axis=1)
+        levels = levels[by_job, order]
+        distinct = levels > 0
+        distinct[:, 1:] &= levels[:, 1:] != levels[:, :-1]
+    else:
+        levels = np.where(masks, values, -1.0)
+        order = np.lexsort((keys, levels))
+        levels = levels[by_job, order]
+        ranked = keys[by_job, order]
+        distinct = levels >= 0
+        distinct[:, 1:] &= (levels[:, 1:] != levels[:, :-1]) | (ranked[:, 1:] != ranked[:, :-1])
+    # rank[j, x]: index of cell x's level in job j's chain (-1 when it has
+    # none), so level k of job j occupies {x: rank[j, x] >= k}.
     sorted_rank = np.cumsum(distinct, axis=1, dtype=np.int32) - 1
     rank = np.empty_like(sorted_rank)
     rank[by_job, order] = sorted_rank
     job, col = np.nonzero(distinct)
-    thresholds = levels[job, col]
     level = sorted_rank[job, col]
-    bounds = np.searchsorted(job, np.arange(jobs + 1))
-    below = np.empty_like(thresholds)
-    below[1:] = thresholds[:-1]
-    below[level == 0] = 0.0
-    contents = np.empty_like(thresholds)
+    contents = np.empty(len(job))
     step = max(1, _ROW_CELLS // cells)
     for s in range(0, len(job), step):
         occ = rank[job[s : s + step]] >= level[s : s + step, None]
         leaf = occ.astype(np.float64)
         leaf *= caps[depth]
         contents[s : s + step] = kernels.reduce_tree(leaf, ndim, depth, caps)
-    terms = ((thresholds - below) * contents).tolist()
-    return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+    return Chains(
+        thresholds=levels[job, col],
+        contents=contents,
+        cells=order[job, col],
+        bounds=np.searchsorted(job, np.arange(jobs + 1)),
+    )
+
+
+@lru_cache(maxsize=64)
+def _frame_cells(shape: tuple[int, ...], depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local cell coordinates of a depth-`depth` frame and their flat grid
+    indices from its corner; shared read-only by every frame of that size."""
+    side = 1 << depth
+    local = np.indices((side,) * len(shape)).reshape(len(shape), -1).T
+    base = np.ravel_multi_index(local.T, shape)
+    local.setflags(write=False)
+    base.setflags(write=False)
+    return local, base
 
 
 class CubeFrames:
@@ -164,10 +217,8 @@ class CubeFrames:
         self.ndim = grid.n
         self.depth = frames[0].depth
         self.caps = level_caps(grid, self.depth, params.delta)
-        side = 1 << self.depth
-        self._local = np.indices((side,) * grid.n).reshape(grid.n, -1).T
+        self._local, self._base = _frame_cells(grid.shape, self.depth)
         self.cells = len(self._local)
-        self._base = np.ravel_multi_index(self._local.T, grid.shape)
         corners = np.array([fr.corner for fr in frames], dtype=np.int64)
         self._offset = np.ravel_multi_index(corners.T, grid.shape)
         self._lo = np.array([Q.corner for Q in cubes], dtype=np.int64) - corners
@@ -185,8 +236,11 @@ class CubeFrames:
             out &= (x >= self._lo[which, a, None]) & (x < self._hi[which, a, None])
         return out
 
+    def chains(self, values: np.ndarray, masks: np.ndarray, keys=None) -> Chains:
+        return layer_cake(values, masks, self.ndim, self.depth, self.caps, keys)
+
     def integrate(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        return layer_cake(values, masks, self.ndim, self.depth, self.caps)
+        return self.chains(values, masks).integrals()
 
 
 def cube_frames(grid: Grid, cubes, params: ContentParams):

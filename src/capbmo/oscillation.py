@@ -1,28 +1,58 @@
 """Oscillation seminorms and the per-cube objective F(c).
 
-F(c) is the weighted Choquet average of |f - c|**q over a cube. For
-q >= 1 the Minkowski property makes F**(1/q) convex in c, so the global
-minimum and the minimizer plateau are found by ternary search plus
-bisection. For q = 1 on cubes with few distinct (value, weight) pairs,
-F is piecewise linear with breakpoints at the cell values and at the
-weighted crossing points, and the minimum is computed exactly from the
-breakpoint lattice instead. For q < 1 a dense scan over the cell values
-and their midpoints is used.
+F(c) is the weighted Choquet average of |f - c|**q over a cube Q, the
+integral of g_c = |f - c|**q * w over Q divided by w(Q). One layer-cake
+call at c returns g_c's chain: its thresholds t_k, the content H_k of
+each superlevel set {g_c >= t_k} and one cell (v_k, w_k) per threshold.
+On a piece of the centre axis where no two cells change order, the
+integrands are comonotone and the Choquet integral is additive on them
+(D. Schmeidler, Proc. AMS 97, 1986). So one chain gives F in closed form
+on its whole piece:
 
-Every search is a generator over one cube: it yields the centres it
-wants evaluated and is sent their F values. ``_lockstep`` runs the
-searches of a whole cube family together. Cubes whose frames share a
-depth advance in lockstep: each step stacks the integrands of every
-pending (cube, centre) pair, plus the normaliser w(Q) of each cube that
-asks for its first F value, into one layer-cake integrator call (split
-only where the rows exceed the integrator's cell budget). A cube never
-asks when its search needs no integral, so constant cubes cost nothing.
-The one-cube entry points run the same loop on a one-cube family.
+    phi(x) = sum_k (H_k - H_{k+1}) * w_k * |v_k - x|**q / w(Q).
+
+Pieces end where two weighted distances w**(1/q) * |v - x| cross, and
+the first crossing on either side is one of a pair of cells adjacent in
+the chain's order, so a piece costs O(cells) to find. The dyadic content
+is strongly subadditive, so each chain's increments are a point of its
+core: phi <= F everywhere, and F, the maximum of all such sums, is
+convex for every q >= 1.
+
+The search for q >= 1 is exact. A minimiser lies in [min f, max f].
+Each step reads one chain per pending cube, takes the minimum of its
+piece's sum over the piece, and stops if that minimum lies inside the
+piece; otherwise the slope at the piece's end cuts the bracket. The next
+centre is the minimiser of the sum (a weighted mean for q = 2, a slope
+bisection for other q > 1) or, for q = 1, where the lines touching F at
+both bracket ends cross, with bisection whenever the bracket fails to
+halve in two steps. The plateau {F <= min + tol} is solved from outside
+in: the end of {phi <= tol + min} bounds the edge for every chain read
+so far, and is the edge once it lies on its own piece. For q = 1, F is
+linear between breakpoints (cell values and crossings), so each edge is
+interpolated between the integrals at its two neighbouring breakpoints,
+and cubes with at most ``_SCAN_PAIRS`` distinct (value, weight) pairs
+evaluate every breakpoint in one step instead, which is cheaper there.
+A probe at a crossing breaks ties toward one side (``layer_cake`` keys),
+so its chain still holds on that side. For q < 1 a dense scan over the
+cell values and their midpoints is used, and reported as a fallback.
+
+Every search is a generator over one cube: it yields the probes it
+wants, (centre, side) pairs with side 0 for a plain value, and is sent
+a ``_Probe`` for each. ``_lockstep`` runs the searches of a whole cube
+family together. Cubes whose frames share a depth advance in lockstep:
+each step stacks the integrands of every pending (cube, centre) pair,
+plus the normaliser w(Q) of each cube that asks for the first time, into
+one layer-cake call (split only where the rows exceed the integrator's
+cell budget). A cube never asks when its search needs no integral, so
+constant cubes cost nothing. The one-cube entry points run the same loop
+on a one-cube family.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,29 +70,45 @@ __all__ = [
     "weighted_bmo_seminorm",
 ]
 
-# q = 1 cubes with at most this many distinct (value, weight) pairs take
-# the exact piecewise-linear path; larger cubes use ternary search.
-_EXACT_PAIR_LIMIT = 40
-_MAX_SEARCH_ITER = 200
-
 
 @dataclass(frozen=True)
 class GammaInterval:
-    """Minimizer plateau of F: [lo, hi] brackets {c: F(c) <= min_value + tol}."""
+    """Minimizer plateau of F: [lo, hi] brackets {c: F(c) <= min_value + tol}.
+
+    evaluations counts the integrals the search used, the normaliser w(Q)
+    included; used_fallback marks the dense scan of q < 1.
+    """
 
     lo: float
     hi: float
     min_value: float
     tol: float
     used_fallback: bool = False
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
 class SeminormReport:
+    """exact is False when some cube's centre came from the q < 1 dense scan."""
+
     value: float
     worst_cube: CubeSpec | None
     per_cube_centers: dict = field(repr=False)
     policy: CubeFamilyPolicy | None = None
+    exact: bool = True
+
+
+# q = 1 cubes with at most this many distinct (value, weight) pairs scan
+# every breakpoint in one step, which is cheaper there than a search.
+_SCAN_PAIRS = 10
+
+class _Probe(NamedTuple):
+    """F at one centre; a one-sided probe also carries its chain's levels."""
+
+    value: float
+    coef: np.ndarray | None = None  # (H_k - H_{k+1}) / w(Q), thresholds ascending
+    v: np.ndarray | None = None  # f at each level's cell
+    w: np.ndarray | None = None  # w at each level's cell
 
 
 def _lockstep(f: StepFunction, w: StepFunction | None, q: float,
@@ -70,8 +116,10 @@ def _lockstep(f: StepFunction, w: StepFunction | None, q: float,
     """Run search(i, values, weights) for every cube i; return the results in order.
 
     values and weights are f and w (ones when w is None) on cube i. A
-    search is a generator that yields lists of centres, is sent their F
-    values as floats, and returns its result.
+    search is a generator that yields lists of (centre, side) probes, is
+    sent a ``_Probe`` for each, and returns its result. A probe with side
+    +1 or -1 breaks ties between cells of equal |f - c|**q * w by their
+    order just beyond c on that side, and includes the cells where f = c.
     """
     grid = f.grid
     q = float(q)
@@ -99,44 +147,72 @@ def _lockstep(f: StepFunction, w: StepFunction | None, q: float,
             order = list(pending)
             # the first rows integrate w (or 1) for cubes asking for the first time
             first = [k for k in order if norm[k] is None]
-            cube = np.array(first + [k for k in order for _ in pending[k][1]], dtype=np.intp)
-            centre = np.array([0.0] * len(first) + [c for k in order for c in pending[k][1]])
+            asks = [(k, c, d) for k in order for c, d in pending[k][1]]
+            cube = np.array(first + [k for k, _, _ in asks], dtype=np.intp)
+            centre = np.array([0.0] * len(first) + [c for _, c, _ in asks])
+            side = np.array([0.0] * len(first) + [d for _, _, d in asks])
             raw = np.empty(len(cube))
+            levels = [None] * len(cube)
             for sl in job_chunks(len(cube), frames.cells):
                 head = slice(0, max(0, len(first) - sl.start))
-                vals = np.abs(frames.rows(f.values, cube[sl]) - centre[sl, None])
+                fv = frames.rows(f.values, cube[sl])
+                dev = fv - centre[sl, None]
+                vals = np.abs(dev)
                 if q != 1.0:
                     vals = vals**q
+                wv = None
                 if w is None:
                     vals[head] = 1.0
                 else:
-                    wts = frames.rows(w.values, cube[sl])
-                    vals = vals * wts
-                    vals[head] = wts[head]
-                raw[sl] = frames.integrate(vals, frames.masks(cube[sl]))
+                    wv = frames.rows(w.values, cube[sl])
+                    vals = vals * wv
+                    vals[head] = wv[head]
+                masks = frames.masks(cube[sl])
+                sided = side[sl] != 0
+                keys = None
+                if sided.any():
+                    # order of |f - x|**q * w just beyond c on side d: ties by
+                    # -d / (f - c), and the cells where f = c by their weight
+                    masks[~sided] &= vals[~sided] > 0
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        keys = np.where(dev == 0, 1.0 if wv is None else wv,
+                                        -side[sl, None] / dev)
+                    keys[~sided] = 0.0
+                chains = frames.chains(vals, masks, keys)
+                raw[sl] = chains.integrals()
+                b = chains.bounds
+                for j in np.flatnonzero(sided):
+                    lv = slice(b[j], b[j + 1])
+                    cells = chains.cells[lv]
+                    levels[sl.start + j] = (
+                        chains.contents[lv],
+                        fv[j, cells],
+                        np.ones(len(cells)) if wv is None else wv[j, cells],
+                    )
             for k, value in zip(first, raw):
                 norm[k] = value
             pos = len(first)
             for k in order:
                 gen, cs = pending[k]
-                advance(k, gen, (raw[pos : pos + len(cs)] / norm[k]).tolist())
+                sent = []
+                for j in range(pos, pos + len(cs)):
+                    value = float(raw[j] / norm[k])
+                    if levels[j] is None:
+                        sent.append(_Probe(value))
+                    else:
+                        H, v, wt = levels[j]
+                        coef = (H - np.append(H[1:], 0.0)) / norm[k]
+                        sent.append(_Probe(value, coef, v, wt))
+                advance(k, gen, sent)
                 pos += len(cs)
     return results
-
-
-def _many(cache: dict, cs):
-    """F at every centre of cs, asking only for centres not evaluated yet."""
-    fresh = [float(c) for c in cs if float(c) not in cache]
-    if fresh:
-        cache.update(zip(fresh, (yield fresh)))
-    return np.array([cache[float(c)] for c in cs])
 
 
 def _value_at(vals: np.ndarray, c: float):
     """F(c); when f equals c on the whole cube, F(c) = 0 needs no integral."""
     if np.all(vals == c):
         return 0.0
-    return float((yield [float(c)])[0])
+    return (yield [(float(c), 0.0)])[0].value
 
 
 def oscillation_objective(
@@ -155,61 +231,234 @@ def oscillation_objective(
     return _lockstep(f, w, q, params, [Q], lambda i, vals, wts: _value_at(vals, c))[0]
 
 
-def _ternary_plateau(vals: np.ndarray, cache: dict, tol: float):
-    a = float(vals.min()) - 1.0
-    b = float(vals.max()) + 1.0
-    # F**(1/q) is convex, so F is unimodal and flat only at its minimum;
-    # the equal-values branch may therefore keep just the middle third.
-    it = 0
-    while b - a > tol and it < _MAX_SEARCH_ITER:
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        f1, f2 = yield from _many(cache, [m1, m2])
-        if f1 < f2:
-            b = m2
-        elif f1 > f2:
-            a = m1
+class _Piece:
+    """phi(x) = sum_k s_k * |v_k - x|**q read from a one-sided probe at c.
+
+    phi equals F on [lo, hi], which holds c, and lies below F elsewhere.
+    uniform says every cell of the cube has the same weight.
+    """
+
+    def __init__(self, probe: _Probe, q: float, c: float, uniform: bool):
+        self.q = q
+        self.v = v = probe.v
+        self.s = probe.coef * probe.w
+        a = probe.w if q == 1.0 or uniform else probe.w ** (1.0 / q)
+        # Adjacent levels l < u swap where h(x) = a_u|v_u - x| - a_l|v_l - x|
+        # changes sign: once between v_l and v_u, once outside unless a_l = a_u.
+        # Equal weights never share a value between adjacent levels.
+        vl, vu, al, au = v[:-1], v[1:], a[:-1], a[1:]
+        if not uniform:
+            swap = vl != vu
+            vl, vu, al, au = vl[swap], vu[swap], al[swap], au[swap]
+        rise = au * np.sign(c - vu) - al * np.sign(c - vl)
+        roots = (al * vl + au * vu) / (al + au)
+        if not uniform:
+            k = al != au
+            roots = np.concatenate([roots, (al[k] * vl[k] - au[k] * vu[k]) / (al[k] - au[k])])
+            rise = np.concatenate([rise, rise[k]])
+        # A root at c is a tie, which the keys (or rounding) ordered for one
+        # side: the side where h, of slope h'(c), stays >= 0.
+        at_c = roots == c
+        self.lo = c if np.any(at_c & (rise > 0)) else float(roots[~at_c & (roots < c)].max(initial=-math.inf))
+        self.hi = c if np.any(at_c & (rise < 0)) else float(roots[~at_c & (roots > c)].min(initial=math.inf))
+        self.roots = roots
+        self._kinks = None
+
+    def kinks(self):
+        """q = 1: sorted kinks, prefix sums of their weights, phi at each and
+        the slopes of phi left and right of each."""
+        if self._kinks is None:
+            order = np.argsort(self.v, kind="stable")
+            v, s = self.v[order], self.s[order]
+            upto = np.cumsum(s)
+            total = upto[-1]
+            weighted = np.cumsum(s * v)
+            right = 2.0 * upto - total
+            phi = v * right + weighted[-1] - 2.0 * weighted
+            self._kinks = v, upto, phi, right - 2.0 * s, right
+        return self._kinks
+
+    def at(self, x: float) -> float:
+        dist = np.abs(self.v - x)
+        return float(self.s @ (dist if self.q == 1.0 else dist**self.q))
+
+    def slope(self, x: float, side: float) -> float:
+        """The derivative of phi at x from the given side (+1 or -1)."""
+        if self.q == 1.0:
+            v, upto = self.kinks()[:2]
+            k = int(np.searchsorted(v, x, "right" if side > 0 else "left"))
+            return 2.0 * (float(upto[k - 1]) if k else 0.0) - float(upto[-1])
+        dv = x - self.v
+        return float(self.q * (self.s @ (np.abs(dv) ** (self.q - 1.0) * np.sign(dv))))
+
+    def argmin(self) -> float:
+        """A minimiser of phi on the real line."""
+        if self.q == 1.0:
+            v, _, _, _, right = self.kinks()
+            return float(v[np.argmax(right >= 0)])
+        if self.q == 2.0:
+            return float(self.s @ self.v / self.s.sum())
+        return self._bisect(float(self.v.min()), float(self.v.max()),
+                            lambda x: self.slope(x, 1.0) < 0)[0]
+
+    def level(self, thr: float, inner: float, side: float) -> float:
+        """The end on the given side of the interval {phi <= thr} holding inner."""
+        if self.q == 1.0:
+            v, _, phi, left, right = self.kinks()
+            ok = np.flatnonzero(phi <= thr)
+            if not ok.size:
+                return inner
+            k = ok[0] if side < 0 else ok[-1]
+            return float(v[k] + (thr - phi[k]) / (left[k] if side < 0 else right[k]))
+        if self.q == 2.0:
+            mean = self.argmin()
+            room = max(thr - self.at(mean), 0.0)
+            return float(mean + side * math.sqrt(room / self.s.sum()))
+        step = max(float(self.v.max() - self.v.min()), 1.0)
+        out = inner + side * step
+        while self.at(out) <= thr:
+            step *= 2.0
+            out = inner + side * step
+        if side < 0:
+            return self._bisect(out, inner, lambda x: self.at(x) > thr)[1]
+        return self._bisect(inner, out, lambda x: self.at(x) <= thr)[0]
+
+    def segment(self, x: float, side: float):
+        """q = 1: the breakpoints (outer, inner) around the plateau edge x on
+        the given side of the minimiser, or None beyond the outermost one.
+
+        The breakpoints are the cell values and the crossings of this
+        chain's adjacent levels; no other lies between two neighbours
+        inside the piece, so F is linear between them.
+        """
+        cands = np.unique(np.concatenate([self.v, self.roots]))
+        if side < 0:
+            k = int(np.searchsorted(cands, x, "left"))
+            return (cands[k - 1], cands[k]) if 0 < k < len(cands) else None
+        k = int(np.searchsorted(cands, x, "right")) - 1
+        return (cands[k + 1], cands[k]) if 0 <= k < len(cands) - 1 else None
+
+    @staticmethod
+    def _bisect(lo: float, hi: float, go_right) -> tuple[float, float]:
+        """Halve [lo, hi] toward the side go_right picks until no float lies between."""
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo, hi
+            if go_right(mid):
+                lo = mid
+            else:
+                hi = mid
+
+
+def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
+    """Exact minimum and plateau of the convex F for q >= 1."""
+    probes: dict[tuple[float, float], _Probe] = {}
+    uniform = bool(wts.min() == wts.max())
+
+    # F is non-increasing below min f and non-decreasing above max f, so a
+    # minimiser lies in [a, b]. tangent[-1] and tangent[1] are lines below F
+    # that touch it at a and b: (point, value, slope).
+    a, b = float(vals.min()), float(vals.max())
+    c = float(np.median(vals)) if q == 1.0 else float(wts @ vals / wts.sum())
+    c = min(max(c, a), b)
+    seen, tangent, widths = [], {}, [b - a]
+    while True:
+        probes[c, 1.0] = (yield [(c, 1.0)])[0]
+        piece = _Piece(probes[c, 1.0], q, c, uniform)
+        seen.append(piece)
+        lo, hi = max(piece.lo, a), min(piece.hi, b)
+        slope = piece.slope(hi, -1.0)
+        if slope < 0:
+            a, tangent[-1] = hi, (hi, piece.at(hi), slope)
+        elif (slope := piece.slope(lo, 1.0)) > 0:
+            b, tangent[1] = lo, (lo, piece.at(lo), slope)
         else:
-            a, b = m1, m2
-        it += 1
-    c_star = 0.5 * (a + b)
-    yield from _many(cache, [c_star])
-    min_value = min(cache.values())
-    thr = min_value + tol
-    lo = yield from _plateau_edge(cache, c_star, thr, tol, -1.0)
-    hi = yield from _plateau_edge(cache, c_star, thr, tol, +1.0)
-    return GammaInterval(lo=lo, hi=hi, min_value=min_value, tol=tol)
-
-
-def _plateau_edge(cache: dict, c_in: float, thr: float, tol: float, direction: float):
-    step = max(1.0, abs(c_in))
-    out = None
-    for _ in range(80):
-        cand = c_in + direction * step
-        if (yield from _many(cache, [cand]))[0] > thr:
-            out = cand
+            # phi, so F, has its minimum on [lo, hi]; for q = 1 at a breakpoint
+            inside = q != 1.0 and piece.slope(c, -1.0) <= 0 <= piece.slope(c, 1.0)
+            c_star = c if inside else min(max(piece.argmin(), lo), hi)
             break
-        step *= 2.0
-    if out is None:
-        return c_in + direction * step
-    inn = c_in
-    it = 0
-    while abs(inn - out) > tol and it < _MAX_SEARCH_ITER:
-        mid = 0.5 * (inn + out)
-        if (yield from _many(cache, [mid]))[0] <= thr:
-            inn = mid
-        else:
-            out = mid
-        it += 1
-    return inn
+        if a == b:
+            c_star = a
+            break
+        widths.append(b - a)
+        # the minimiser of this piece's sum (Newton-like for q > 1), else the
+        # crossing of the two tangents, else bisection
+        m = piece.argmin() if q != 1.0 or len(tangent) < 2 else math.nan
+        if not a < m < b and len(tangent) == 2:
+            (xa, fa, sa), (xb, fb, sb) = tangent[-1], tangent[1]
+            m = (fb - fa + sa * xa - sb * xb) / (sa - sb)
+        if not a < m < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+            m = 0.5 * (a + b)
+        if not a < m < b:
+            c_star = c if c in (a, b) else a  # no float lies between a and b
+            break
+        c = m
+    if not any(key[0] == c_star for key in probes):
+        probes[c_star, 0.0] = (yield [(c_star, 0.0)])[0]
+    min_value = min(p.value for p in probes.values())
+    thr = min_value + tol
+
+    # Both plateau edges, from outside in: every sum phi lies below F, so
+    # the end of {phi <= thr} bounds the edge from outside, and is the edge
+    # once it lies on phi's own piece.
+    ends, edge, bound = {}, {}, {}
+    for side in (-1.0, 1.0):
+        for piece in seen:
+            x = piece.level(thr, c_star, side)
+            if side not in bound or (x - bound[side][0]) * side < 0:
+                bound[side] = (x, piece)
+    while bound:
+        asks = {}
+        for side, (x, piece) in bound.items():
+            if piece.lo <= x <= piece.hi:
+                ends[side], edge[side] = x, piece
+            else:
+                asks[side] = x
+        bound = {}
+        if asks:
+            got = yield [(x, -side) for side, x in asks.items()]
+            for (side, x), p in zip(asks.items(), got):
+                probes[x, -side] = p
+                piece = _Piece(p, q, x, uniform)
+                nxt = piece.level(thr, c_star, side)
+                if p.value <= thr or (nxt - x) * side >= 0:
+                    # inside the plateau, or no inward step left above rounding
+                    ends[side], edge[side] = x, piece
+                else:
+                    bound[side] = (nxt, piece)
+    if q == 1.0:
+        # F is linear between the breakpoints around each edge: interpolate
+        # the integrals there, as the scan over all breakpoints does
+        segs = {side: piece.segment(ends[side], side) for side, piece in edge.items()}
+        values = {c: p.value for (c, _), p in probes.items()}
+        fresh = sorted({float(x) for seg in segs.values() if seg for x in seg} - set(values))
+        if fresh:
+            for x, p in zip(fresh, (yield [(x, 0.0) for x in fresh])):
+                probes[x, 0.0] = p
+                values[x] = p.value
+        # the inner breakpoints may end a flat bottom; rounding can put
+        # them below the minimum found so far
+        min_value = min(values.values())
+        thr = min_value + tol
+        for side, seg in segs.items():
+            if seg is not None:
+                outer, inner = values[float(seg[0])], values[float(seg[1])]
+                if outer > thr >= inner:
+                    frac = (thr - outer) / (inner - outer)
+                    ends[side] = float(seg[0] + frac * (seg[1] - seg[0]))
+    return GammaInterval(
+        lo=ends[-1.0], hi=ends[1.0], min_value=min_value, tol=tol,
+        evaluations=len(probes) + 1,
+    )
 
 
-def _linear_breakpoints(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Candidate breakpoints of c -> integral |f - c| w: the cell values plus
-    every c where two weighted distances w_i|v_i - c|, w_j|v_j - c| cross."""
-    pairs = np.unique(np.column_stack([vals, wts]), axis=0)
-    v = pairs[:, 0]
-    w = pairs[:, 1]
+def _linear_breakpoints(pairs: np.ndarray) -> np.ndarray:
+    """Candidate breakpoints of c -> integral |f - c| w for the (value +
+    1j * weight) pairs: the cell values plus every c where two weighted
+    distances w_i|v_i - c|, w_j|v_j - c| cross."""
+    v = pairs.real
+    w = pairs.imag
     i, j = np.triu_indices(len(pairs), k=1)
     cands = [v]
     same = np.abs(w[i] - w[j]) > 0
@@ -220,10 +469,11 @@ def _linear_breakpoints(vals: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return out[np.isfinite(out)]
 
 
-def _exact_linear_gamma(vals: np.ndarray, wts: np.ndarray, cache: dict, tol: float):
-    breaks = _linear_breakpoints(vals, wts)
+def _linear_scan(pairs: np.ndarray, tol: float):
+    """q = 1 on a cube of few (value, weight) pairs: F at every breakpoint in one step."""
+    breaks = _linear_breakpoints(pairs)
     cands = np.concatenate([[breaks[0] - 1.0], breaks, [breaks[-1] + 1.0]])
-    F = yield from _many(cache, cands)
+    F = np.array([p.value for p in (yield [(float(c), 0.0) for c in cands])])
     min_value = float(F.min())
     thr = min_value + tol
     ok = F <= thr
@@ -231,7 +481,7 @@ def _exact_linear_gamma(vals: np.ndarray, wts: np.ndarray, cache: dict, tol: flo
     last = len(F) - 1 - int(np.argmax(ok[::-1]))
     lo = _linear_cross(cands, F, first, thr, left=True)
     hi = _linear_cross(cands, F, last, thr, left=False)
-    return GammaInterval(lo=lo, hi=hi, min_value=min_value, tol=tol)
+    return GammaInterval(lo=lo, hi=hi, min_value=min_value, tol=tol, evaluations=len(cands) + 1)
 
 
 def _linear_cross(cands, F, idx, thr, left: bool) -> float:
@@ -254,13 +504,13 @@ def _linear_cross(cands, F, idx, thr, left: bool) -> float:
     return float(cands[a] + frac * (cands[b] - cands[a]))
 
 
-def _dense_gamma(vals: np.ndarray, cache: dict, tol: float):
+def _dense_gamma(vals: np.ndarray, tol: float):
     """Fallback for q < 1 (no convexity): grid over values and midpoints."""
     vals = np.unique(vals)
     cands = vals
     if len(vals) > 1:
         cands = np.unique(np.concatenate([vals, 0.5 * (vals[1:] + vals[:-1])]))
-    F = yield from _many(cache, cands)
+    F = np.array([p.value for p in (yield [(float(c), 0.0) for c in cands])])
     min_value = float(F.min())
     keep = F <= min_value + tol
     return GammaInterval(
@@ -269,6 +519,7 @@ def _dense_gamma(vals: np.ndarray, cache: dict, tol: float):
         min_value=min_value,
         tol=tol,
         used_fallback=True,
+        evaluations=len(cands) + 1,
     )
 
 
@@ -278,14 +529,13 @@ def _gamma_search(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
         a = float(vals[0])
         half = tol ** (1.0 / q)
         return GammaInterval(lo=a - half, hi=a + half, min_value=0.0, tol=tol)
-    cache: dict[float, float] = {}
     if q < 1:
-        return (yield from _dense_gamma(vals, cache, tol))
+        return (yield from _dense_gamma(vals, tol))
     if q == 1:
-        pairs = np.unique(np.column_stack([vals, wts]), axis=0)
-        if len(pairs) <= _EXACT_PAIR_LIMIT:
-            return (yield from _exact_linear_gamma(vals, wts, cache, tol))
-    return (yield from _ternary_plateau(vals, cache, tol))
+        pairs = np.unique(vals + 1j * wts)  # distinct (value, weight) pairs
+        if len(pairs) <= _SCAN_PAIRS:
+            return (yield from _linear_scan(pairs, tol))
+    return (yield from _piecewise_gamma(vals, wts, q, tol))
 
 
 def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
@@ -312,7 +562,7 @@ def gamma_interval(
     return _gamma_intervals(f, w, q, [Q], params, tol)[0]
 
 
-def _report(cubes, values, centers, policy) -> SeminormReport:
+def _report(cubes, values, centers, policy, gis=()) -> SeminormReport:
     best = None
     best_val = 0.0
     for cube, val in zip(cubes, values):
@@ -323,6 +573,7 @@ def _report(cubes, values, centers, policy) -> SeminormReport:
         worst_cube=best,
         per_cube_centers=dict(zip(cubes, centers)),
         policy=policy,
+        exact=not any(gi.used_fallback for gi in gis),
     )
 
 
@@ -343,13 +594,22 @@ def bmo_seminorm(
     if centering == "inf_c":
         gis = _gamma_intervals(f, None, 1.0, cubes, params)
         centers = [0.5 * (gi.lo + gi.hi) for gi in gis]
-        values = [gi.min_value for gi in gis]
-    else:
-        centers = [avg.value for avg in signed_averages(f, cubes, params)]
-        values = _lockstep(
-            f, None, 1.0, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
-        )
+        return _report(cubes, [gi.min_value for gi in gis], centers, policy, gis)
+    centers = [avg.value for avg in signed_averages(f, cubes, params)]
+    values = _lockstep(
+        f, None, 1.0, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
+    )
     return _report(cubes, values, centers, policy)
+
+
+def blo_values(f: StepFunction, cubes, params: ContentParams, q: float = 1.0):
+    """(values, centers) of the lower oscillation on each cube: the q-mean
+    of f - esinf_Q f to the power 1/q, centred at the esinf."""
+    centers = [float(f.values[Q.mask(f.grid)].min()) for Q in cubes]
+    F = _lockstep(
+        f, None, q, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
+    )
+    return [v ** (1.0 / q) for v in F], centers
 
 
 def blo_seminorm(
@@ -362,11 +622,7 @@ def blo_seminorm(
     if q <= 0:
         raise ValueError("q must be positive")
     cubes = enumerate_cubes(f.grid, policy)
-    centers = [float(f.values[Q.mask(f.grid)].min()) for Q in cubes]
-    F = _lockstep(
-        f, None, q, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
-    )
-    return _report(cubes, [v ** (1.0 / q) for v in F], centers, policy)
+    return _report(cubes, *blo_values(f, cubes, params, q), policy)
 
 
 def weighted_bmo_seminorm(
@@ -386,4 +642,5 @@ def weighted_bmo_seminorm(
         [gi.min_value ** (1.0 / q) for gi in gis],
         [0.5 * (gi.lo + gi.hi) for gi in gis],
         policy,
+        gis,
     )

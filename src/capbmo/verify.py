@@ -32,7 +32,7 @@ from .grid import (
     StepFunction,
     enumerate_cubes,
 )
-from .oscillation import bmo_seminorm, blo_seminorm, weighted_bmo_seminorm
+from .oscillation import blo_seminorm, blo_values, bmo_seminorm, weighted_bmo_seminorm
 from .reports import InvariantViolation, VerificationReport
 from .weights import a1_constant, ap_constant, maximal_function
 from . import fixtures
@@ -476,13 +476,7 @@ def verify_equivalences(
 
 def _chain_blo(f: StepFunction, chain, params: ContentParams) -> float:
     """Lower-oscillation seminorm restricted to a fixed chain of cubes."""
-    from .oscillation import oscillation_objective
-
-    best = 0.0
-    for Q in chain:
-        center = float(f.values[Q.mask(f.grid)].min())
-        best = max(best, oscillation_objective(f, None, 1.0, Q, params, center))
-    return best
+    return max([0.0, *blo_values(f, chain, params)[0]])
 
 
 def verify_inclusions(

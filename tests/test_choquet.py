@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,23 @@ def test_jensen_sides_hold_and_touch_constants(rng):
     sides = jensen_sides(const, CubeSpec((0, 0), 4), ContentParams(delta=0.5))
     assert sides.lhs_pos == pytest.approx(sides.rhs_pos, rel=1e-12)
     assert sides.lhs_neg == pytest.approx(sides.rhs_neg, rel=1e-12)
+
+
+def test_jensen_sides_ignore_large_values_outside_the_cube():
+    """Values beyond exp's range outside the cube must neither overflow nor
+    change the sides, which depend on the cube's cells only."""
+    rng = np.random.default_rng(7)
+    g = build_grid(1, 4, 1.0)
+    vals = 900.0 * rng.normal(size=g.num_cells)
+    vals[:4] = rng.normal(size=4)
+    Q = CubeSpec((0,), 4)
+    params = ContentParams(delta=0.5)
+    inside_only = np.where(Q.mask(g), vals, 0.0)
+    want = jensen_sides(step_function(g, inside_only), Q, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = jensen_sides(step_function(g, vals), Q, params)
+    assert got == want and not got.log_domain
 
 
 def test_jensen_sides_log_domain():

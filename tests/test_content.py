@@ -29,6 +29,23 @@ from capbmo.grid import (
 from conftest import random_grid, random_params
 
 
+bits = st.booleans()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+def test_content_is_strongly_subadditive(n, data):
+    """H(A u B) + H(A n B) <= H(A) + H(B): the convexity of every centre
+    objective F, which the exact oscillation search relies on, rests on it."""
+    g = build_grid(n, {1: 4, 2: 2, 3: 1}[n], data.draw(st.sampled_from([1.0, 2.0])))
+    P = ContentParams(delta=data.draw(st.sampled_from([0.3, 0.5, 0.8, 1.0])) * n)
+    cells = g.num_cells
+    A = np.array(data.draw(st.lists(bits, min_size=cells, max_size=cells)))
+    B = np.array(data.draw(st.lists(bits, min_size=cells, max_size=cells)))
+    H = [dyadic_content(g, DyadicSet(g, m), P) for m in (A | B, A & B, A, B)]
+    assert H[0] + H[1] <= (H[2] + H[3]) * (1 + 1e-12) + 1e-15
+
+
 def enumerate_cover_costs_depth2(masks16, delta, root_side):
     """Minimal dyadic-cover cost for every 16-cell occupancy mask, found by
     listing every irredundant cover of the depth-2 quadtree explicitly:

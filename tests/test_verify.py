@@ -9,10 +9,12 @@ from capbmo.content import ContentParams
 from capbmo.fixtures import (
     log_abs_function,
     neg_log_abs_function,
+    origin_chain,
     random_positive_weight,
     two_cell_example,
 )
 from capbmo.grid import CubeFamilyPolicy, CubeSpec, DyadicSet, build_grid, full_set, step_function
+from capbmo.oscillation import oscillation_objective
 from capbmo.reports import InvariantViolation
 from capbmo.verify import (
     fit_envelope,
@@ -368,3 +370,17 @@ def test_survival_curve_invariants_raise_with_witness(monkeypatch, fault):
         assert witness["survival"][1] == witness["survival"][0] + 1.0
     else:
         assert witness["survival"] == witness["normalizer"] + 1.0
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+def test_origin_chain_probe_equals_one_cube_objectives(delta):
+    """The origin-chain probe of verify_inclusions runs one lockstep call
+    over the chain; it equals the loop of one-cube objectives bit for bit."""
+    P = ContentParams(delta=delta)
+    for depth in (3, 4):
+        f = log_abs_function(2, depth)
+        best = 0.0
+        for Q in origin_chain(f.grid):
+            esinf = float(f.values[Q.mask(f.grid)].min())
+            best = max(best, oscillation_objective(f, None, 1.0, Q, P, esinf))
+        assert capbmo.verify._chain_blo(f, origin_chain(f.grid), P) == best
