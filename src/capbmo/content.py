@@ -159,18 +159,14 @@ def layer_cake(
     jobs, cells = values.shape
     by_job = np.arange(jobs)[:, None]
     if keys is None:
-        levels = np.where(masks & (values > 0), values, 0.0)
-        order = np.argsort(levels, axis=1)
-        levels = levels[by_job, order]
-        distinct = levels > 0
-        distinct[:, 1:] &= levels[:, 1:] != levels[:, :-1]
-    else:
-        levels = np.where(masks, values, -1.0)
-        order = np.lexsort((keys, levels))
-        levels = levels[by_job, order]
-        ranked = keys[by_job, order]
-        distinct = levels >= 0
-        distinct[:, 1:] &= (levels[:, 1:] != levels[:, :-1]) | (ranked[:, 1:] != ranked[:, :-1])
+        masks = masks & (values > 0)
+        keys = np.zeros(values.shape)
+    levels = np.where(masks, values, -1.0)
+    order = np.lexsort((keys, levels))
+    levels = levels[by_job, order]
+    ranked = keys[by_job, order]
+    distinct = levels >= 0
+    distinct[:, 1:] &= (levels[:, 1:] != levels[:, :-1]) | (ranked[:, 1:] != ranked[:, :-1])
     # rank[j, x]: index of cell x's level in job j's chain (-1 when it has
     # none), so level k of job j occupies {x: rank[j, x] >= k}.
     sorted_rank = np.cumsum(distinct, axis=1, dtype=np.int32) - 1

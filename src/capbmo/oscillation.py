@@ -99,7 +99,9 @@ class SeminormReport:
 
 
 # q = 1 cubes with at most this many distinct (value, weight) pairs scan
-# every breakpoint in one step, which is cheaper there than a search.
+# every breakpoint in one step, which is cheaper there than a search: on
+# perfbench oscillation_log, searching every cube cost 1.75x the wall time,
+# and a cutoff of 20 measured no faster than 10.
 _SCAN_PAIRS = 10
 
 class _Probe(NamedTuple):
@@ -172,12 +174,11 @@ def _lockstep(f: StepFunction, w: StepFunction | None, q: float,
                 keys = None
                 if sided.any():
                     # order of |f - x|**q * w just beyond c on side d: ties by
-                    # -d / (f - c), and the cells where f = c by their weight
-                    masks[~sided] &= vals[~sided] > 0
-                    with np.errstate(divide="ignore", invalid="ignore"):
+                    # -d / (f - c), and the cells where f = c by their weight.
+                    # Keyed plain rows gain only zero-width levels.
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                         keys = np.where(dev == 0, 1.0 if wv is None else wv,
                                         -side[sl, None] / dev)
-                    keys[~sided] = 0.0
                 chains = frames.chains(vals, masks, keys)
                 raw[sl] = chains.integrals()
                 b = chains.bounds
@@ -235,33 +236,41 @@ class _Piece:
     """phi(x) = sum_k s_k * |v_k - x|**q read from a one-sided probe at c.
 
     phi equals F on [lo, hi], which holds c, and lies below F elsewhere.
-    uniform says every cell of the cube has the same weight.
     """
 
-    def __init__(self, probe: _Probe, q: float, c: float, uniform: bool):
+    def __init__(self, probe: _Probe, q: float, c: float):
         self.q = q
         self.v = v = probe.v
         self.s = probe.coef * probe.w
-        a = probe.w if q == 1.0 or uniform else probe.w ** (1.0 / q)
-        # Adjacent levels l < u swap where h(x) = a_u|v_u - x| - a_l|v_l - x|
-        # changes sign: once between v_l and v_u, once outside unless a_l = a_u.
-        # Equal weights never share a value between adjacent levels.
-        vl, vu, al, au = v[:-1], v[1:], a[:-1], a[1:]
-        if not uniform:
-            swap = vl != vu
-            vl, vu, al, au = vl[swap], vu[swap], al[swap], au[swap]
-        rise = au * np.sign(c - vu) - al * np.sign(c - vl)
-        roots = (al * vl + au * vu) / (al + au)
-        if not uniform:
-            k = al != au
-            roots = np.concatenate([roots, (al[k] * vl[k] - au[k] * vu[k]) / (al[k] - au[k])])
-            rise = np.concatenate([rise, rise[k]])
-        # A root at c is a tie, which the keys (or rounding) ordered for one
-        # side: the side where h, of slope h'(c), stays >= 0.
-        at_c = roots == c
-        self.lo = c if np.any(at_c & (rise > 0)) else float(roots[~at_c & (roots < c)].max(initial=-math.inf))
-        self.hi = c if np.any(at_c & (rise < 0)) else float(roots[~at_c & (roots > c)].min(initial=math.inf))
-        self.roots = roots
+        a = probe.w if q == 1.0 else probe.w ** (1.0 / q)
+        # Adjacent levels l < u keep their order where
+        # h(x) = a_u|v_u - x| - a_l|v_l - x| >= 0. h has a root m between v_l
+        # and v_u and is positive at v_l, so {h >= 0} holds the ray A from m
+        # outward past v_l. Beyond v_l, h falls to a root o if a_l > a_u,
+        # which ends A; beyond v_u it rises through o if a_l < a_u, which
+        # starts a second ray B.
+        swap = v[:-1] != v[1:]
+        vl, vu, al, au = v[:-1][swap], v[1:][swap], a[:-1][swap], a[1:][swap]
+        m = (al * vl + au * vu) / (al + au)
+        k = al != au
+        o = np.full(len(m), math.nan)
+        o[k] = (al[k] * vl[k] - au[k] * vu[k]) / (al[k] - au[k])
+        up, inf = vl < vu, math.inf
+        end = np.where(al > au, o, np.where(up, -inf, inf))
+        lo, hi = np.where(up, end, m), np.where(up, m, end)
+        lo_b, hi_b = np.where(up, o, -inf), np.where(up, inf, o)
+        in_a = (lo <= c) & (c <= hi)
+        in_b = (al < au) & (lo_b <= c) & (c <= hi_b)
+        # The chain's order holds at c, so c lies outside A and B only by
+        # rounding at a root: at the nearest root (clamp) when {h >= 0} is
+        # one interval, and on no known side when it is two.
+        lo = np.where(in_b, lo_b, np.minimum(lo, c))
+        hi = np.where(in_b, hi_b, np.maximum(hi, c))
+        gap = (al < au) & ~in_a & ~in_b
+        lo[gap] = hi[gap] = c
+        self.lo = float(lo.max(initial=-inf))
+        self.hi = float(hi.min(initial=inf))
+        self.roots = np.concatenate([m, o[k]])
         self._kinks = None
 
     def kinks(self):
@@ -354,7 +363,6 @@ class _Piece:
 def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
     """Exact minimum and plateau of the convex F for q >= 1."""
     probes: dict[tuple[float, float], _Probe] = {}
-    uniform = bool(wts.min() == wts.max())
 
     # F is non-increasing below min f and non-decreasing above max f, so a
     # minimiser lies in [a, b]. tangent[-1] and tangent[1] are lines below F
@@ -365,7 +373,7 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
     seen, tangent, widths = [], {}, [b - a]
     while True:
         probes[c, 1.0] = (yield [(c, 1.0)])[0]
-        piece = _Piece(probes[c, 1.0], q, c, uniform)
+        piece = _Piece(probes[c, 1.0], q, c)
         seen.append(piece)
         lo, hi = max(piece.lo, a), min(piece.hi, b)
         slope = piece.slope(hi, -1.0)
@@ -420,7 +428,7 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
             got = yield [(x, -side) for side, x in asks.items()]
             for (side, x), p in zip(asks.items(), got):
                 probes[x, -side] = p
-                piece = _Piece(p, q, x, uniform)
+                piece = _Piece(p, q, x)
                 nxt = piece.level(thr, c_star, side)
                 if p.value <= thr or (nxt - x) * side >= 0:
                     # inside the plateau, or no inward step left above rounding

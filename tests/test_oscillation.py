@@ -126,7 +126,11 @@ def check_against_oracle(n, weighted, q, data):
     f = step_function(g, data.draw(st.lists(eighths, min_size=cells, max_size=cells)))
     w = None
     if weighted:
-        w = step_function(g, data.draw(st.lists(quarters, min_size=cells, max_size=cells)))
+        # a constant weight other than 1 rounds crossings unlike unit weights
+        w = step_function(g, data.draw(st.one_of(
+            st.lists(quarters, min_size=cells, max_size=cells),
+            quarters.map(lambda x: [x] * cells),
+        )))
     P = ContentParams(delta=data.draw(st.sampled_from([0.4, 0.75, 1.0])) * n)
     root = CubeSpec.root(g)
     scale = gamma_interval(f, w, q, root, P).min_value or 1.0
@@ -171,6 +175,24 @@ def test_search_keeps_cells_tied_at_the_centre_apart(monkeypatch):
     gi = gamma_interval(f, w, 1.0, root, P)
     assert gi.lo <= 0.0 <= gi.hi and gi.hi - gi.lo < 1e-6
     assert gi.min_value == pytest.approx(oscillation_objective(f, w, 1.0, root, P, 0.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("cells", [[2.04, -2.56], [0.55, -0.51]])
+def test_piece_ends_at_a_crossing_rounded_off_the_centre(cells, q):
+    """Both cells weigh 3, so they tie at the minimiser, their midpoint,
+    but their computed crossing can round an ulp off it. A probe's chain
+    there holds on one side only, so its piece must not reach the other,
+    or a plateau edge lands far from the minimiser."""
+    g = build_grid(1, 1, 1.0)
+    f = step_function(g, cells)
+    w = step_function(g, [3.0, 3.0])
+    root, P = CubeSpec.root(g), ContentParams(delta=0.7)
+    gi = gamma_interval(f, w, q, root, P)
+    thr = gi.min_value + gi.tol
+    assert gi.lo <= 0.5 * sum(cells) <= gi.hi and gi.hi - gi.lo < 1e-6
+    for c in (gi.lo, gi.hi):
+        assert oscillation_objective(f, w, q, root, P, c) <= thr * (1 + 1e-15)
 
 
 def test_gamma_interval_never_builds_all_pairwise_crossings():
