@@ -3,8 +3,9 @@
 Dyadic Hausdorff contents, Choquet integrals, capacitary Muckenhoupt
 weights, oscillation seminorms (BMO/BLO relative to a content), weighted
 Calderon-Zygmund decompositions, and numerical verifiers for the theory
-connecting them. Every content comes from one NumPy tree reduction,
-``capbmo.kernels.reduce_tree``.
+connecting them. Every content comes from the dyadic tree recursion in
+``capbmo.kernels``: ``reduce_tree`` on dense threshold rows, or
+``reduce_ranks`` on a whole chain of nested sets at once.
 """
 
 from .content import ContentParams, cube_content, dyadic_content, masked_integral, weighted_content

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .content import ContentParams, cube_content, cube_integrals, masked_integral
+from .content import ContentParams, cube_content, cube_integrals, masked_integral, superlevel_integrals
 from .grid import CubeSpec, DyadicSet, Grid, StepFunction
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "JensenSides",
     "choquet",
     "choquet_wrt",
+    "weighted_choquet",
     "signed_average",
     "essential_bounds",
     "jensen_sides",
@@ -82,29 +83,56 @@ def choquet(f: StepFunction, region: DyadicSet, params: ContentParams) -> float:
     return masked_integral(f.grid, f.values, region.membership, params)
 
 
+def _layer_thresholds(f: StepFunction, region: DyadicSet, name: str) -> np.ndarray:
+    """The distinct positive values t_1 < t_2 < ... of f on the region."""
+    if f.grid != region.grid:
+        raise ValueError("function and region live on different grids")
+    inside = f.values[region.membership]
+    if inside.size and inside.min() < 0:
+        raise ValueError(f"{name} requires f >= 0 on the region")
+    return np.unique(inside[inside > 0])
+
+
+def _layer_sum(thresholds: np.ndarray, measures) -> float:
+    """math.fsum of (t_k - t_{k-1}) * measures[k], t_0 = 0."""
+    return math.fsum((thresholds - np.append(0.0, thresholds[:-1])) * np.asarray(measures))
+
+
 def choquet_wrt(
     f: StepFunction,
     region: DyadicSet,
     mu: Callable[[DyadicSet], float],
 ) -> float:
     """Layer-cake sum with a monotone set function mu in place of the content."""
-    if f.grid != region.grid:
-        raise ValueError("function and region live on different grids")
-    inside = f.values[region.membership]
-    if inside.size and inside.min() < 0:
-        raise ValueError("choquet_wrt requires f >= 0 on the region")
-    if region.is_empty():
-        return 0.0
-    thresholds = np.unique(inside[inside > 0])
+    thresholds = _layer_thresholds(f, region, "choquet_wrt")
+    return _layer_sum(
+        thresholds, [mu(DyadicSet(f.grid, region.membership & (f.values >= t))) for t in thresholds]
+    )
+
+
+def weighted_choquet(
+    f: StepFunction, region: DyadicSet, w: StepFunction, params: ContentParams
+) -> float:
+    """choquet_wrt with mu = the w-weighted content w(.).
+
+    The w-contents of all level sets come from one family call on the
+    root cube, level set rows built one chunk at a time; each is the float
+    that ``weighted_content`` gives for that set alone.
+    """
+    thresholds = _layer_thresholds(f, region, "weighted_choquet")
+    if w.grid != f.grid:
+        raise ValueError("weight lives on a different grid")
+    if np.any(w.values < 0):
+        raise ValueError("weight must be non-negative everywhere")
+    params.validate(f.grid)
     if thresholds.size == 0:
         return 0.0
-    terms = []
-    prev = 0.0
-    for t in thresholds:
-        level = DyadicSet(f.grid, region.membership & (f.values >= t))
-        terms.append((t - prev) * mu(level))
-        prev = t
-    return math.fsum(terms)
+    # the level set {f >= t_k} of the region is {f > t_{k-1}}, t_0 = 0
+    inside = np.where(region.membership, f.values, 0.0)
+    below = np.append(0.0, thresholds[:-1])
+    root = CubeSpec.root(f.grid)
+    measures = superlevel_integrals(f.grid, [root], inside, [0.0], [below], w.values, params)[0]
+    return _layer_sum(thresholds, measures)
 
 
 def signed_average(f: StepFunction, Q: CubeSpec, params: ContentParams) -> SignedAverage:

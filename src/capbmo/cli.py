@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .choquet import choquet, choquet_wrt, signed_average
-from .content import ContentParams, dyadic_content, weighted_content
+from .choquet import choquet, signed_average, weighted_choquet
+from .content import ContentParams, dyadic_content
 from .czd import cz_decompose, cz_verify
 from .fixtures import log_abs_function, spike_and_slab_example, two_cell_example
 from .grid import CubeSpec, DyadicSet, StepFunction
@@ -88,7 +88,7 @@ def _cmd_choquet(args) -> int:
     body = {"command": "choquet", "delta": args.delta}
     if args.wt:
         w = load_function(_read_json(args.wt), grid)
-        body["integral"] = choquet_wrt(f, E, lambda S: weighted_content(grid, w, S, params))
+        body["integral"] = weighted_choquet(f, E, w, params)
         body["weighted"] = True
     else:
         body["integral"] = choquet(f, E, params)

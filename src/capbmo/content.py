@@ -13,11 +13,18 @@ either lies inside that cube or contains it and costs at least as much).
 All integrals funnel through ``layer_cake``, which works on stacked
 frame-local rows: row j of a (jobs, 2**(n*depth)) value array is
 integrated over row j of a mask array of the same shape. One sort finds
-every row's distinct positive thresholds t_1 < t_2 < ...; the occupancy
-row {value >= t_k} of each threshold is reduced by ``kernels.reduce_tree``
-in blocks of at most ``_ROW_CELLS`` leaf cells. The result is each job's
-chain (``Chains``): its thresholds, the content H_k of each superlevel
-set and one cell per threshold. The integral is the chain's layer-cake
+every row's distinct positive thresholds t_1 < t_2 < ... and ranks each
+cell by the last threshold it reaches, so that the k-th superlevel set is
+{rank >= k}. Its content H_k comes from one of two reductions of the same
+tree, picked per call by ``_sparse_cheaper``: dense, one occupancy row per
+threshold through ``kernels.reduce_tree`` in blocks of at most
+``_ROW_CELLS`` leaf cells, costing thresholds * cells; or sparse, the
+whole chain at once from the rank array through ``kernels.reduce_ranks``,
+costing about occupied cells * depth * 2**n entries. Both add the same
+children in the same order, so every H_k is the same float either way
+and the choice changes only the time. The result is each job's chain
+(``Chains``): its thresholds, the content H_k of each superlevel set and
+one cell per threshold. The integral is the chain's layer-cake
 sum of (t_k - t_{k-1}) * H_k, taken with ``math.fsum``; the centre
 searches of ``oscillation`` read the chain itself.
 
@@ -47,6 +54,10 @@ __all__ = ["ContentParams", "dyadic_content", "weighted_content", "cube_content"
 
 # Leaf cells per tree reduction: bounds the float64 threshold-row workspace.
 _ROW_CELLS = 1 << 17
+# Cost of one sparse entry per tree level and child, in dense leaf cells
+# (see _sparse_cheaper): the break-even of timing both reductions on
+# every layer-cake call of the benchmark workloads.
+_SPARSE_COST = 5.0
 # Cells of stacked job rows per integrator call: bounds the value, mask
 # and threshold arrays of one call, whatever the number of jobs.
 _JOB_CELLS = 1 << 14
@@ -118,6 +129,17 @@ def job_chunks(count: int, row_cells: int):
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
+def _sparse_cheaper(thresholds: int, cells: int, occupied: int, ndim: int, depth: int) -> bool:
+    """Whether a layer-cake call reduces its chains sparsely.
+
+    The dense reduction reduces one row of every frame cell per threshold;
+    the sparse one handles about occupied * depth * 2**ndim entries, each
+    costing _SPARSE_COST dense leaf cells. Both give the same floats, so
+    the choice changes only the time.
+    """
+    return thresholds * cells > _SPARSE_COST * occupied * depth * (1 << ndim)
+
+
 @dataclass(frozen=True)
 class Chains:
     """The chains of one layer-cake call.
@@ -174,13 +196,16 @@ def layer_cake(
     rank[by_job, order] = sorted_rank
     job, col = np.nonzero(distinct)
     level = sorted_rank[job, col]
-    contents = np.empty(len(job))
-    step = max(1, _ROW_CELLS // cells)
-    for s in range(0, len(job), step):
-        occ = rank[job[s : s + step]] >= level[s : s + step, None]
-        leaf = occ.astype(np.float64)
-        leaf *= caps[depth]
-        contents[s : s + step] = kernels.reduce_tree(leaf, ndim, depth, caps)
+    if _sparse_cheaper(len(job), cells, int(np.count_nonzero(rank >= 0)), ndim, depth):
+        contents = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
+    else:
+        contents = np.empty(len(job))
+        step = max(1, _ROW_CELLS // cells)
+        for s in range(0, len(job), step):
+            occ = rank[job[s : s + step]] >= level[s : s + step, None]
+            leaf = occ.astype(np.float64)
+            leaf *= caps[depth]
+            contents[s : s + step] = kernels.reduce_tree(leaf, ndim, depth, caps)
     return Chains(
         thresholds=levels[job, col],
         contents=contents,

@@ -1,6 +1,6 @@
-"""The batched tree reduction behind every content.
+"""The two tree reductions behind every content.
 
-The reduction computes, for T occupancy rows at once, the minimal cost of
+``reduce_tree`` computes, for T occupancy rows at once, the minimal cost of
 covering each row's occupied cells by dyadic subcubes of the (sub)tree
 root: cost(node) = min(side(node)^delta, sum of child costs), the dyadic
 content recursion of Yang and Yuan (A note on dyadic Hausdorff
@@ -11,9 +11,19 @@ array is needed.
 Children are added in lexicographic offset order with left-associated
 binary adds. The exhaustive cover-search tests rely on that order: it is
 the order in which their oracles sum a cover's cubes, bit for bit.
+
+``reduce_ranks`` computes the contents of a whole chain of nested sets
+{rank >= k} at once, with about E * depth * 2**ndim lookups for E
+occupied cells instead of one dense row of every cell per k. Each tree
+node keeps one entry per rank at which its cost changes; a parent
+evaluates its children at the union of their ranks, adds them in the
+same order, zeros included, and clips at its cap. Every content is
+therefore the float ``reduce_tree`` gives for the row of {rank >= k}, and
+``content.layer_cake`` picks either reduction per call by cost alone.
 """
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,3 +60,78 @@ def reduce_tree(leaf_costs, ndim, depth, level_caps):
         side //= 2
         current = acc.reshape(rows, side**ndim)
     return current[:, 0].copy() if current is leaf_costs else current[:, 0]
+
+
+# Ends every key array of reduce_ranks: above every key, so that every
+# search lands on an entry, and owned by no node, so that a lookup landing
+# there reads 0.
+_END = np.iinfo(np.int64).max
+
+
+@lru_cache(maxsize=32)
+def _morton(ndim, depth):
+    """Z-order code of each row-major leaf cell: the low ndim bits of a
+    code are the lexicographic offset index of the cell within its parent
+    (axis 0 most significant), and code >> ndim is the parent's code."""
+    side = 1 << depth
+    coords = np.indices((side,) * ndim).reshape(ndim, -1).astype(np.int64)
+    code = np.zeros(side**ndim, dtype=np.int64)
+    for bit in range(depth):
+        for axis in range(ndim):
+            code |= ((coords[axis] >> bit) & 1) << (bit * ndim + ndim - 1 - axis)
+    code.setflags(write=False)
+    return code
+
+
+def reduce_ranks(rank, job, level, ndim, depth, level_caps):
+    """Contents of the sets {x: rank[job[i], x] >= level[i]}.
+
+    rank: int array (rows, 2**(ndim*depth)), -1 on cells in no set.
+    job, level: equal-length int arrays naming the queried (row, k) pairs.
+    level_caps: as for reduce_tree.
+
+    Returns a float64 array of len(job), equal bit for bit to reduce_tree
+    on the leaf rows level_caps[depth] * (rank[job[i]] >= level[i]).
+    """
+    if len(job) == 0:
+        return np.zeros(0)
+    # An entry is the int64 key node << bits | rank, nodes numbered
+    # row-major by row and in Z-order within a row, and the node's cost
+    # at every rank from its previous entry (exclusive) up to rank. Keys
+    # fit while rows * cells * 2**bits < 2**63, far beyond any rank array
+    # that fits in memory.
+    bits = int(max(rank.max(), np.max(level))).bit_length()
+    low = (1 << bits) - 1
+    row, cell = np.nonzero(rank >= 0)
+    node = row * rank.shape[1] + _morton(ndim, depth)[cell]
+    key = np.append(np.sort(node << bits | rank[row, cell]), _END)
+    val = np.full(len(key), float(level_caps[depth]))
+    slots = np.arange(1 << ndim, dtype=np.int64)[:, None]
+    for lvl in range(depth, 0, -1):
+        # the parent keys: the union of the children's ranks per parent
+        union = key[:-1] >> (bits + ndim) << bits | key[:-1] & low
+        union.sort(kind="stable")  # merges the children's sorted runs
+        union = union[_run_ends(union)]
+        # each child's cost at each union rank, children in offset order
+        parent = union >> bits
+        child = (parent << ndim) + slots
+        idx = np.searchsorted(key, child << bits | union & low)
+        cost = np.where(key[idx] >> bits == child, val[idx], 0.0)
+        acc = cost[0]
+        for part in cost[1:]:
+            acc += part
+        np.minimum(acc, float(level_caps[lvl - 1]), out=acc)
+        # keep the last rank of each run of equal cost within a parent
+        keep = _run_ends(parent)
+        keep[:-1] |= acc[1:] != acc[:-1]
+        key, val = np.append(union[keep], _END), np.append(acc[keep], 0.0)
+    idx = np.searchsorted(key, np.asarray(job, dtype=np.int64) << bits | level)
+    return np.where(key[idx] >> bits == job, val[idx], 0.0)
+
+
+def _run_ends(a):
+    """Mask of the last element of each run of equal values in a."""
+    end = np.empty(len(a), dtype=bool)
+    end[-1] = True
+    np.not_equal(a[1:], a[:-1], out=end[:-1])
+    return end

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import ContentParams, cube_integrals, masked_integral, masked_integral_many
-from .grid import CubeFamilyPolicy, CubeSpec, Grid, StepFunction, enumerate_cubes
+from .choquet import weighted_choquet
+from .content import ContentParams, cube_integrals, masked_integral
+from .grid import CubeFamilyPolicy, CubeSpec, Grid, StepFunction, enumerate_cubes, full_set
 from .reports import InvariantViolation
 
 __all__ = [
@@ -205,13 +206,6 @@ def weighted_l1_comparison(
     _require_positive(w)
     grid = f.grid
     absf = np.abs(f.values)
-    full = np.ones(grid.num_cells, dtype=bool)
-    lhs = masked_integral(grid, absf * w.values, full, params)
-    thresholds = np.unique(absf[absf > 0])
-    if thresholds.size == 0:
-        return float(lhs), 0.0
-    jobs = [(w.values, absf >= t) for t in thresholds]
-    weighted_levels = masked_integral_many(grid, jobs, params)
-    diffs = np.diff(thresholds, prepend=0.0)
-    mid = math.fsum(diffs * weighted_levels)
+    lhs = masked_integral(grid, absf * w.values, np.ones(grid.num_cells, dtype=bool), params)
+    mid = weighted_choquet(f.with_values(absf), full_set(grid), w, params)
     return float(lhs), float(mid)

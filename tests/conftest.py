@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from capbmo import content
 from capbmo.content import ContentParams
 from capbmo.grid import build_grid, step_function
 
@@ -11,6 +14,14 @@ settings.register_profile(
     "capbmo", derandomize=True, max_examples=3, deadline=None, database=None
 )
 settings.load_profile("capbmo")
+
+
+@contextlib.contextmanager
+def forced_reduction(path):
+    """Send every layer-cake call to one tree reduction, "dense" or "sparse"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(content, "_sparse_cheaper", lambda *args: path == "sparse")
+        yield
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ README advertises. Where a contract includes a runtime ceiling, the
 ceiling is asserted with a monotonic clock.
 """
 
+import hashlib
+import json
 import math
 import time
 
@@ -26,6 +28,7 @@ from capbmo import (
     cz_verify,
     dyadic_content,
     dyadic_cubes,
+    full_set,
     gamma_interval,
     jensen_sides,
     level_set,
@@ -33,11 +36,14 @@ from capbmo import (
     power_maximal_weight,
     signed_average,
     step_function,
+    survival_curve,
     verify_characterization,
     verify_inclusions,
     verify_jn,
+    weighted_bmo_seminorm,
     weighted_l1_comparison,
 )
+from capbmo.cli import main
 from capbmo.content import masked_integral_many
 from capbmo.fixtures import (
     JN_DEPTH_TRANSFER_FACTOR,
@@ -49,7 +55,7 @@ from capbmo.fixtures import (
     two_cell_example,
 )
 
-from conftest import random_grid, random_params
+from conftest import forced_reduction, random_grid, random_params
 from test_choquet import layer_cake_reference
 from test_content import enumerate_cover_costs_depth2
 from test_czd import selection_oracle, weighted_avg_oracle
@@ -127,6 +133,55 @@ def test_content_equals_exhaustive_cover_search_exactly():
         # cell costs are exactly 1.0 here, so both routes round identically
         assert np.array_equal(got, expected)
     assert time.monotonic() - started < 60.0
+
+
+def _reduction_outputs(tmp_path):
+    """A fixed set of outputs, every float as float.hex."""
+    f = log_abs_function(2, 4)
+    g = f.grid
+    w = random_positive_weight(g, np.random.default_rng(5))
+    root = root_cube(g)
+    out = {}
+    for delta in (1.0, 0.5):
+        rep = bmo_seminorm(f, ContentParams(delta=delta))
+        out[f"bmo_{delta}"] = [rep.value, *rep.per_cube_centers.values()]
+    P = ContentParams(delta=1.0)
+    rep = weighted_bmo_seminorm(f, w, 2.0, P)
+    out["wbmo_q2"] = [rep.value, *rep.per_cube_centers.values()]
+    center = out["bmo_1.0"][1]
+    for weight in (None, w):
+        curve = survival_curve(f, center, root, weight, P, t_grid=(0.0, 0.5, 1.0))
+        out[f"survival_{weight is None}"] = [*curve.t_samples, *curve.survival, curve.normalizer]
+    out["weighted_l1"] = list(weighted_l1_comparison(f, w, P))
+    absf = step_function(g, np.abs(f.values))
+    full = full_set(g)
+    root_avg = choquet(absf.with_values(absf.values * w.values), full, P) / choquet(w, full, P)
+    cz = cz_decompose(absf, w, root, 1.5 * root_avg, P)
+    out["cz"] = [*cz.ratios, *cz.parent_ratios]
+    out = {k: [float(x).hex() for x in v] for k, v in out.items()}
+    out["cz_selected"] = [Q.cube_id() for Q in cz.selected]
+    fixture = tmp_path / "jn.json"
+    fixture.write_text(json.dumps({
+        "grid": {"n": 2, "depth": 4, "root_side": 2.0, "origin": [-1.0, -1.0]},
+        "functions": {"f": {"values": f.values.tolist()}},
+        "parameters": {"delta": 1.0, "family": "dyadic"},
+    }))
+    report, curves = tmp_path / "jn_report.json", tmp_path / "jn_curves.csv"
+    code = main(["verify", "jn-bmo", "--fixture", str(fixture), "--out", str(report), "--curves", str(curves)])
+    assert code == 0
+    out["jn_body_sha256"] = json.loads(report.read_text())["body_sha256"]
+    out["jn_curves_sha256"] = hashlib.sha256(curves.read_bytes()).hexdigest()
+    return out
+
+
+def test_outputs_keep_their_bits_on_both_reductions(tmp_path, capsys):
+    """Which tree reduction a layer-cake call takes changes no output bit."""
+    got = {}
+    for path in ("dense", "sparse"):
+        with forced_reduction(path):
+            got[path] = _reduction_outputs(tmp_path)
+    capsys.readouterr()
+    assert got["dense"] == got["sparse"]
 
 
 def test_choquet_calculus_battery_zero_violations(rng):

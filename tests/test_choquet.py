@@ -10,8 +10,9 @@ from capbmo.choquet import (
     essential_bounds,
     jensen_sides,
     signed_average,
+    weighted_choquet,
 )
-from capbmo.content import ContentParams, dyadic_content
+from capbmo.content import ContentParams, dyadic_content, weighted_content
 from capbmo.fixtures import spike_and_slab_example, two_cell_example
 from capbmo.grid import (
     CubeSpec,
@@ -68,6 +69,19 @@ def test_choquet_wrt_content_matches_choquet(rng):
     region = full_set(g)
     via_mu = choquet_wrt(f, region, lambda S: dyadic_content(g, S, params))
     assert via_mu == pytest.approx(choquet(f, region, params), rel=1e-12)
+
+
+def test_weighted_choquet_keeps_the_bits_of_the_per_level_loop(rng):
+    """capbmo choquet --wt: one family call gives each level's w-content
+    the float of its own weighted_content call."""
+    for _ in range(60):
+        g = random_grid(rng, max_depth_1d=8, max_depth_2d=6)
+        params = random_params(rng, g.n)
+        f = step_function(g, rng.integers(0, 9, size=g.num_cells) * 0.25)
+        w = step_function(g, np.exp(rng.normal(size=g.num_cells)) * (rng.random(g.num_cells) < 0.9))
+        region = DyadicSet(g, rng.random(g.num_cells) < rng.uniform(0.0, 1.0))
+        loop = choquet_wrt(f, region, lambda S: weighted_content(g, w, S, params))
+        assert weighted_choquet(f, region, w, params).hex() == loop.hex()
 
 
 def test_calculus_battery(rng):

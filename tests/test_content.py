@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capbmo import kernels
@@ -11,6 +11,7 @@ from capbmo.content import (
     _frame_for_mask,
     cube_content,
     dyadic_content,
+    layer_cake,
     level_caps,
     masked_integral,
     masked_integral_many,
@@ -26,7 +27,7 @@ from capbmo.grid import (
     set_from_cells,
     step_function,
 )
-from conftest import random_grid, random_params
+from conftest import forced_reduction, random_grid, random_params
 
 
 bits = st.booleans()
@@ -154,6 +155,104 @@ def test_content_equals_exhaustive_cover_search_1d_3d(n, depth, delta_of_n):
     # one set at a time, each in its own frame
     single = [dyadic_content(g, DyadicSet(g, m), params) for m in masks]
     assert np.array_equal(single, expected)
+
+
+def cover_search_cost(grid, cells, delta):
+    """Minimal cost of covering the given cells by dyadic subcubes of the
+    root, found by trying every set of the dyadic cubes that meet them (a
+    cube that meets none only adds cost). Cube costs are level_caps; a
+    cover's cost is summed along the tree as in cover_search_minimum."""
+    caps = level_caps(grid, grid.depth, delta)
+    points = np.array(np.unravel_index(cells, grid.shape)).T
+    cubes = []  # preorder: (level, cells inside, child positions)
+
+    def visit(level, corner):
+        size = grid.cells_per_axis >> level
+        inside = np.all((points >= corner) & (points < np.add(corner, size)), axis=1)
+        if not inside.any():
+            return None
+        at = len(cubes)
+        cubes.append((level, inside, []))
+        if size > 1:
+            for offsets in np.ndindex(*(2,) * grid.n):
+                child = visit(level + 1, tuple(c + o * size // 2 for c, o in zip(corner, offsets)))
+                if child is not None:
+                    cubes[at][2].append(child)
+        return at
+
+    visit(0, (0,) * grid.n)
+    chosen = (np.arange(1 << len(cubes))[:, None] >> np.arange(len(cubes))) & 1 == 1
+    covers = (chosen.astype(int) @ np.array([c[1] for c in cubes], dtype=int)).all(axis=1)
+    cost = [None] * len(cubes)
+    for at in reversed(range(len(cubes))):  # children before parents
+        level, _, children = cubes[at]
+        total = np.zeros(len(chosen))
+        for child in children:
+            total = total + cost[child]
+        cost[at] = np.where(chosen[:, at], caps[level], total)
+    return cost[0][covers].min()
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_content_equals_exhaustive_cover_search_random_grids(path):
+    rng = np.random.default_rng(20251101)
+    for trial in range(60):
+        n = trial % 3 + 1
+        depth = int(rng.integers(1, {1: 7, 2: 4, 3: 3}[n]))
+        g = build_grid(n, depth, float(rng.choice([1.0, 3.0, 5.0])))
+        delta = float(rng.choice([rng.uniform(0.05, 1.0) * n, 1.0, float(n)]))
+        params = ContentParams(delta=delta)
+        sets, expected = [], []
+        for _ in range(3):
+            # at most 1 + cells * depth cubes meet the set: 2**13 covers
+            count = int(rng.integers(1, max(1, 12 // depth) + 1))
+            cells = rng.choice(g.num_cells, size=min(count, g.num_cells), replace=False)
+            sets.append(np.isin(np.arange(g.num_cells), cells))
+            expected.append(cover_search_cost(g, cells, delta))
+        with forced_reduction(path):
+            single = [dyadic_content(g, DyadicSet(g, m), params) for m in sets]
+            bulk = masked_integral_many(g, [(np.ones(g.num_cells), m) for m in sets], params)
+        assert single == expected
+        assert np.array_equal(bulk, expected)
+
+
+def _lockstep_rows(rng, jobs, cells):
+    """Values, masks and keys shaped like the one-sided probes of
+    oscillation._lockstep: |f - c| ranked by -side / (f - c), ties by w."""
+    f = rng.integers(0, 5, size=(jobs, cells)) * 0.5
+    w = rng.choice([0.5, 1.0, 2.0], size=(jobs, cells))
+    dev = f - rng.integers(0, 5, size=(jobs, 1)) * 0.5
+    side = rng.choice([-1.0, 0.0, 1.0], size=(jobs, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.where(dev == 0, w, -side / dev)
+    return np.abs(dev) * w, keys
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_sparse_and_dense_reductions_agree_bit_for_bit(data):
+    n = data.draw(st.sampled_from([1, 2, 3]), label="n")
+    depth = data.draw(st.integers(0, {1: 8, 2: 4, 3: 3}[n]), label="depth")
+    delta = data.draw(st.sampled_from([1.0, 0.5, 1.0 / math.sqrt(2.0), float(n)]), label="delta")
+    jobs = data.draw(st.integers(1, 5), label="jobs")
+    keyed = data.draw(st.booleans(), label="keyed")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = build_grid(n, depth, data.draw(st.sampled_from([1.0, 3.0]), label="root side"))
+    cells = g.num_cells
+    masks = rng.random((jobs, cells)) < data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="density")
+    masks[rng.random(jobs) < 0.25] = False  # empty rows
+    if keyed:
+        values, keys = _lockstep_rows(rng, jobs, cells)
+    else:
+        values = rng.integers(0, data.draw(st.integers(1, 9), label="levels"), size=(jobs, cells)) * 0.75
+        keys = None
+    caps = level_caps(g, depth, delta)
+    chains = {}
+    for path in ("dense", "sparse"):
+        with forced_reduction(path):
+            chains[path] = layer_cake(values, masks, n, depth, caps, keys)
+    assert chains["dense"].contents.tobytes() == chains["sparse"].contents.tobytes()
+    assert np.array_equal(chains["dense"].bounds, chains["sparse"].bounds)
 
 
 def test_dyadic_content_agrees_with_bulk_path(rng):

@@ -45,6 +45,21 @@ def test_fallback_matches_reference_reduction(rng, ndim, depth):
     assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_reduce_ranks_matches_reference_reduction(rng, ndim, depth):
+    if ndim == 3 and depth == 3:
+        depth = 2
+    cells = (2**depth) ** ndim
+    rank = rng.integers(-1, 6, size=(4, cells))
+    rank[1] = -1  # a row in no set
+    job, level = np.divmod(np.arange(4 * 7), 7)  # levels up to one past the top rank
+    caps = np.exp(rng.uniform(-1, 1, size=depth + 1))
+    got = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
+    leaves = (rank[job] >= level[:, None]) * caps[depth]
+    assert np.array_equal(got, reference_reduce(leaves, ndim, depth, caps))
+
+
 def test_reduce_tree_validates_shapes(rng):
     costs, caps = random_tree_inputs(rng, 2, 2, rows=3)
     with pytest.raises(ValueError):
