@@ -28,15 +28,17 @@ one cell per threshold. The integral is the chain's layer-cake
 sum of (t_k - t_{k-1}) * H_k, taken with ``math.fsum``; the centre
 searches of ``oscillation`` read the chain itself.
 
-Every integral rides on a cube family: ``cube_frames`` groups cubes by
-frame depth into ``CubeFrames``, whose rows of different cubes share
-layer-cake calls. ``cube_integrals`` takes jobs common to every cube,
-``superlevel_integrals`` per-cube level sets, and ``masked_integral_many``
-any (values, mask) jobs, on the one-cube family of their mask union's
-frame. Callers stack at most ``_JOB_CELLS`` cells of job rows per call
-(``job_chunks``). Both budgets bound memory only: a job's thresholds,
-frame and exactly rounded sum do not depend on which call it rides in,
-so results do not either.
+Every integral rides on a cube family, a ``CubeFamily`` of corner and
+side arrays: ``cube_frames`` checks it against the grid, finds every
+frame with ``_frames`` (which masks share) and groups the cubes by frame
+depth into ``CubeFrames``, all in whole-array operations; rows of
+different cubes in a group share layer-cake calls. ``cube_integrals``
+takes jobs common to every cube, ``superlevel_integrals`` per-cube level
+sets, and ``masked_integral_many`` any (values, mask) jobs, on the
+one-cube family of their mask union's frame. Callers stack at most
+``_JOB_CELLS`` cells of job rows per call (``job_chunks``). Both budgets
+bound memory only: a job's thresholds, frame and exactly rounded sum do
+not depend on which call it rides in, so results do not either.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .grid import CubeSpec, DyadicSet, Grid, StepFunction
+from .grid import CubeFamily, CubeSpec, DyadicSet, Grid, StepFunction
 
 __all__ = ["ContentParams", "dyadic_content", "weighted_content", "cube_content"]
 
@@ -79,38 +81,21 @@ class ContentParams:
             raise ValueError(f"delta={self.delta} exceeds the dimension {grid.n}")
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """A dyadic subtree: aligned corner plus subtree depth (side 2**depth cells)."""
-
-    corner: tuple[int, ...]
-    depth: int
-
-    @property
-    def side_cells(self) -> int:
-        return 1 << self.depth
-
-    def slices(self) -> tuple[slice, ...]:
-        side = self.side_cells
-        return tuple(slice(c, c + side) for c in self.corner)
+def _frames(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(corners, depths) of the minimal dyadic cubes holding the boxes of
+    cells lo[i]..hi[i], both (N, n): the smallest j with lo >> j == hi >> j
+    on every axis, the bit length of the OR over axes of lo ^ hi, which
+    np.frexp reads exactly (cell indices are far below 2**53)."""
+    depth = np.frexp(np.bitwise_or.reduce(lo ^ hi, axis=1))[1].astype(np.int64)
+    shift = depth[:, None]
+    return lo >> shift << shift, depth
 
 
-def _aligned_frame(lo, hi) -> _Frame:
-    """Minimal dyadic cube containing cell range [lo, hi] per axis: the
-    smallest j with lo >> j == hi >> j on every axis."""
-    j = max(int(a ^ b).bit_length() for a, b in zip(lo, hi))
-    return _Frame(tuple(int(c) >> j << j for c in lo), j)
-
-
-def frame_for_cube(grid: Grid, cube: CubeSpec) -> _Frame:
-    cube.validate(grid)
-    return _aligned_frame(cube.corner, [c + cube.side_cells - 1 for c in cube.corner])
-
-
-def _frame_for_mask(grid: Grid, membership: np.ndarray) -> _Frame:
-    idx = np.flatnonzero(membership)
-    multi = np.unravel_index(idx, grid.shape)
-    return _aligned_frame([m.min() for m in multi], [m.max() for m in multi])
+def _frame_for_mask(grid: Grid, membership: np.ndarray) -> tuple[np.ndarray, int]:
+    """(corner, depth) of the frame of the bounding box of a non-empty mask."""
+    cells = np.array(np.unravel_index(np.flatnonzero(membership), grid.shape))
+    corners, depth = _frames(cells.min(axis=1)[None], cells.max(axis=1)[None])
+    return corners[0], int(depth[0])
 
 
 def level_caps(grid: Grid, sub_depth: int, delta: float) -> np.ndarray:
@@ -119,8 +104,15 @@ def level_caps(grid: Grid, sub_depth: int, delta: float) -> np.ndarray:
     Sides are exact powers of two times the cell side, so identical sets
     evaluated in different frames see bit-identical cap values.
     """
-    sides = np.ldexp(grid.cell_side, sub_depth - np.arange(sub_depth + 1))
-    return np.power(sides, delta)
+    return _caps(grid.cell_side, sub_depth, delta)
+
+
+@lru_cache(maxsize=256)
+def _caps(cell_side: float, depth: int, delta: float) -> np.ndarray:
+    """level_caps, read-only and shared: every one-cube call needs them."""
+    caps = np.power(np.ldexp(cell_side, depth - np.arange(depth + 1)), delta)
+    caps.setflags(write=False)
+    return caps
 
 
 def job_chunks(count: int, row_cells: int):
@@ -134,10 +126,12 @@ def _sparse_cheaper(thresholds: int, cells: int, occupied: int, ndim: int, depth
 
     The dense reduction reduces one row of every frame cell per threshold;
     the sparse one handles about occupied * depth * 2**ndim entries, each
-    costing _SPARSE_COST dense leaf cells. Both give the same floats, so
-    the choice changes only the time.
+    costing _SPARSE_COST dense leaf cells. That estimate reads 0 at depth
+    0, where the sparse reduction still has its fixed cost, so one-cell
+    frames stay dense. Both give the same floats, so the choice changes
+    only the time.
     """
-    return thresholds * cells > _SPARSE_COST * occupied * depth * (1 << ndim)
+    return depth > 0 and thresholds * cells > _SPARSE_COST * occupied * depth * (1 << ndim)
 
 
 @dataclass(frozen=True)
@@ -220,30 +214,37 @@ def _frame_cells(shape: tuple[int, ...], depth: int) -> tuple[np.ndarray, np.nda
     indices from its corner; shared read-only by every frame of that size."""
     side = 1 << depth
     local = np.indices((side,) * len(shape)).reshape(len(shape), -1).T
-    base = np.ravel_multi_index(local.T, shape)
+    base = local @ _strides(shape)
     local.setflags(write=False)
     base.setflags(write=False)
     return local, base
+
+
+@lru_cache(maxsize=16)
+def _strides(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index step of each axis of a row-major grid."""
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    strides.setflags(write=False)
+    return strides
 
 
 class CubeFrames:
     """Frame-local rows for cubes whose frames share one depth.
 
     Each cube is evaluated inside its own frame, as a one-cube call would
-    be, so rows of different cubes reduce in the same tree pass.
+    be, so rows of different cubes reduce in the same tree pass. offset
+    holds the flat grid index of each frame's corner, lo and hi each
+    cube's first and last frame-local cell per axis.
     """
 
-    def __init__(self, grid: Grid, cubes: list[CubeSpec], frames: list[_Frame],
-                 params: ContentParams):
+    def __init__(self, grid: Grid, depth: int, offset: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, params: ContentParams):
         self.ndim = grid.n
-        self.depth = frames[0].depth
-        self.caps = level_caps(grid, self.depth, params.delta)
-        self._local, self._base = _frame_cells(grid.shape, self.depth)
+        self.depth = depth
+        self.caps = level_caps(grid, depth, params.delta)
+        self._local, self._base = _frame_cells(grid.shape, depth)
         self.cells = len(self._local)
-        corners = np.array([fr.corner for fr in frames], dtype=np.int64)
-        self._offset = np.ravel_multi_index(corners.T, grid.shape)
-        self._lo = np.array([Q.corner for Q in cubes], dtype=np.int64) - corners
-        self._hi = self._lo + np.array([Q.side_cells for Q in cubes], dtype=np.int64)[:, None]
+        self._offset, self._lo, self._hi = offset, lo, hi
 
     def rows(self, flat: np.ndarray, which: np.ndarray) -> np.ndarray:
         """(len(which), cells) frame-local values of a flat grid array."""
@@ -254,7 +255,7 @@ class CubeFrames:
         out = np.ones((len(which), self.cells), dtype=bool)
         for a in range(self.ndim):
             x = self._local[:, a]
-            out &= (x >= self._lo[which, a, None]) & (x < self._hi[which, a, None])
+            out &= (x >= self._lo[which, a, None]) & (x <= self._hi[which, a, None])
         return out
 
     def chains(self, values: np.ndarray, masks: np.ndarray, keys=None) -> Chains:
@@ -264,31 +265,50 @@ class CubeFrames:
         return self.chains(values, masks).integrals()
 
 
-def cube_frames(grid: Grid, cubes, params: ContentParams):
-    """Group cubes by frame depth: a list of (positions in cubes, CubeFrames)."""
+def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
+    """Group a family's cubes by frame depth: a list of (positions, CubeFrames),
+    positions ascending within each group."""
     params.validate(grid)
-    groups: dict[int, tuple[list, list]] = {}
-    for i, Q in enumerate(cubes):
-        frame = frame_for_cube(grid, Q)
-        positions, frames = groups.setdefault(frame.depth, ([], []))
-        positions.append(i)
-        frames.append(frame)
-    return [
-        (positions, CubeFrames(grid, [cubes[i] for i in positions], frames, params))
-        for positions, frames in groups.values()
-    ]
+    corners, sides = family
+    if not len(sides):
+        return []
+    if corners.shape[1] != grid.n:
+        raise ValueError("cube corner dimension does not match the grid")
+    last = corners + (sides - 1)[:, None]
+    # a cell index lies in [0, 2**grid.depth) iff it has no bit at or above
+    # bit grid.depth; a negative index has all of them
+    span = corners | last
+    if np.bitwise_or.reduce(span, axis=None) >> grid.depth:
+        i = int(np.flatnonzero(np.bitwise_or.reduce(span, axis=1) >> grid.depth)[0])
+        raise ValueError(f"cube {CubeSpec(corners[i], sides[i])} does not fit inside the grid")
+    frames, depth = _frames(corners, last)
+    offset = frames @ _strides(grid.shape)
+    lo, hi = corners - frames, last - frames
+    counts = np.bincount(depth).tolist()
+    if counts[-1] == len(sides):  # one depth: the family is its only group
+        return [(np.arange(len(sides)), CubeFrames(grid, len(counts) - 1, offset, lo, hi, params))]
+    order = np.argsort(depth, kind="stable")
+    groups, start = [], 0
+    for d, k in enumerate(counts):
+        if k:
+            pos = order[start : start + k]
+            groups.append((pos, CubeFrames(grid, d, offset[pos], lo[pos], hi[pos], params)))
+            start += k
+    return groups
 
 
 def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray:
     """(len(cubes), len(jobs)) Choquet integrals of each job over each cube.
 
-    A job is a flat (values, mask) pair, mask None for the whole cube; it
-    is integrated over cube cap mask. Rows are built one chunk at a time.
+    cubes is a CubeFamily or a CubeSpec sequence. A job is a flat
+    (values, mask) pair, mask None for the whole cube; it is integrated
+    over cube cap mask. Rows are built one chunk at a time.
     """
+    family = CubeFamily.of(cubes)
     jobs = [(np.asarray(v, dtype=np.float64), m if m is None else np.asarray(m, dtype=bool))
             for v, m in jobs]
-    out = np.empty((len(cubes), len(jobs)))
-    for positions, frames in cube_frames(grid, cubes, params):
+    out = np.empty((len(family.sides), len(jobs)))
+    for positions, frames in cube_frames(grid, family, params):
         k, total = len(positions), len(jobs) * len(positions)
         for sl in job_chunks(total, frames.cells):
             # (job, cube) pairs run job-major, so each job is one run of the chunk
@@ -301,7 +321,7 @@ def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray
                 values.append(frames.rows(v, which[run]))
                 if m is not None:
                     inside[run] &= frames.rows(m, which[run])
-            out[np.asarray(positions)[which], job] = frames.integrate(np.concatenate(values), inside)
+            out[positions[which], job] = frames.integrate(np.concatenate(values), inside)
     return out
 
 
@@ -310,10 +330,11 @@ def superlevel_integrals(grid: Grid, cubes, values, centers, levels, weights, pa
     for each t in levels[i], every (cube, level) job stacked on the family's rows."""
     centers = np.asarray(centers, dtype=np.float64)
     out = [None] * len(cubes)
-    for positions, frames in cube_frames(grid, cubes, params):
-        counts = [len(levels[i]) for i in positions]
-        local = np.repeat(np.arange(len(positions)), counts)
-        thresholds = np.concatenate([levels[i] for i in positions])
+    for positions, frames in cube_frames(grid, CubeFamily.of(cubes), params):
+        members = positions.tolist()
+        counts = [len(levels[i]) for i in members]
+        local = np.repeat(np.arange(len(members)), counts)
+        thresholds = np.concatenate([levels[i] for i in members])
         shift = centers[positions]
         vals = np.empty(len(local))
         for sl in job_chunks(len(local), frames.cells):
@@ -321,7 +342,7 @@ def superlevel_integrals(grid: Grid, cubes, values, centers, levels, weights, pa
             dev = np.abs(frames.rows(values, which) - shift[which, None])
             masks = frames.masks(which) & (dev > thresholds[sl, None])
             vals[sl] = frames.integrate(frames.rows(weights, which), masks)
-        for i, part in zip(positions, np.split(vals, np.cumsum(counts)[:-1])):
+        for i, part in zip(members, np.split(vals, np.cumsum(counts)[:-1])):
             out[i] = part
     return out
 
@@ -341,8 +362,8 @@ def masked_integral_many(
         union |= mask
     if not union.any():
         return np.zeros(len(jobs))
-    frame = _frame_for_mask(grid, union)
-    return cube_integrals(grid, [CubeSpec(frame.corner, frame.side_cells)], jobs, params)[0]
+    corner, depth = _frame_for_mask(grid, union)
+    return cube_integrals(grid, CubeFamily(corner[None], np.array([1 << depth])), jobs, params)[0]
 
 
 def masked_integral(

@@ -4,16 +4,22 @@ Stopping cubes are the maximal dyadic subcubes where the weighted average
 of |f| first exceeds the threshold. Averages use the weighted set function
 E -> integral of w over E, so the usual Lebesgue doubling bound is replaced
 by the recorded parent ratios.
+
+Both the descent and its check work on whole levels of dyadic subcubes
+held as arrays (a ``CubeFamily`` per level, every cube of a level sharing
+one side), so each level is one family call and ``CubeSpec`` objects are
+made only for the cubes a result or a witness names.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .content import ContentParams, cube_integrals
-from .grid import CubeSpec, Grid, StepFunction
+from .grid import CubeFamily, CubeSpec, Grid, StepFunction
 from .reports import VerificationReport
 
 __all__ = ["CZResult", "cz_decompose", "cz_verify"]
@@ -28,22 +34,9 @@ class CZResult:
 
 
 def _weighted_averages(grid: Grid, absf, w, cubes, params: ContentParams):
-    """Per cube: (average of |f| against w-content, w-content of the cube)."""
+    """Per cube of a family: (average of |f| against w-content, w-content of the cube)."""
     num, den = cube_integrals(grid, cubes, [(absf * w, None), (w, None)], params).T
-    return (num / den).tolist(), den.tolist()
-
-
-def _children(cube: CubeSpec) -> list[CubeSpec]:
-    half = cube.side_cells // 2
-    n = len(cube.corner)
-    kids = []
-    for bits in range(2**n):
-        corner = tuple(
-            cube.corner[a] + ((bits >> a) & 1) * half for a in range(n)
-        )
-        kids.append(CubeSpec(corner, half))
-    kids.sort(key=lambda c: c.corner)
-    return kids
+    return num / den, den
 
 
 def _validate_inputs(f: StepFunction, w: StepFunction, root: CubeSpec) -> None:
@@ -76,54 +69,35 @@ def cz_decompose(
             f"threshold {threshold} is below the root average {root_avg}"
         )
 
+    # 2**n child offsets in corner order, so children come out sorted
+    bits = np.array(list(itertools.product((0, 1), repeat=grid.n)), dtype=np.int64)
     selected: list[CubeSpec] = []
     ratios: list[float] = []
     parent_ratios: list[float] = []
     # Level by level: the children of every unselected cube of a level are
     # averaged in one family call; selected children stop, the rest descend.
-    level = [(root, root_wc)] if root.side_cells > 1 else []
-    while level:
-        kids = [(child, cube_wc) for cube, cube_wc in level for child in _children(cube)]
-        avgs, wcs = _weighted_averages(grid, absf, wv, [c for c, _ in kids], params)
-        level = []
-        for (child, cube_wc), avg, wc in zip(kids, avgs, wcs):
-            if avg > threshold:
-                selected.append(child)
-                ratios.append(avg / threshold)
-                parent_ratios.append(cube_wc / wc)
-            elif child.side_cells > 1:
-                level.append((child, wc))
-    order = sorted(
-        range(len(selected)),
-        key=lambda i: (-selected[i].side_cells, selected[i].corner),
-    )
+    corners = np.array([root.corner], dtype=np.int64)
+    wcs = np.array([root_wc])
+    side = root.side_cells
+    while side > 1 and len(corners):
+        side //= 2
+        kids = (corners[:, None, :] + bits * side).reshape(-1, grid.n)
+        avgs, kid_wcs = _weighted_averages(
+            grid, absf, wv, CubeFamily(kids, np.full(len(kids), side)), params
+        )
+        over = avgs > threshold
+        hits = np.flatnonzero(over)
+        hits = hits[np.lexsort(kids[hits].T[::-1])]
+        selected += [CubeSpec(c, side) for c in kids[hits].tolist()]
+        ratios += (avgs[hits] / threshold).tolist()
+        parent_ratios += (wcs[hits // len(bits)] / kid_wcs[hits]).tolist()
+        corners, wcs = kids[~over], kid_wcs[~over]
     return CZResult(
-        selected=tuple(selected[i] for i in order),
+        selected=tuple(selected),
         threshold=float(threshold),
-        ratios=tuple(ratios[i] for i in order),
-        parent_ratios=tuple(parent_ratios[i] for i in order),
+        ratios=tuple(ratios),
+        parent_ratios=tuple(parent_ratios),
     )
-
-
-def _dyadic_subcubes(root: CubeSpec) -> list[CubeSpec]:
-    out = [root]
-    i = 0
-    while i < len(out):
-        if out[i].side_cells > 1:
-            out.extend(_children(out[i]))
-        i += 1
-    return out
-
-
-def _ancestors(cube: CubeSpec, stats: dict):
-    """The strict dyadic ancestors of cube among the keys of stats, nearest first."""
-    side = cube.side_cells
-    while True:
-        side *= 2
-        parent = CubeSpec(tuple(c - c % side for c in cube.corner), side)
-        if parent not in stats:
-            return
-        yield parent
 
 
 def cz_verify(
@@ -137,25 +111,53 @@ def cz_verify(
     subcube of the root: selected cubes must be exactly the maximal ones
     with average above the threshold, |f| must not exceed the threshold
     on unselected cells, and each selected average must respect the
-    parent-ratio bound."""
+    parent-ratio bound. The scan averages every level of subcubes in one
+    family call and carries each cube's largest ancestor average down
+    the levels as a running maximum."""
     _validate_inputs(f, w, root)
     grid = f.grid
+    n = grid.n
     absf = np.abs(f.values)
     lam = result.threshold
-    cubes = _dyadic_subcubes(root)
-    stats = dict(zip(cubes, zip(*_weighted_averages(grid, absf, w.values, cubes, params))))
-    maximal = [
-        c for c, (avg, _) in stats.items()
-        if avg > lam and not any(stats[a][0] > lam for a in _ancestors(c, stats))
-    ]
-    key = lambda c: (-c.side_cells, c.corner)
+    # Level L holds the (2**L)**n dyadic subcubes of side root_side >> L,
+    # row-major by position, so in corner order; the parent of position p
+    # is position p >> 1 of level L - 1.
+    depth = root.side_cells.bit_length() - 1
+    pos = [np.indices((1 << L,) * n).reshape(n, -1).T for L in range(depth + 1)]
+    start = np.cumsum([0] + [len(p) for p in pos]).tolist()
+    sides = np.repeat(root.side_cells >> np.arange(depth + 1), np.diff(start))
+    corners = np.asarray(root.corner) + np.concatenate(pos) * sides[:, None]
+    avg, _ = _weighted_averages(grid, absf, w.values, CubeFamily(corners, sides), params)
+    # above[i]: the largest average among cube i's strict ancestors
+    above = np.full(len(avg), -np.inf)
+    for L in range(1, depth + 1):
+        parent = start[L - 1] + np.ravel_multi_index((pos[L] >> 1).T, (1 << (L - 1),) * n)
+        above[start[L] : start[L + 1]] = np.maximum(above[parent], avg[parent])
+    maximal = (avg > lam) & ~(above > lam)
+    expected = []
+    for L in range(depth + 1):
+        level = slice(start[L], start[L + 1])
+        expected += [CubeSpec(c, root.side_cells >> L) for c in corners[level][maximal[level]].tolist()]
+
+    def index(cube: CubeSpec) -> int:
+        """Position of a dyadic subcube of the root in the levels."""
+        side, per_axis = cube.side_cells, root.side_cells // cube.side_cells
+        rel = [c - r for c, r in zip(cube.corner, root.corner)]
+        if (len(cube.corner) != n or side & (side - 1) or not per_axis
+                or any(x % side or not 0 <= x < root.side_cells for x in rel)):
+            raise ValueError(f"selected cube {cube.cube_id()} is not a dyadic subcube of the root")
+        i = 0
+        for x in rel:
+            i = i * per_axis + x // side
+        return start[per_axis.bit_length() - 1] + i
+
     witnesses: list = []
-    selection_ok = sorted(maximal, key=key) == list(result.selected)
+    selection_ok = expected == list(result.selected)
     if not selection_ok:
         witnesses.append(
             {
                 "issue": "selection mismatch",
-                "expected": [c.cube_id() for c in sorted(maximal, key=key)],
+                "expected": [c.cube_id() for c in expected],
                 "got": [c.cube_id() for c in result.selected],
             }
         )
@@ -176,17 +178,16 @@ def cz_verify(
 
     ratio_ok = True
     max_ratio = 0.0
-    for cube, pratio in zip(result.selected, result.parent_ratios):
-        avg, _ = stats[cube]
-        max_ratio = max(max_ratio, avg / lam)
-        if avg > lam * pratio * (1 + 1e-12):
+    found = [index(cube) for cube in result.selected]
+    for cube, i, pratio in zip(result.selected, found, result.parent_ratios):
+        cube_avg = float(avg[i])
+        max_ratio = max(max_ratio, cube_avg / lam)
+        if cube_avg > lam * pratio * (1 + 1e-12):
             ratio_ok = False
             witnesses.append(
                 {"issue": "average beyond parent ratio", "cube": cube.cube_id()}
             )
-    ancestors_ok = all(
-        stats[a][0] <= lam + 1e-12 for c in result.selected for a in _ancestors(c, stats)
-    )
+    ancestors_ok = all(above[i] <= lam + 1e-12 for i in found)
     if not ancestors_ok:
         witnesses.append({"issue": "ancestor average above threshold"})
 

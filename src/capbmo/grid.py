@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +218,24 @@ class CubeSpec:
     @staticmethod
     def root(grid: Grid) -> "CubeSpec":
         return CubeSpec((0,) * grid.n, grid.cells_per_axis)
+
+
+class CubeFamily(NamedTuple):
+    """A cube family as arrays: corner cell indices (N, n) and sides (N,), int64."""
+
+    corners: np.ndarray
+    sides: np.ndarray
+
+    @classmethod
+    def of(cls, cubes) -> "CubeFamily":
+        """The family of a CubeSpec sequence; a CubeFamily passes through."""
+        if isinstance(cubes, CubeFamily):
+            return cubes
+        try:
+            corners = np.array([Q.corner for Q in cubes], dtype=np.int64)
+        except ValueError:  # ragged: some corner has another dimension
+            raise ValueError("cube corner dimension does not match the grid") from None
+        return cls(corners, np.array([Q.side_cells for Q in cubes], dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .choquet import signed_averages
 from .content import ContentParams, cube_frames, job_chunks
-from .grid import CubeFamilyPolicy, CubeSpec, StepFunction, enumerate_cubes
+from .grid import CubeFamily, CubeFamilyPolicy, CubeSpec, StepFunction, enumerate_cubes
 
 __all__ = [
     "GammaInterval",
@@ -128,7 +128,8 @@ def _lockstep(f: StepFunction, w: StepFunction | None, q: float,
     shaped_f = f.values.reshape(grid.shape)
     shaped_w = None if w is None else w.values.reshape(grid.shape)
     results = [None] * len(cubes)
-    for positions, frames in cube_frames(grid, cubes, params):
+    for positions, frames in cube_frames(grid, CubeFamily.of(cubes), params):
+        positions = positions.tolist()
         pending = {}
 
         def advance(k, gen, sent):
@@ -613,10 +614,14 @@ def bmo_seminorm(
 def blo_values(f: StepFunction, cubes, params: ContentParams, q: float = 1.0):
     """(values, centers) of the lower oscillation on each cube: the q-mean
     of f - esinf_Q f to the power 1/q, centred at the esinf."""
-    centers = [float(f.values[Q.mask(f.grid)].min()) for Q in cubes]
-    F = _lockstep(
-        f, None, q, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
-    )
+    centers = [None] * len(cubes)
+
+    def search(i, vals, wts):
+        # vals are f on cube i as _lockstep hands them over; the esinf is their minimum
+        centers[i] = float(vals.min())
+        return _value_at(vals, centers[i])
+
+    F = _lockstep(f, None, q, params, cubes, search)
     return [v ** (1.0 / q) for v in F], centers
 
 

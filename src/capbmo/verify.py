@@ -116,8 +116,9 @@ def survival_curves(
         raise ValueError("t_grid must be non-negative and increasing")
 
     levels = []
+    shaped = f.values.reshape(grid.shape)
     for Q, center in zip(cubes, centers):
-        jumps = np.unique(np.abs(f.values[Q.mask(grid)] - center))
+        jumps = np.unique(np.abs(shaped[Q.slices()] - center))
         pos = jumps[jumps > 0]
         just_below = pos - 1e-9 * np.maximum(pos, 1.0)
         samples = np.unique(np.concatenate([ts, jumps, np.maximum(just_below, 0.0)]))
@@ -303,7 +304,7 @@ def _forward_characterization(kind, weight, p, params, policy):
                 jensen_ok = False
                 witnesses.append({"issue": "dual exp bound", "cube": Q.cube_id(), "ratio": ratio2})
         if kind == "blo_a1":
-            min_w = float(wv[Q.mask(grid)].min())
+            min_w = float(wv.reshape(grid.shape)[Q.slices()].min())
             lhs = (int_w / content) / min_w
             used = lhs / a1
             worst_percube = max(worst_percube, used)

@@ -375,20 +375,21 @@ def per_job_integrals(grid, jobs, params):
         union |= mask
     if not union.any():
         return [0.0] * len(jobs)
-    frame = _frame_for_mask(grid, union)
-    caps = level_caps(grid, frame.depth, params.delta)
+    corner, depth = _frame_for_mask(grid, union)
+    frame = tuple(slice(c, c + (1 << depth)) for c in corner)
+    caps = level_caps(grid, depth, params.delta)
     out = []
     for values, mask in jobs:
-        sub_vals = values.reshape(grid.shape)[frame.slices()].ravel()
-        sub_mask = mask.reshape(grid.shape)[frame.slices()].ravel()
+        sub_vals = values.reshape(grid.shape)[frame].ravel()
+        sub_mask = mask.reshape(grid.shape)[frame].ravel()
         inside = sub_vals[sub_mask]
         thresholds = np.unique(inside[inside > 0])
         if not thresholds.size:
             out.append(0.0)
             continue
         occ = ((sub_vals >= thresholds[:, None]) & sub_mask).astype(np.float64)
-        occ *= caps[frame.depth]
-        contents = kernels.reduce_tree(occ, grid.n, frame.depth, caps)
+        occ *= caps[depth]
+        contents = kernels.reduce_tree(occ, grid.n, depth, caps)
         out.append(math.fsum(np.diff(thresholds, prepend=0.0) * contents))
     return out
 

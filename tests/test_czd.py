@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capbmo.choquet import choquet
-from capbmo.content import ContentParams, weighted_content
+from capbmo.content import ContentParams, masked_integral_many, weighted_content
 from capbmo.czd import CZResult, cz_decompose, cz_verify
 from capbmo.fixtures import random_positive_weight
 from capbmo.grid import CubeSpec, build_grid, cube_set, step_function
@@ -188,3 +188,116 @@ def test_selection_is_sorted_coarse_to_fine(rng):
         result = cz_decompose(f, w, root, lam, params)
         keys = [(-c.side_cells, c.corner) for c in result.selected]
         assert keys == sorted(keys)
+
+
+def brute_force_report(f, w, root, result, params):
+    """(passed, witnesses, constants) of cz_verify by an explicit scan: every
+    dyadic subcube of the root averaged on its own, ancestors walked one
+    parent at a time."""
+    g = f.grid
+    absf = np.abs(f.values)
+    lam = result.threshold
+    stats = {}
+    for c in all_dyadic_within(root):
+        num, den = masked_integral_many(g, [(absf * w.values, c.mask(g)), (w.values, c.mask(g))], params)
+        stats[c] = float(num / den)
+
+    def ancestors(c):
+        side = c.side_cells
+        while side < root.side_cells:
+            side *= 2
+            c = CubeSpec(tuple(x - (x - r) % side for x, r in zip(c.corner, root.corner)), side)
+            yield c
+
+    maximal = [c for c, a in stats.items() if a > lam and all(stats[p] <= lam for p in ancestors(c))]
+    expected = sorted(maximal, key=lambda c: (-c.side_cells, c.corner))
+    witnesses = []
+    checks = [expected == list(result.selected)]
+    if not checks[0]:
+        witnesses.append({"issue": "selection mismatch", "expected": [c.cube_id() for c in expected],
+                          "got": [c.cube_id() for c in result.selected]})
+    disjoint = True
+    for i, c in enumerate(result.selected):
+        if any(np.any(c.mask(g) & d.mask(g)) for d in result.selected[:i]):
+            disjoint = False
+            witnesses.append({"issue": "overlap", "cube": c.cube_id()})
+    checks.append(disjoint)
+    covered = np.zeros(g.num_cells, dtype=bool)
+    for c in result.selected:
+        covered |= c.mask(g)
+    off = root.mask(g) & ~covered
+    checks.append(bool(np.all(absf[off] <= lam + 1e-12)))
+    if not checks[-1]:
+        witnesses.append({"issue": "|f| above threshold off the selection", "cell": int(np.argmax(absf * off))})
+    ratio_ok, max_ratio = True, 0.0
+    for c, pratio in zip(result.selected, result.parent_ratios):
+        max_ratio = max(max_ratio, stats[c] / lam)
+        if stats[c] > lam * pratio * (1 + 1e-12):
+            ratio_ok = False
+            witnesses.append({"issue": "average beyond parent ratio", "cube": c.cube_id()})
+    checks.append(ratio_ok)
+    checks.append(all(stats[p] <= lam + 1e-12 for c in result.selected for p in ancestors(c)))
+    if not checks[-1]:
+        witnesses.append({"issue": "ancestor average above threshold"})
+    constants = {
+        "selected_count": len(result.selected),
+        "max_average_ratio": max_ratio,
+        "max_parent_ratio": max(result.parent_ratios, default=0.0),
+    }
+    return all(checks), witnesses, constants
+
+
+def tampered(result):
+    """The result itself and the tamperings of test_verify_rejects_tampered_results."""
+    sel, lam, ratios, parents = result.selected, result.threshold, result.ratios, result.parent_ratios
+    out = [result, CZResult(sel, lam, ratios, tuple(0.0 for _ in sel))]
+    if sel:
+        out.append(CZResult(sel[1:], lam, ratios[1:], parents[1:]))
+        if sel[0].side_cells > 1:
+            child = CubeSpec(sel[0].corner, sel[0].side_cells // 2)
+            out.append(CZResult((child,) + sel[1:], lam, ratios, parents))
+            out.append(CZResult(sel + (child,), lam, ratios + (1.0,), parents + (1.0,)))
+    return out
+
+
+def assert_matches_brute_force(f, w, root, result, params):
+    report = cz_verify(f, w, root, result, params)
+    passed, witnesses, constants = brute_force_report(f, w, root, result, params)
+    assert report.passed == passed
+    assert report.witnesses == witnesses
+    assert report.constants == constants
+
+
+@pytest.mark.parametrize("n,depth", [(1, 4), (2, 3), (3, 2)])
+def test_verify_matches_brute_force_scan(n, depth, rng):
+    for _ in range(4):
+        g = build_grid(n, depth, 2.0)
+        params = random_params(rng, n)
+        f = step_function(g, np.round(rng.normal(scale=3.0, size=g.num_cells), 1))
+        w = random_positive_weight(g, rng)
+        # the whole grid or a dyadic sub-root
+        side = g.cells_per_axis >> int(rng.integers(0, depth + 1))
+        corner = tuple(int(c) * side for c in rng.integers(0, g.cells_per_axis // side, size=n))
+        root = CubeSpec(corner, side)
+        lam = weighted_avg_oracle(f, w, root, params) * rng.uniform(1.0, 2.0) + 1e-9
+        result = cz_decompose(f, w, root, lam, params)
+        for candidate in tampered(result):
+            assert_matches_brute_force(f, w, root, candidate, params)
+        # a stray dyadic subcube of the root added to the selection
+        subcubes = all_dyadic_within(root)
+        extra = subcubes[int(rng.integers(len(subcubes)))]
+        stray = CZResult(result.selected + (extra,), lam, result.ratios + (1.0,), result.parent_ratios + (1.0,))
+        assert_matches_brute_force(f, w, root, stray, params)
+
+
+def test_verify_matches_brute_force_scan_on_tampered_results():
+    g = build_grid(2, 2, 4.0)
+    params = ContentParams(delta=1.0)
+    values = np.zeros(16)
+    values[0] = 20.0
+    values[15] = 18.0
+    f = step_function(g, values)
+    w = step_function(g, np.ones(16))
+    root = CubeSpec((0, 0), 4)
+    for candidate in tampered(cz_decompose(f, w, root, 9.6, params)):
+        assert_matches_brute_force(f, w, root, candidate, params)

@@ -6,16 +6,20 @@ with ``masked_integral_many(grid, [(values, Q.mask(grid) & ...), ...])``,
 whose frame is the cube's own, and every comparison is bit for bit.
 """
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capbmo import czd
+from capbmo import czd, oscillation
 from capbmo.choquet import signed_averages
-from capbmo.content import ContentParams, cube_integrals, masked_integral_many
+from capbmo.content import ContentParams, cube_frames, cube_integrals, masked_integral_many
 from capbmo.fixtures import random_positive_weight
-from capbmo.grid import CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, step_function
+from capbmo.grid import CubeFamily, CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, step_function
 from capbmo.verify import survival_curves, verify_characterization
 from capbmo.weights import ap_constant, maximal_function
 
@@ -45,6 +49,70 @@ def inputs(n, seed):
     w = random_positive_weight(grid, rng, spread=0.7)
     params = ContentParams(delta=float(rng.uniform(0.3, 1.0)) * n)
     return grid, f, w, params
+
+
+def scalar_frame(Q):
+    """(corner, depth) of the minimal dyadic cube holding Q: the smallest j
+    with lo >> j == hi >> j on every axis."""
+    lo = Q.corner
+    hi = [c + Q.side_cells - 1 for c in lo]
+    j = 0
+    while any(a >> j != b >> j for a, b in zip(lo, hi)):
+        j += 1
+    return tuple(c >> j << j for c in lo), j
+
+
+@pytest.mark.parametrize("n", sorted(GRIDS))
+@pytest.mark.parametrize("kind", ["dyadic", "lattice", "sampled"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_array_frames_match_scalar_definition(n, kind, data):
+    depth = data.draw(st.integers(0, {1: 5, 2: 3, 3: 2}[n]), label="depth")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    policy = CubeFamilyPolicy(kind, sample_count=9, rng_seed=seed) if kind == "sampled" else CubeFamilyPolicy(kind)
+    grid = build_grid(n, depth, 1.0)
+    cubes = enumerate_cubes(grid, policy)
+    # shuffled, so that groups interleave in the family
+    cubes = [cubes[i] for i in np.random.default_rng(seed).permutation(len(cubes))]
+    cells = np.arange(grid.num_cells)
+    seen = []
+    groups = cube_frames(grid, CubeFamily.of(cubes), ContentParams(delta=1.0))
+    assert len({frames.depth for _, frames in groups}) == len(groups)
+    for positions, frames in groups:
+        assert list(positions) == sorted(positions)
+        seen += list(positions)
+        for k, i in enumerate(positions):
+            corner, j = scalar_frame(cubes[i])
+            assert frames.depth == j
+            # the row of the cell indices is the frame's cells, the mask the cube's
+            frame_cells = frames.rows(cells, [k])[0]
+            assert np.array_equal(np.sort(frame_cells), np.flatnonzero(CubeSpec(corner, 1 << j).mask(grid)))
+            assert np.array_equal(np.sort(frame_cells[frames.masks([k])[0]]), np.flatnonzero(cubes[i].mask(grid)))
+    assert sorted(seen) == list(range(len(cubes)))
+
+
+def raised(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_bad_cubes_raise_the_cube_messages(n, monkeypatch):
+    grid, f, _, params = inputs(n, 9)
+    N = grid.cells_per_axis
+    good = CubeSpec((0,) * n, 1)
+    jobs = [(np.ones(grid.num_cells), None)]
+    out_of_grid = [CubeSpec((N - 1,) * n, 2), CubeSpec((N,) + (0,) * (n - 1), 1), CubeSpec((0,) * n, N + 1)]
+    other_dim = [CubeSpec((0,) * (n + 1), 1), CubeSpec((0,) * (n - 1), 1)] if n > 1 else [CubeSpec((0, 0), 1)]
+    for bad in out_of_grid + other_dim:
+        want = raised(lambda: bad.validate(grid))
+        assert re.fullmatch(r"cube .* does not fit inside the grid|cube corner dimension does not match the grid", want)
+        for family in ([bad], [good, bad], [good, bad, CubeSpec((N,) * n, 1)]):
+            assert raised(lambda: cube_integrals(grid, family, jobs, params)) == want
+            monkeypatch.setattr(oscillation, "enumerate_cubes", lambda grid, policy: family)
+            assert raised(lambda: oscillation.bmo_seminorm(f, params)) == want
+        assert raised(lambda: oscillation.gamma_interval(f, None, 1.0, bad, params)) == want
 
 
 @pytest.mark.parametrize("n,policy", CASES, ids=IDS)
@@ -130,6 +198,14 @@ def test_cz_stats_match_per_cube_reference(n, policy):
         assert (avg, wc) == (float(num / den), float(den))
 
 
+def children(cube):
+    """The 2**n dyadic children of a cube, in corner order."""
+    half = cube.side_cells // 2
+    offsets = itertools.product((0, half), repeat=len(cube.corner))
+    kids = [CubeSpec(tuple(c + o for c, o in zip(cube.corner, off)), half) for off in offsets]
+    return sorted(kids, key=lambda Q: Q.corner)
+
+
 @pytest.mark.parametrize("n", sorted(GRIDS))
 def test_cz_decompose_matches_recursive_descent(n):
     grid, f, w, params = inputs(n, 7)
@@ -147,7 +223,7 @@ def test_cz_decompose_matches_recursive_descent(n):
         def descend(cube, cube_wc):
             if cube.side_cells == 1:
                 return
-            for child in czd._children(cube):
+            for child in children(cube):
                 avg, wc = average(child)
                 if avg > lam:
                     found.append((child, avg / lam, cube_wc / wc))
