@@ -25,7 +25,8 @@ children in the same order, so every H_k is the same float either way
 and the choice changes only the time. The result is each job's chain
 (``Chains``): its thresholds, the content H_k of each superlevel set and
 one cell per threshold. The integral is the chain's layer-cake
-sum of (t_k - t_{k-1}) * H_k, taken with ``math.fsum``; the centre
+sum of (t_k - t_{k-1}) * H_k, rounded once: ``math.fsum``, or one IEEE
+add for jobs of at most two terms, which is the same float; the centre
 searches of ``oscillation`` read the chain itself.
 
 Every integral rides on a cube family, a ``CubeFamily`` of corner and
@@ -121,6 +122,16 @@ def job_chunks(count: int, row_cells: int):
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
+def row_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique of each row with NaN dropped: (rows, count), row r's
+    distinct values ascending in its first count[r] entries, NaN after."""
+    rows = np.sort(rows, axis=1)
+    keep = ~np.isnan(rows)
+    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    rows[~keep] = np.nan
+    return np.sort(rows, axis=1), keep.sum(axis=1)
+
+
 def _sparse_cheaper(thresholds: int, cells: int, occupied: int, ndim: int, depth: int) -> bool:
     """Whether a layer-cake call reduces its chains sparsely.
 
@@ -150,14 +161,25 @@ class Chains:
     bounds: np.ndarray
 
     def integrals(self) -> np.ndarray:
-        """Each job's layer-cake sum of (t_k - t_{k-1}) * H_k, t_0 = 0."""
+        """Each job's layer-cake sum of (t_k - t_{k-1}) * H_k, t_0 = 0,
+        rounded once, as ``math.fsum`` rounds it."""
         below = np.empty_like(self.thresholds)
         below[1:] = self.thresholds[:-1]
         starts = self.bounds[:-1]
         below[starts[starts < len(below)]] = 0.0
-        terms = ((self.thresholds - below) * self.contents).tolist()
-        b = self.bounds.tolist()
-        return np.array([math.fsum(terms[lo:hi]) for lo, hi in zip(b[:-1], b[1:])])
+        terms = (self.thresholds - below) * self.contents
+        count = np.diff(self.bounds)
+        # One IEEE add is correctly rounded, so up to two terms it equals
+        # fsum; + 0.0 gives fsum's +0.0 for no terms and for -0.0 terms.
+        out = np.zeros(len(count))
+        one, two = count == 1, count == 2
+        out[one] = terms[starts[one]] + 0.0
+        out[two] = terms[starts[two]] + terms[starts[two] + 1] + 0.0
+        long = np.flatnonzero(count > 2)
+        if long.size:
+            t, b = terms.tolist(), self.bounds.tolist()
+            out[long] = [math.fsum(t[b[j] : b[j + 1]]) for j in long.tolist()]
+        return out
 
 
 def layer_cake(

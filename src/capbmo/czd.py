@@ -14,6 +14,7 @@ made only for the cubes a result or a witness names.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ def cz_decompose(
     above the threshold. Requires the root average itself to be at most
     the threshold, so selection starts strictly below the root."""
     _validate_inputs(f, w, root)
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     grid = f.grid
     absf = np.abs(f.values)
     wv = w.values

@@ -36,16 +36,20 @@ A probe at a crossing breaks ties toward one side (``layer_cake`` keys),
 so its chain still holds on that side. For q < 1 a dense scan over the
 cell values and their midpoints is used, and reported as a fallback.
 
-Every search is a generator over one cube: it yields the probes it
-wants, (centre, side) pairs with side 0 for a plain value, and is sent
-a ``_Probe`` for each. ``_lockstep`` runs the searches of a whole cube
-family together. Cubes whose frames share a depth advance in lockstep:
-each step stacks the integrands of every pending (cube, centre) pair,
-plus the normaliser w(Q) of each cube that asks for the first time, into
-one layer-cake call (split only where the rows exceed the integrator's
-cell budget). A cube never asks when its search needs no integral, so
-constant cubes cost nothing. The one-cube entry points run the same loop
-on a one-cube family.
+Searches whose integrals are known before they start are array
+operations over each frame-depth group of ``cube_frames``: constant
+cubes (no integral), F at one given centre per cube (``_values_at``) and
+the q = 1 breakpoint scan (``_scan``). Their (cube, centre) jobs and
+normalisers w(Q) share layer-cake calls. Only the piecewise search and
+the q < 1 dense scan are generators over one cube: they yield the probes
+they want, (centre, side) pairs with side 0 for a plain value, and are
+sent a ``_Probe`` for each. ``_lockstep`` advances the generators of a
+group together: each step stacks the integrands of every pending (cube,
+centre) pair, plus the normaliser of each cube that asks for the first
+time, into one layer-cake call (split only where the rows exceed the
+integrator's cell budget), and reads the pieces of all one-sided probes
+of the step in one pass (``_piece_bounds``). The one-cube entry points
+run the same code on a one-cube family.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .choquet import signed_averages
-from .content import ContentParams, cube_frames, job_chunks
+from .content import ContentParams, cube_frames, job_chunks, row_unique
 from .grid import CubeFamily, CubeFamilyPolicy, CubeSpec, StepFunction, enumerate_cubes
 
 __all__ = [
@@ -104,117 +108,88 @@ class SeminormReport:
 # and a cutoff of 20 measured no faster than 10.
 _SCAN_PAIRS = 10
 
+
+def _check_q(q: float) -> None:
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
+
+
 class _Probe(NamedTuple):
-    """F at one centre; a one-sided probe also carries its chain's levels."""
+    """F at one centre; a one-sided probe also carries its chain's piece."""
 
     value: float
-    coef: np.ndarray | None = None  # (H_k - H_{k+1}) / w(Q), thresholds ascending
-    v: np.ndarray | None = None  # f at each level's cell
-    w: np.ndarray | None = None  # w at each level's cell
+    v: np.ndarray | None = None  # f at each level's cell, thresholds ascending
+    s: np.ndarray | None = None  # (H_k - H_{k+1}) * w_k / w(Q)
+    lo: float = -math.inf  # phi equals F on [lo, hi]
+    hi: float = math.inf
+    roots: np.ndarray | None = None  # crossings of adjacent levels
 
 
-def _lockstep(f: StepFunction, w: StepFunction | None, q: float,
-              params: ContentParams, cubes, search) -> list:
-    """Run search(i, values, weights) for every cube i; return the results in order.
+def _chunk_rows(frames, f: StepFunction, w: StepFunction | None, count: int):
+    """(slice, f rows, masks, w rows or None) of the group's cubes, in calls'
+    worth of at most _JOB_CELLS cells."""
+    for sl in job_chunks(count, frames.cells):
+        which = np.arange(sl.start, min(sl.stop, count))
+        yield (sl, frames.rows(f.values, which), frames.masks(which),
+               None if w is None else frames.rows(w.values, which))
 
-    values and weights are f and w (ones when w is None) on cube i. A
-    search is a generator that yields lists of (centre, side) probes, is
-    sent a ``_Probe`` for each, and returns its result. A probe with side
-    +1 or -1 breaks ties between cells of equal |f - c|**q * w by their
-    order just beyond c on that side, and includes the cells where f = c.
+
+def _extent(fv: np.ndarray, inside: np.ndarray):
+    """Each row's minimum and maximum over its masked cells."""
+    return np.where(inside, fv, np.inf).min(axis=1), np.where(inside, fv, -np.inf).max(axis=1)
+
+
+def _probe_rows(frames, f, w, q: float, which: np.ndarray, centre: np.ndarray, norms: int):
+    """Plain probe rows |f - centre[j]|**q * w on cube which[j], except the
+    first `norms` rows, which hold w (or 1) for the normalisers w(Q).
+
+    Returns the f rows, f - centre, the w rows (None without w) and the rows.
     """
-    grid = f.grid
-    q = float(q)
-    shaped_f = f.values.reshape(grid.shape)
-    shaped_w = None if w is None else w.values.reshape(grid.shape)
-    results = [None] * len(cubes)
-    for positions, frames in cube_frames(grid, CubeFamily.of(cubes), params):
-        positions = positions.tolist()
-        pending = {}
-
-        def advance(k, gen, sent):
-            try:
-                pending[k] = (gen, gen.send(sent))
-            except StopIteration as stop:
-                pending.pop(k, None)
-                results[positions[k]] = stop.value
-
-        for k, i in enumerate(positions):
-            sl = cubes[i].slices()
-            vals = shaped_f[sl].ravel()
-            wts = np.ones(vals.size) if w is None else shaped_w[sl].ravel()
-            advance(k, search(i, vals, wts), None)
-
-        norm = [None] * len(positions)
-        while pending:
-            order = list(pending)
-            # the first rows integrate w (or 1) for cubes asking for the first time
-            first = [k for k in order if norm[k] is None]
-            asks = [(k, c, d) for k in order for c, d in pending[k][1]]
-            cube = np.array(first + [k for k, _, _ in asks], dtype=np.intp)
-            centre = np.array([0.0] * len(first) + [c for _, c, _ in asks])
-            side = np.array([0.0] * len(first) + [d for _, _, d in asks])
-            raw = np.empty(len(cube))
-            levels = [None] * len(cube)
-            for sl in job_chunks(len(cube), frames.cells):
-                head = slice(0, max(0, len(first) - sl.start))
-                fv = frames.rows(f.values, cube[sl])
-                dev = fv - centre[sl, None]
-                vals = np.abs(dev)
-                if q != 1.0:
-                    vals = vals**q
-                wv = None
-                if w is None:
-                    vals[head] = 1.0
-                else:
-                    wv = frames.rows(w.values, cube[sl])
-                    vals = vals * wv
-                    vals[head] = wv[head]
-                masks = frames.masks(cube[sl])
-                sided = side[sl] != 0
-                keys = None
-                if sided.any():
-                    # order of |f - x|**q * w just beyond c on side d: ties by
-                    # -d / (f - c), and the cells where f = c by their weight.
-                    # Keyed plain rows gain only zero-width levels.
-                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                        keys = np.where(dev == 0, 1.0 if wv is None else wv,
-                                        -side[sl, None] / dev)
-                chains = frames.chains(vals, masks, keys)
-                raw[sl] = chains.integrals()
-                b = chains.bounds
-                for j in np.flatnonzero(sided):
-                    lv = slice(b[j], b[j + 1])
-                    cells = chains.cells[lv]
-                    levels[sl.start + j] = (
-                        chains.contents[lv],
-                        fv[j, cells],
-                        np.ones(len(cells)) if wv is None else wv[j, cells],
-                    )
-            for k, value in zip(first, raw):
-                norm[k] = value
-            pos = len(first)
-            for k in order:
-                gen, cs = pending[k]
-                sent = []
-                for j in range(pos, pos + len(cs)):
-                    value = float(raw[j] / norm[k])
-                    if levels[j] is None:
-                        sent.append(_Probe(value))
-                    else:
-                        H, v, wt = levels[j]
-                        coef = (H - np.append(H[1:], 0.0)) / norm[k]
-                        sent.append(_Probe(value, coef, v, wt))
-                advance(k, gen, sent)
-                pos += len(cs)
-    return results
+    fv = frames.rows(f.values, which)
+    dev = fv - centre[:, None]
+    vals = np.abs(dev)
+    if q != 1.0:
+        vals = vals**q
+    wv = None
+    if w is None:
+        vals[:norms] = 1.0
+    else:
+        wv = frames.rows(w.values, which)
+        vals = vals * wv
+        vals[:norms] = wv[:norms]
+    return fv, dev, wv, vals
 
 
-def _value_at(vals: np.ndarray, c: float):
-    """F(c); when f equals c on the whole cube, F(c) = 0 needs no integral."""
-    if np.all(vals == c):
-        return 0.0
-    return (yield [(float(c), 0.0)])[0].value
+def _plain_integrals(frames, f, w, q: float, which: np.ndarray, centre: np.ndarray,
+                     norms: int) -> np.ndarray:
+    """The integrals of _probe_rows, in calls of at most _JOB_CELLS cells."""
+    raw = np.empty(len(which))
+    for sl in job_chunks(len(which), frames.cells):
+        vals = _probe_rows(frames, f, w, q, which[sl], centre[sl], max(0, norms - sl.start))[3]
+        raw[sl] = frames.integrate(vals, frames.masks(which[sl]))
+    return raw
+
+
+def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: ContentParams,
+               cubes, centres=None) -> tuple[list, list]:
+    """(F, centres): F on each cube at centres[i], or at the cube's esinf
+    (the minimum of f on it) when centres is None. F is 0 without an
+    integral where f equals the centre on the whole cube."""
+    family = CubeFamily.of(cubes)
+    values = np.zeros(len(family.sides))
+    at = np.empty(len(family.sides)) if centres is None else np.asarray(centres, dtype=np.float64)
+    for positions, frames in cube_frames(f.grid, family, params):
+        lo, hi = np.empty(len(positions)), np.empty(len(positions))
+        for sl, fv, inside, _ in _chunk_rows(frames, f, None, len(positions)):
+            lo[sl], hi[sl] = _extent(fv, inside)
+        if centres is None:
+            at[positions] = lo
+        c = at[positions]
+        probe = np.flatnonzero((lo != c) | (hi != c))
+        raw = _plain_integrals(frames, f, w, q, np.concatenate([probe, probe]),
+                               np.concatenate([np.zeros(len(probe)), c[probe]]), len(probe))
+        values[positions[probe]] = raw[len(probe):] / raw[: len(probe)]
+    return values.tolist(), at.tolist()
 
 
 def oscillation_objective(
@@ -226,11 +201,136 @@ def oscillation_objective(
     c: float,
 ) -> float:
     """F(c) = (1/w(Q)) * integral over Q of |f - c|**q * w d(content)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    _check_q(q)
     if w is not None and np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive")
-    return _lockstep(f, w, q, params, [Q], lambda i, vals, wts: _value_at(vals, c))[0]
+    return _values_at(f, w, float(q), params, [Q], [float(c)])[0][0]
+
+
+def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.ndarray):
+    """(lo, hi, roots) of the piece of every chain in one pass.
+
+    Chain t holds the levels bounds[t]:bounds[t + 1] of v (f at each
+    level's cell) and a (w**(1/q) there) and was read at centre[t]; its
+    piece is [lo[t], hi[t]] and roots[t] are the crossings of its
+    adjacent levels.
+    """
+    chain = np.repeat(np.arange(len(centre)), np.diff(bounds))
+    # Adjacent levels l < u keep their order where
+    # h(x) = a_u|v_u - x| - a_l|v_l - x| >= 0. h has a root m between v_l
+    # and v_u and is positive at v_l, so {h >= 0} holds the ray A from m
+    # outward past v_l. Beyond v_l, h falls to a root o if a_l > a_u,
+    # which ends A; beyond v_u it rises through o if a_l < a_u, which
+    # starts a second ray B.
+    p = np.flatnonzero((chain[:-1] == chain[1:]) & (v[:-1] != v[1:]))
+    vl, vu, al, au = v[p], v[p + 1], a[p], a[p + 1]
+    at, c = chain[p], centre[chain[p]]
+    m = (al * vl + au * vu) / (al + au)
+    k = al != au
+    with np.errstate(divide="ignore", invalid="ignore"):
+        o = np.where(k, (al * vl - au * vu) / (al - au), math.nan)
+    up, inf = vl < vu, math.inf
+    end = np.where(al > au, o, np.where(up, -inf, inf))
+    lo, hi = np.where(up, end, m), np.where(up, m, end)
+    lo_b, hi_b = np.where(up, o, -inf), np.where(up, inf, o)
+    in_a = (lo <= c) & (c <= hi)
+    in_b = (al < au) & (lo_b <= c) & (c <= hi_b)
+    # The chain's order holds at c, so c lies outside A and B only by
+    # rounding at a root: at the nearest root (clamp) when {h >= 0} is
+    # one interval, and on no known side when it is two.
+    lo = np.where(in_b, lo_b, np.minimum(lo, c))
+    hi = np.where(in_b, hi_b, np.maximum(hi, c))
+    gap = (al < au) & ~in_a & ~in_b
+    lo[gap] = hi[gap] = c[gap]
+    piece_lo = np.full(len(centre), -inf)
+    piece_hi = np.full(len(centre), inf)
+    np.maximum.at(piece_lo, at, lo)
+    np.minimum.at(piece_hi, at, hi)
+    # each chain's roots: its m in level order, then its o where a_l != a_u
+    owner = np.concatenate([at, at[k]])
+    order = np.argsort(owner, kind="stable")
+    roots = np.split(np.concatenate([m, o[k]])[order],
+                     np.searchsorted(owner[order], np.arange(1, len(centre))))
+    return piece_lo, piece_hi, roots
+
+
+def _lockstep(f: StepFunction, w: StepFunction | None, q: float, frames,
+              which: np.ndarray, searches: list) -> list:
+    """Run the searches of a frame-depth group together; return their results in order.
+
+    searches[k] is a generator over cube which[k] of the group: it yields
+    lists of (centre, side) probes, is sent a ``_Probe`` for each, and
+    returns its result. A probe with side +1 or -1 breaks ties between
+    cells of equal |f - c|**q * w by their order just beyond c on that
+    side, includes the cells where f = c, and carries its chain's piece.
+    """
+    results = [None] * len(searches)
+    pending = {}
+
+    def advance(k, gen, sent):
+        try:
+            pending[k] = (gen, gen.send(sent))
+        except StopIteration as stop:
+            pending.pop(k, None)
+            results[k] = stop.value
+
+    for k, gen in enumerate(searches):
+        advance(k, gen, None)
+    norm = np.full(len(searches), math.nan)
+    while pending:
+        order = list(pending)
+        # the first rows integrate w (or 1) for cubes asking for the first time
+        first = [k for k in order if math.isnan(norm[k])]
+        asks = [(k, c, d) for k in order for c, d in pending[k][1]]
+        cube = np.array(first + [k for k, _, _ in asks], dtype=np.intp)
+        centre = np.array([0.0] * len(first) + [c for _, c, _ in asks])
+        side = np.array([0.0] * len(first) + [d for _, _, d in asks])
+        raw = np.empty(len(cube))
+        levels = []  # (probe, H, v, w) of each level of the one-sided probes
+        for sl in job_chunks(len(cube), frames.cells):
+            rows = which[cube[sl]]
+            fv, dev, wv, vals = _probe_rows(frames, f, w, q, rows, centre[sl],
+                                            max(0, len(first) - sl.start))
+            sided = side[sl] != 0
+            keys = None
+            if sided.any():
+                # order of |f - x|**q * w just beyond c on side d: ties by
+                # -d / (f - c), and the cells where f = c by their weight.
+                # Keyed plain rows gain only zero-width levels.
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    keys = np.where(dev == 0, 1.0 if wv is None else wv,
+                                    -side[sl, None] / dev)
+            chains = frames.chains(vals, frames.masks(rows), keys)
+            raw[sl] = chains.integrals()
+            if keys is not None:
+                job = np.repeat(np.arange(len(rows)), np.diff(chains.bounds))
+                pick = sided[job]
+                job, cells = job[pick], chains.cells[pick]
+                levels.append((job + sl.start, chains.contents[pick], fv[job, cells],
+                               np.ones(len(cells)) if wv is None else wv[job, cells]))
+        norm[first] = raw[: len(first)]
+        value = (raw / norm[cube]).tolist()
+        probes = [None] * len(cube)
+        if levels:
+            job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
+            sided = np.flatnonzero(side)
+            bounds = np.searchsorted(job, np.append(sided, len(cube)))
+            below = np.append(H[1:], 0.0)
+            below[bounds[1:] - 1] = 0.0
+            s = (H - below) / norm[cube[job]] * wt
+            a = wt if q == 1.0 else wt ** (1.0 / q)
+            lo, hi, roots = _piece_bounds(v, a, bounds, centre[sided])
+            b = bounds.tolist()
+            for t, (j, start, end) in enumerate(zip(sided.tolist(), lo.tolist(), hi.tolist())):
+                lv = slice(b[t], b[t + 1])
+                probes[j] = _Probe(value[j], v[lv], s[lv], start, end, roots[t])
+        pos = len(first)
+        for k in order:
+            gen, cs = pending[k]
+            sent = [probes[j] or _Probe(value[j]) for j in range(pos, pos + len(cs))]
+            advance(k, gen, sent)
+            pos += len(cs)
+    return results
 
 
 class _Piece:
@@ -239,39 +339,10 @@ class _Piece:
     phi equals F on [lo, hi], which holds c, and lies below F elsewhere.
     """
 
-    def __init__(self, probe: _Probe, q: float, c: float):
+    def __init__(self, probe: _Probe, q: float):
         self.q = q
-        self.v = v = probe.v
-        self.s = probe.coef * probe.w
-        a = probe.w if q == 1.0 else probe.w ** (1.0 / q)
-        # Adjacent levels l < u keep their order where
-        # h(x) = a_u|v_u - x| - a_l|v_l - x| >= 0. h has a root m between v_l
-        # and v_u and is positive at v_l, so {h >= 0} holds the ray A from m
-        # outward past v_l. Beyond v_l, h falls to a root o if a_l > a_u,
-        # which ends A; beyond v_u it rises through o if a_l < a_u, which
-        # starts a second ray B.
-        swap = v[:-1] != v[1:]
-        vl, vu, al, au = v[:-1][swap], v[1:][swap], a[:-1][swap], a[1:][swap]
-        m = (al * vl + au * vu) / (al + au)
-        k = al != au
-        o = np.full(len(m), math.nan)
-        o[k] = (al[k] * vl[k] - au[k] * vu[k]) / (al[k] - au[k])
-        up, inf = vl < vu, math.inf
-        end = np.where(al > au, o, np.where(up, -inf, inf))
-        lo, hi = np.where(up, end, m), np.where(up, m, end)
-        lo_b, hi_b = np.where(up, o, -inf), np.where(up, inf, o)
-        in_a = (lo <= c) & (c <= hi)
-        in_b = (al < au) & (lo_b <= c) & (c <= hi_b)
-        # The chain's order holds at c, so c lies outside A and B only by
-        # rounding at a root: at the nearest root (clamp) when {h >= 0} is
-        # one interval, and on no known side when it is two.
-        lo = np.where(in_b, lo_b, np.minimum(lo, c))
-        hi = np.where(in_b, hi_b, np.maximum(hi, c))
-        gap = (al < au) & ~in_a & ~in_b
-        lo[gap] = hi[gap] = c
-        self.lo = float(lo.max(initial=-inf))
-        self.hi = float(hi.min(initial=inf))
-        self.roots = np.concatenate([m, o[k]])
+        self.v, self.s = probe.v, probe.s
+        self.lo, self.hi, self.roots = probe.lo, probe.hi, probe.roots
         self._kinks = None
 
     def kinks(self):
@@ -374,7 +445,7 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
     seen, tangent, widths = [], {}, [b - a]
     while True:
         probes[c, 1.0] = (yield [(c, 1.0)])[0]
-        piece = _Piece(probes[c, 1.0], q, c)
+        piece = _Piece(probes[c, 1.0], q)
         seen.append(piece)
         lo, hi = max(piece.lo, a), min(piece.hi, b)
         slope = piece.slope(hi, -1.0)
@@ -429,7 +500,7 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
             got = yield [(x, -side) for side, x in asks.items()]
             for (side, x), p in zip(asks.items(), got):
                 probes[x, -side] = p
-                piece = _Piece(p, q, x)
+                piece = _Piece(p, q)
                 nxt = piece.level(thr, c_star, side)
                 if p.value <= thr or (nxt - x) * side >= 0:
                     # inside the plateau, or no inward step left above rounding
@@ -462,57 +533,6 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
     )
 
 
-def _linear_breakpoints(pairs: np.ndarray) -> np.ndarray:
-    """Candidate breakpoints of c -> integral |f - c| w for the (value +
-    1j * weight) pairs: the cell values plus every c where two weighted
-    distances w_i|v_i - c|, w_j|v_j - c| cross."""
-    v = pairs.real
-    w = pairs.imag
-    i, j = np.triu_indices(len(pairs), k=1)
-    cands = [v]
-    same = np.abs(w[i] - w[j]) > 0
-    if same.any():
-        cands.append((w[i] * v[i] - w[j] * v[j])[same] / (w[i] - w[j])[same])
-    cands.append((w[i] * v[i] + w[j] * v[j]) / (w[i] + w[j]))
-    out = np.unique(np.concatenate(cands))
-    return out[np.isfinite(out)]
-
-
-def _linear_scan(pairs: np.ndarray, tol: float):
-    """q = 1 on a cube of few (value, weight) pairs: F at every breakpoint in one step."""
-    breaks = _linear_breakpoints(pairs)
-    cands = np.concatenate([[breaks[0] - 1.0], breaks, [breaks[-1] + 1.0]])
-    F = np.array([p.value for p in (yield [(float(c), 0.0) for c in cands])])
-    min_value = float(F.min())
-    thr = min_value + tol
-    ok = F <= thr
-    first = int(np.argmax(ok))
-    last = len(F) - 1 - int(np.argmax(ok[::-1]))
-    lo = _linear_cross(cands, F, first, thr, left=True)
-    hi = _linear_cross(cands, F, last, thr, left=False)
-    return GammaInterval(lo=lo, hi=hi, min_value=min_value, tol=tol, evaluations=len(cands) + 1)
-
-
-def _linear_cross(cands, F, idx, thr, left: bool) -> float:
-    if left:
-        if idx == 0:
-            slope = (F[1] - F[0]) / (cands[1] - cands[0])
-            if slope >= 0:
-                return float(cands[0])
-            return float(cands[0] + (thr - F[0]) / slope)
-        a, b = idx - 1, idx
-    else:
-        if idx == len(F) - 1:
-            slope = (F[-1] - F[-2]) / (cands[-1] - cands[-2])
-            if slope <= 0:
-                return float(cands[-1])
-            return float(cands[-1] + (thr - F[-1]) / slope)
-        a, b = idx + 1, idx
-    # F[a] > thr >= F[b]; the segment between them is linear.
-    frac = (thr - F[a]) / (F[b] - F[a])
-    return float(cands[a] + frac * (cands[b] - cands[a]))
-
-
 def _dense_gamma(vals: np.ndarray, tol: float):
     """Fallback for q < 1 (no convexity): grid over values and midpoints."""
     vals = np.unique(vals)
@@ -532,25 +552,132 @@ def _dense_gamma(vals: np.ndarray, tol: float):
     )
 
 
-def _gamma_search(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
-    """Search for the minimizer plateau of F on one cube."""
-    if vals.max() == vals.min():
-        a = float(vals[0])
-        half = tol ** (1.0 / q)
-        return GammaInterval(lo=a - half, hi=a + half, min_value=0.0, tol=tol)
-    if q < 1:
-        return (yield from _dense_gamma(vals, tol))
-    if q == 1:
-        pairs = np.unique(vals + 1j * wts)  # distinct (value, weight) pairs
-        if len(pairs) <= _SCAN_PAIRS:
-            return (yield from _linear_scan(pairs, tol))
-    return (yield from _piecewise_gamma(vals, wts, q, tol))
+def _distinct_pairs(fv: np.ndarray, inside: np.ndarray, wv: np.ndarray | None, width: int):
+    """(count, pairs): each row's number of distinct masked (value, weight)
+    pairs, deduped and sorted as np.unique(vals + 1j * wts) does it, and its
+    first `width` pairs padded with NaN, pairs[0] the values and pairs[1]
+    the weights. Values get + 0.0, as in the complex sum, so -0.0 reads 0.0.
+    """
+    v = np.where(inside, fv + 0.0, np.inf)
+    if wv is None:
+        v.sort(axis=1)
+        wt = np.ones(v.shape)
+    else:
+        order = np.lexsort((wv, v))
+        v, wt = np.take_along_axis(v, order, 1), np.take_along_axis(wv, order, 1)
+    new = v < np.inf
+    new[:, 1:] &= (v[:, 1:] != v[:, :-1]) | (wt[:, 1:] != wt[:, :-1])
+    rank = np.cumsum(new, axis=1) - 1
+    r, col = np.nonzero(new & (rank < width))
+    pairs = np.full((2, len(v), width), math.nan)
+    pairs[:, r, rank[r, col]] = v[r, col], wt[r, col]
+    return rank[:, -1] + 1, pairs
+
+
+def _scan(frames, f, w, which: np.ndarray, pairs: np.ndarray, tol: float) -> list[GammaInterval]:
+    """q = 1 on cubes of few (value, weight) pairs: F at every breakpoint.
+
+    pairs[:, r] holds the distinct pairs of cube which[r], padded with NaN
+    (see _distinct_pairs). The breakpoints of c -> integral |f - c| w are
+    the values, the crossings of two weighted distances w_i|v_i - c| and
+    w_j|v_j - c| where the weights differ, and the weighted midpoints. The
+    candidates add one point beyond each end; every (cube, candidate) job
+    and the normalisers share layer-cake calls, and F is linear between
+    the candidates.
+    """
+    pv, pw = pairs
+    i, j = np.triu_indices(pv.shape[1], k=1)
+    vi, vj, wi, wj = pv[:, i], pv[:, j], pw[:, i], pw[:, j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cross = np.where(np.abs(wi - wj) > 0, (wi * vi - wj * vj) / (wi - wj), math.nan)
+        mid = (wi * vi + wj * vj) / (wi + wj)
+    b = np.concatenate([pv, cross, mid], axis=1)
+    b[~np.isfinite(b)] = math.nan
+    b, n = row_unique(b)
+    b = b[:, : n.max()]
+
+    rows = np.arange(len(b))
+    last = n + 1
+    cands = np.full((len(b), b.shape[1] + 2), math.nan)
+    cands[:, 1:-1] = b
+    cands[:, 0] = b[:, 0] - 1.0
+    cands[rows, last] = b[rows, n - 1] + 1.0
+    valid = np.arange(cands.shape[1]) < (last + 1)[:, None]
+    count = len(which)
+    raw = _plain_integrals(frames, f, w, 1.0, np.concatenate([which, np.repeat(which, last + 1)]),
+                           np.concatenate([np.zeros(count), cands[valid]]), count)
+    F = np.full(cands.shape, math.inf)
+    F[valid] = raw[count:] / np.repeat(raw[:count], last + 1)
+
+    min_value = F.min(axis=1)
+    thr = min_value + tol
+    ok = F <= thr[:, None]
+    first = ok.argmax(axis=1)
+    final = F.shape[1] - 1 - ok[:, ::-1].argmax(axis=1)
+
+    def at(a, k):
+        return a[rows, k]
+
+    def between(a, b):
+        # F[a] > thr >= F[b]; the segment between them is linear
+        frac = (thr - at(F, a)) / (at(F, b) - at(F, a))
+        return at(cands, a) + frac * (at(cands, b) - at(cands, a))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = (F[:, 1] - F[:, 0]) / (cands[:, 1] - cands[:, 0])
+        outer = np.where(slope >= 0, cands[:, 0], cands[:, 0] + (thr - F[:, 0]) / slope)
+        lo = np.where(first == 0, outer, between(np.maximum(first - 1, 0), first))
+        slope = (at(F, last) - at(F, last - 1)) / (at(cands, last) - at(cands, last - 1))
+        outer = np.where(slope <= 0, at(cands, last), at(cands, last) + (thr - at(F, last)) / slope)
+        hi = np.where(final == last, outer, between(np.minimum(final + 1, last), final))
+    return [
+        GammaInterval(lo=a, hi=b, min_value=m, tol=tol, evaluations=e)
+        for a, b, m, e in zip(lo.tolist(), hi.tolist(), min_value.tolist(), (last + 2).tolist())
+    ]
 
 
 def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
-    return _lockstep(
-        f, w, q, params, cubes, lambda i, vals, wts: _gamma_search(vals, wts, q, tol)
-    )
+    """The minimiser plateau of F on every cube of a family.
+
+    Per frame-depth group, constant cubes and the q = 1 scan cubes are
+    array operations; the other cubes search in lockstep.
+    """
+    q = float(q)
+    half = tol ** (1.0 / q)
+    family = CubeFamily.of(cubes)
+    out = [None] * len(family.sides)
+    for positions, frames in cube_frames(f.grid, family, params):
+        scan, search, gens = [], [], []
+        for sl, fv, inside, wv in _chunk_rows(frames, f, w, len(positions)):
+            lo, hi = _extent(fv, inside)
+            flat = lo == hi
+            corner = fv[np.arange(len(fv)), inside.argmax(axis=1)]  # f at the cube's first cell
+            for k, a in zip(np.flatnonzero(flat).tolist(), corner[flat].tolist()):
+                out[positions[sl.start + k]] = GammaInterval(
+                    lo=a - half, hi=a + half, min_value=0.0, tol=tol)
+            rest = ~flat
+            if q == 1.0:
+                count, pairs = _distinct_pairs(fv, inside, wv, _SCAN_PAIRS)
+                few = rest & (count <= _SCAN_PAIRS)
+                if few.any():
+                    scan.append((sl.start + np.flatnonzero(few), pairs[:, few]))
+                rest &= ~few
+            for k in np.flatnonzero(rest).tolist():
+                vals = fv[k][inside[k]]
+                wts = np.ones(vals.size) if wv is None else wv[k][inside[k]]
+                search.append(sl.start + k)
+                gens.append(_dense_gamma(vals, tol) if q < 1
+                            else _piecewise_gamma(vals, wts, q, tol))
+        if scan:
+            which = np.concatenate([k for k, _ in scan])
+            gis = _scan(frames, f, w, which, np.concatenate([p for _, p in scan], axis=1), tol)
+            for k, gi in zip(which.tolist(), gis):
+                out[positions[k]] = gi
+        if gens:
+            which = np.array(search, dtype=np.intp)
+            for k, gi in zip(search, _lockstep(f, w, q, frames, which, gens)):
+                out[positions[k]] = gi
+    return out
 
 
 def gamma_interval(
@@ -562,8 +689,7 @@ def gamma_interval(
     tol: float = 1e-9,
 ) -> GammaInterval:
     """Global minimum of F and the plateau {F <= min + tol} around it."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    _check_q(q)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if w is not None and np.any(w.values <= 0):
@@ -605,23 +731,13 @@ def bmo_seminorm(
         centers = [0.5 * (gi.lo + gi.hi) for gi in gis]
         return _report(cubes, [gi.min_value for gi in gis], centers, policy, gis)
     centers = [avg.value for avg in signed_averages(f, cubes, params)]
-    values = _lockstep(
-        f, None, 1.0, params, cubes, lambda i, vals, wts: _value_at(vals, centers[i])
-    )
-    return _report(cubes, values, centers, policy)
+    return _report(cubes, _values_at(f, None, 1.0, params, cubes, centers)[0], centers, policy)
 
 
 def blo_values(f: StepFunction, cubes, params: ContentParams, q: float = 1.0):
     """(values, centers) of the lower oscillation on each cube: the q-mean
     of f - esinf_Q f to the power 1/q, centred at the esinf."""
-    centers = [None] * len(cubes)
-
-    def search(i, vals, wts):
-        # vals are f on cube i as _lockstep hands them over; the esinf is their minimum
-        centers[i] = float(vals.min())
-        return _value_at(vals, centers[i])
-
-    F = _lockstep(f, None, q, params, cubes, search)
+    F, centers = _values_at(f, None, float(q), params, cubes)
     return [v ** (1.0 / q) for v in F], centers
 
 
@@ -632,8 +748,7 @@ def blo_seminorm(
     q: float = 1.0,
 ) -> SeminormReport:
     """Supremum of the q-mean of f - esinf_Q f; centers are the esinfs."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    _check_q(q)
     cubes = enumerate_cubes(f.grid, policy)
     return _report(cubes, *blo_values(f, cubes, params, q), policy)
 
@@ -646,6 +761,7 @@ def weighted_bmo_seminorm(
     policy: CubeFamilyPolicy = CubeFamilyPolicy(),
 ) -> SeminormReport:
     """sup over cubes of (inf_c F(c))**(1/q) for the weighted objective."""
+    _check_q(q)
     if np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive")
     cubes = enumerate_cubes(f.grid, policy)

@@ -19,13 +19,17 @@ import numpy as np
 from .choquet import signed_averages
 from .content import (
     ContentParams,
+    cube_frames,
     cube_integrals,
     dyadic_content,
+    job_chunks,
     masked_integral,
     masked_integral_many,
+    row_unique,
     superlevel_integrals,
 )
 from .grid import (
+    CubeFamily,
     CubeFamilyPolicy,
     CubeSpec,
     DyadicSet,
@@ -112,18 +116,30 @@ def survival_curves(
         if np.any(weight.values < 0):
             raise ValueError("weight must be non-negative")
     ts = np.asarray(t_grid, dtype=float)
-    if ts.size and (np.any(ts < 0) or np.any(np.diff(ts) < 0)):
+    if not (np.all(ts >= 0) and np.all(np.diff(ts) >= 0)):
         raise ValueError("t_grid must be non-negative and increasing")
 
-    levels = []
-    shaped = f.values.reshape(grid.shape)
-    for Q, center in zip(cubes, centers):
-        jumps = np.unique(np.abs(shaped[Q.slices()] - center))
-        pos = jumps[jumps > 0]
-        just_below = pos - 1e-9 * np.maximum(pos, 1.0)
-        samples = np.unique(np.concatenate([ts, jumps, np.maximum(just_below, 0.0)]))
-        # the final level -inf takes the whole cube: the normaliser w(Q)
-        levels.append(np.append(samples, -np.inf))
+    # Samples per cube: t_grid, every distinct |f - center| (the jumps) and
+    # a point 1e-9 below each positive jump, for a whole frame-depth group
+    # at once; cells outside a cube read NaN, which row_unique drops.
+    family = CubeFamily.of(cubes)
+    centre = np.asarray(centers, dtype=np.float64)
+    levels = [None] * len(family.sides)
+    for positions, frames in cube_frames(grid, family, params):
+        for sl in job_chunks(len(positions), frames.cells):
+            which = np.arange(sl.start, min(sl.stop, len(positions)))
+            pos = positions[which]
+            jumps = np.abs(frames.rows(f.values, which) - centre[pos, None])
+            jumps[~frames.masks(which)] = np.nan
+            below = np.where(jumps > 0, np.maximum(jumps - 1e-9 * np.maximum(jumps, 1.0), 0.0),
+                             np.nan)
+            pad = np.full((len(pos), 1), np.nan)  # room for the final level
+            rows, count = row_unique(np.concatenate(
+                [np.broadcast_to(ts, (len(pos), ts.size)), jumps, below, pad], axis=1))
+            # the final level -inf takes the whole cube: the normaliser w(Q)
+            rows[np.arange(len(pos)), count] = -np.inf
+            for i, row, end in zip(pos.tolist(), rows, (count + 1).tolist()):
+                levels[i] = row[:end]
     wv = np.ones(grid.num_cells) if weight is None else weight.values
     curves = []
     for Q, level, vals in zip(

@@ -95,8 +95,8 @@ def ap_constant(
 ) -> WeightReport:
     """[w]_{A_p} over the family: sup of (avg w) * (avg w**(-1/(p-1)))**(p-1)."""
     _require_positive(w)
-    if not p > 1:
-        raise ValueError("ap_constant requires p > 1")
+    if not 1 < p < math.inf:
+        raise ValueError("ap_constant requires a finite p > 1")
     grid = w.grid
     dual = w.values ** (-1.0 / (p - 1.0))
     best = -math.inf

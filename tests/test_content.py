@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from capbmo import kernels
 from capbmo.content import (
+    Chains,
     ContentParams,
     _frame_for_mask,
     cube_content,
@@ -409,3 +410,23 @@ def test_stacked_integrator_equals_per_job_reference(n, depth, data):
     ]
     params = ContentParams(delta=data.draw(st.sampled_from([0.5, 1.0, float(n)])))
     assert masked_integral_many(g, jobs, params).tolist() == per_job_integrals(g, jobs, params)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_chain_integrals_equal_fsum_per_job(data):
+    """Jobs of at most two terms skip math.fsum; every job's sum must still
+    be fsum's float, +0.0 for no terms and for -0.0 terms included."""
+    counts = data.draw(st.lists(st.sampled_from([0, 1, 1, 2, 2, 3, 5]), min_size=1, max_size=12))
+    total = sum(counts)
+    floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.1]), st.floats(-1e6, 1e6),
+                       st.floats(1e-300, 1e-290))
+    thresholds = np.array(data.draw(st.lists(floats, min_size=total, max_size=total)), dtype=float)
+    contents = np.array(data.draw(st.lists(floats, min_size=total, max_size=total)), dtype=float)
+    bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    got = Chains(thresholds, contents, np.zeros(total, dtype=np.intp), bounds).integrals()
+    assert len(got) == len(counts)
+    for j, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        t = [0.0] + thresholds[lo:hi].tolist()
+        terms = [(t[k + 1] - t[k]) * h for k, h in enumerate(contents[lo:hi].tolist())]
+        assert float(got[j]).hex() == math.fsum(terms).hex()

@@ -188,6 +188,25 @@ def test_survival_curves_match_per_cube_reference(n, policy, weighted):
 
 
 @pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_survival_samples_match_per_cube_unique(n, policy):
+    """The samples built per frame-depth group are each cube's own: t_grid,
+    every distinct |f - c| and a point 1e-9 below each positive jump, as
+    one np.unique per cube gives them. Centres on a cell value put a jump
+    at 0, and t_grid values meet jumps and the points below them."""
+    grid, f, _, params = inputs(n, 7)
+    cubes = enumerate_cubes(grid, policy)
+    centers = [float(f.values[Q.mask(grid)][-1]) for Q in cubes]
+    t_grid = (0.0, 0.75 - 0.75e-9, 0.75, 2.0)
+    curves = survival_curves(f, centers, cubes, None, params, t_grid)
+    for Q, c, curve in zip(cubes, centers, curves):
+        jumps = np.unique(np.abs(f.values[Q.mask(grid)] - c))
+        pos = jumps[jumps > 0]
+        below = np.maximum(pos - 1e-9 * np.maximum(pos, 1.0), 0.0)
+        want = np.unique(np.concatenate([t_grid, jumps, below]))
+        assert [t.hex() for t in curve.t_samples] == [t.hex() for t in want.tolist()]
+
+
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
 def test_cz_stats_match_per_cube_reference(n, policy):
     grid, f, w, params = inputs(n, 6)
     cubes = enumerate_cubes(grid, policy)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 import capbmo.content
 import capbmo.oscillation
-from capbmo.choquet import signed_average
+from capbmo.choquet import signed_average, signed_averages
 from capbmo.content import ContentParams, masked_integral_many
 from capbmo.fixtures import log_abs_function, two_cell_example
 from capbmo.grid import CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, step_function
 from capbmo.oscillation import (
     _gamma_intervals,
+    _piece_bounds,
+    blo_values,
     bmo_seminorm,
     blo_seminorm,
     gamma_interval,
@@ -484,3 +487,157 @@ def test_minimal_cell_budgets_give_identical_results(monkeypatch, rng):
     monkeypatch.setattr(capbmo.content, "_ROW_CELLS", 1)
     monkeypatch.setattr(capbmo.content, "_JOB_CELLS", 1)
     assert run() == want
+
+
+# ------------------------------------- array searches against per-cube oracles
+
+
+def scan_oracle(vals, wts, F_at, tol):
+    """The q = 1 breakpoint scan of one cube, written out scalar by scalar:
+    (lo, hi, min_value, evaluations) with F at every candidate from F_at."""
+    pairs = np.unique(vals + 1j * wts)
+    v, w = pairs.real, pairs.imag
+    cands = list(v)
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if w[i] != w[j]:
+                cands.append((w[i] * v[i] - w[j] * v[j]) / (w[i] - w[j]))
+            cands.append((w[i] * v[i] + w[j] * v[j]) / (w[i] + w[j]))
+    b = np.unique(np.array(cands))
+    b = b[np.isfinite(b)]
+    c = np.concatenate([[b[0] - 1.0], b, [b[-1] + 1.0]])
+    F = F_at(c)
+    min_value = float(F.min())
+    thr = min_value + tol
+    ok = np.flatnonzero(F <= thr)
+
+    def edge(k, side):
+        # F is linear between candidates; beyond the end ones it follows
+        # the end segment unless that segment does not fall away from thr
+        a = k + side
+        if 0 <= a < len(F):
+            frac = (thr - F[a]) / (F[k] - F[a])
+            return float(c[a] + frac * (c[k] - c[a]))
+        slope = (F[k] - F[k - side]) / (c[k] - c[k - side])
+        return float(c[k]) if slope * side <= 0 else float(c[k] + (thr - F[k]) / slope)
+
+    return edge(ok[0], -1), edge(ok[-1], 1), min_value, len(c) + 1
+
+
+def values_oracle(f, cubes, P, centres, q=1.0):
+    """F at one centre per cube, 0 where f equals the centre on the whole cube."""
+    out = []
+    for Q, c in zip(cubes, centres):
+        vals = f.values[Q.mask(f.grid)]
+        out.append(0.0 if np.all(vals == c) else float(objective_oracle(f, None, q, Q, P, [c])[0]))
+    return out
+
+
+signed_eighths = st.one_of(st.just(-0.0), eighths)
+
+
+@pytest.mark.parametrize("policy", FAMILIES, ids=lambda p: p.kind)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_array_searches_match_per_cube_oracle(n, policy, data):
+    """Constant cubes, the q = 1 scan and F at one centre per cube run as
+    array operations over each frame-depth group; each result must be the
+    float a per-cube computation gives, on the same frames."""
+    g = build_grid(n, {1: 4, 2: 2, 3: 2}[n], 1.0)
+    cells = g.num_cells
+    pairs = data.draw(st.sampled_from([None, 10, 11]), label="pairs")
+    if pairs is None:
+        # ties, -0.0 next to 0.0 and constant cubes from a small pool
+        pool = data.draw(st.lists(signed_eighths, min_size=1, max_size=6), label="pool")
+        f = step_function(g, data.draw(st.lists(st.sampled_from(pool), min_size=cells, max_size=cells)))
+        w = step_function(g, data.draw(st.lists(quarters, min_size=cells, max_size=cells)))
+    else:
+        # the root holds exactly `pairs` (value, weight) pairs: the scan limit and one past it
+        pool = data.draw(st.lists(signed_eighths, min_size=pairs, max_size=pairs,
+                                  unique_by=lambda x: x + 0.0), label="pool")
+        weights = data.draw(st.lists(quarters, min_size=pairs, max_size=pairs), label="weights")
+        where = np.array(data.draw(st.permutations(range(cells)), label="layout")) % pairs
+        f = step_function(g, np.array(pool)[where])
+        w = step_function(g, np.array(weights)[where])
+    P = ContentParams(delta=data.draw(st.sampled_from([0.5, 1.0])) * n)
+    cubes = enumerate_cubes(g, policy)
+    tol = 1e-9
+
+    for weight in (None, w):
+        gis = _gamma_intervals(f, weight, 1.0, cubes, P)
+        for Q, gi in zip(cubes, gis):
+            vals = f.values[Q.mask(g)]
+            wts = np.ones(vals.size) if weight is None else weight.values[Q.mask(g)]
+            if vals.min() == vals.max():
+                want = (vals[0] - tol, vals[0] + tol, 0.0, 0)
+            elif len(np.unique(vals + 1j * wts)) <= capbmo.oscillation._SCAN_PAIRS:
+                want = scan_oracle(vals, wts, lambda c: objective_oracle(f, weight, 1.0, Q, P, c), tol)
+            else:
+                continue  # the piecewise search: test_piecewise_search_matches_...
+            got = (gi.lo, gi.hi, gi.min_value, gi.evaluations)
+            assert [float(x).hex() for x in got[:3]] == [float(x).hex() for x in want[:3]], Q
+            assert got[3] == want[3], Q
+
+    centres = [avg.value for avg in signed_averages(f, cubes, P)]
+    want = values_oracle(f, cubes, P, centres)
+    got = capbmo.oscillation._values_at(f, None, 1.0, P, cubes, centres)[0]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    report = bmo_seminorm(f, P, policy, centering="f_Q_delta")
+    assert report.value.hex() == max(want).hex()
+    for q in (1.0, 2.0):
+        values, esinf = blo_values(f, cubes, P, q)
+        mins = [float(f.values[Q.mask(g)].min()) for Q in cubes]
+        assert esinf == mins
+        want = [v ** (1.0 / q) for v in values_oracle(f, cubes, P, mins, q)]
+        assert [x.hex() for x in values] == [x.hex() for x in want]
+        assert blo_seminorm(f, P, policy, q=q).value.hex() == max(want).hex()
+
+
+def scalar_piece_bounds(v, a, c):
+    """_Piece's bounds of one chain, one pair of adjacent levels at a time."""
+    lo, hi, roots_m, roots_o = -math.inf, math.inf, [], []
+    for vl, vu, al, au in zip(v[:-1], v[1:], a[:-1], a[1:]):
+        if vl == vu:
+            continue
+        m = (al * vl + au * vu) / (al + au)
+        o = (al * vl - au * vu) / (al - au) if al != au else math.nan
+        roots_m.append(m)
+        if al != au:
+            roots_o.append(o)
+        up = vl < vu
+        end = o if al > au else (-math.inf if up else math.inf)
+        l, h = (end, m) if up else (m, end)
+        lb, hb = (o, math.inf) if up else (-math.inf, o)
+        in_a = l <= c <= h
+        in_b = al < au and lb <= c <= hb
+        if in_b:
+            l, h = lb, hb
+        elif al < au and not in_a:
+            l = h = c
+        else:
+            l, h = min(l, c), max(h, c)
+        lo, hi = max(lo, l), min(hi, h)
+    return lo, hi, roots_m + roots_o
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_batched_piece_bounds_match_scalar_formulas(data):
+    """One pass over the concatenated chains of a lockstep round gives each
+    chain the bounds and roots its own adjacent pairs give."""
+    chains = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=6), label="levels")
+    values = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 2.25])
+    weights = st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0])
+    v = np.array(data.draw(st.lists(values, min_size=sum(chains), max_size=sum(chains))))
+    a = np.array(data.draw(st.lists(weights, min_size=sum(chains), max_size=sum(chains))))
+    # centres on cell values (ties at the centre) and between them
+    centre = np.array(data.draw(st.lists(st.one_of(values, eighths), min_size=len(chains),
+                                         max_size=len(chains))))
+    bounds = np.concatenate([[0], np.cumsum(chains)])
+    lo, hi, roots = _piece_bounds(v, a, bounds, centre)
+    for t, c in enumerate(centre.tolist()):
+        sl = slice(bounds[t], bounds[t + 1])
+        want_lo, want_hi, want_roots = scalar_piece_bounds(v[sl].tolist(), a[sl].tolist(), c)
+        assert (lo[t], hi[t]) == (want_lo, want_hi)
+        assert [x.hex() for x in roots[t].tolist()] == [float(x).hex() for x in want_roots]

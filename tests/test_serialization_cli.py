@@ -292,6 +292,35 @@ def test_cli_weight_and_czd(files, capsys):
     assert "root average" in err
 
 
+@pytest.mark.parametrize("q", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["weighted", "blo"])
+def test_cli_seminorm_bad_q_exits_2(files, capsys, kind, q):
+    """q = 0 used to divide by zero, nan to print nan and inf to give 1.0
+    on a constant cube (0 ** (1/inf) = 1)."""
+    argv = ["seminorm", "--grid", files["grid"], "--fn", files["fn"], "--kind", kind,
+            "--wt", files["wt"], f"--q={q}"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "q must be positive and finite" in err
+
+
+@pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
+def test_cli_weight_bad_p_exits_2(files, capsys, p):
+    """p = inf used to report an A_p constant of 1.0."""
+    code, out, err = run_cli(capsys, ["weight", "--grid", files["grid"], "--wt", files["wt"], f"--p={p}"])
+    assert (code, out) == (2, "")
+    assert "finite p > 1" in err
+
+
+def test_cli_czd_nan_threshold_exits_2(files, capsys):
+    """A NaN threshold used to pass the root check and fail verification (exit 1)."""
+    argv = ["czd", "--grid", files["grid"], "--fn", files["fn"], "--wt", files["wt"],
+            "--threshold", "nan"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "NaN" in err
+
+
 def test_cli_verify_single_and_multi(files, capsys, tmp_path):
     fx = write_json(
         tmp_path / "fx.json",
