@@ -162,7 +162,7 @@ class Chains:
 
     def integrals(self) -> np.ndarray:
         """Each job's layer-cake sum of (t_k - t_{k-1}) * H_k, t_0 = 0,
-        rounded once, as ``math.fsum`` rounds it."""
+        rounded once, as ``math.fsum`` rounds it; inf where it overflows."""
         below = np.empty_like(self.thresholds)
         below[1:] = self.thresholds[:-1]
         starts = self.bounds[:-1]
@@ -178,8 +178,17 @@ class Chains:
         long = np.flatnonzero(count > 2)
         if long.size:
             t, b = terms.tolist(), self.bounds.tolist()
-            out[long] = [math.fsum(t[b[j] : b[j + 1]]) for j in long.tolist()]
+            out[long] = [_fsum(t[b[j] : b[j + 1]]) for j in long.tolist()]
         return out
+
+
+def _fsum(terms: list) -> float:
+    """math.fsum, but inf where it overflows: the terms are non-negative, so
+    an intermediate overflow means the exact sum overflows too."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def layer_cake(

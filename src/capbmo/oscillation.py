@@ -36,27 +36,26 @@ A probe at a crossing breaks ties toward one side (``layer_cake`` keys),
 so its chain still holds on that side. For q < 1 a dense scan over the
 cell values and their midpoints is used, and reported as a fallback.
 
-Searches whose integrals are known before they start are array
-operations over each frame-depth group of ``cube_frames``: constant
-cubes (no integral), F at one given centre per cube (``_values_at``) and
-the q = 1 breakpoint scan (``_scan``). Their (cube, centre) jobs and
-normalisers w(Q) share layer-cake calls. Only the piecewise search and
-the q < 1 dense scan are generators over one cube: they yield the probes
-they want, (centre, side) pairs with side 0 for a plain value, and are
-sent a ``_Probe`` for each. ``_lockstep`` advances the generators of a
-group together: each step stacks the integrands of every pending (cube,
-centre) pair, plus the normaliser of each cube that asks for the first
-time, into one layer-cake call (split only where the rows exceed the
-integrator's cell budget), and reads the pieces of all one-sided probes
-of the step in one pass (``_piece_bounds``). The one-cube entry points
-run the same code on a one-cube family.
+Searches whose centres are known up front are array operations over each
+frame-depth group of ``cube_frames``: constant cubes need no integral,
+and ``_objective`` gives F on a NaN-padded (cubes x centres) matrix, the
+normalisers w(Q) in the first rows of the same layer-cake calls, for one
+given centre per cube (``_values_at``) and for ``_scan``: the q = 1
+breakpoints of small cubes and the q < 1 dense scan. Only the piecewise
+search is a generator over one cube: it yields (centre, side) probes,
+side 0 for a plain value, and is sent F(c) or a ``_Piece``. ``_lockstep``
+advances a group's generators together: each step stacks every pending
+(cube, centre) integrand, plus the normaliser of each cube asking for
+the first time, into one layer-cake call (split only at the integrator's
+cell budget), and reads the pieces of all one-sided probes of the step
+in one pass (``_piece_bounds``). The one-cube entry points run the same
+code on a one-cube family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,20 +108,12 @@ class SeminormReport:
 _SCAN_PAIRS = 10
 
 
-def _check_q(q: float) -> None:
+def _check(q: float, w: StepFunction | None = None) -> None:
+    """The q and weight checks of the public entry points."""
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")
-
-
-class _Probe(NamedTuple):
-    """F at one centre; a one-sided probe also carries its chain's piece."""
-
-    value: float
-    v: np.ndarray | None = None  # f at each level's cell, thresholds ascending
-    s: np.ndarray | None = None  # (H_k - H_{k+1}) * w_k / w(Q)
-    lo: float = -math.inf  # phi equals F on [lo, hi]
-    hi: float = math.inf
-    roots: np.ndarray | None = None  # crossings of adjacent levels
+    if w is not None and np.any(w.values <= 0):
+        raise ValueError("weight must be strictly positive")
 
 
 def _chunk_rows(frames, f: StepFunction, w: StepFunction | None, count: int):
@@ -160,14 +151,22 @@ def _probe_rows(frames, f, w, q: float, which: np.ndarray, centre: np.ndarray, n
     return fv, dev, wv, vals
 
 
-def _plain_integrals(frames, f, w, q: float, which: np.ndarray, centre: np.ndarray,
-                     norms: int) -> np.ndarray:
-    """The integrals of _probe_rows, in calls of at most _JOB_CELLS cells."""
-    raw = np.empty(len(which))
-    for sl in job_chunks(len(which), frames.cells):
-        vals = _probe_rows(frames, f, w, q, which[sl], centre[sl], max(0, norms - sl.start))[3]
-        raw[sl] = frames.integrate(vals, frames.masks(which[sl]))
-    return raw
+def _objective(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """F on cube which[r] at each centre cands[r, j], +inf where cands is NaN.
+
+    The normalisers w(Q) take the first rows of the same layer-cake calls.
+    """
+    valid = ~np.isnan(cands)
+    per, count = valid.sum(axis=1), len(which)
+    cube = np.concatenate([which, np.repeat(which, per)])
+    centre = np.concatenate([np.zeros(count), cands[valid]])
+    raw = np.empty(len(cube))
+    for sl in job_chunks(len(cube), frames.cells):
+        vals = _probe_rows(frames, f, w, q, cube[sl], centre[sl], max(0, count - sl.start))[3]
+        raw[sl] = frames.integrate(vals, frames.masks(cube[sl]))
+    F = np.full(cands.shape, math.inf)
+    F[valid] = raw[count:] / np.repeat(raw[:count], per)
+    return F
 
 
 def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: ContentParams,
@@ -186,9 +185,7 @@ def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: Conten
             at[positions] = lo
         c = at[positions]
         probe = np.flatnonzero((lo != c) | (hi != c))
-        raw = _plain_integrals(frames, f, w, q, np.concatenate([probe, probe]),
-                               np.concatenate([np.zeros(len(probe)), c[probe]]), len(probe))
-        values[positions[probe]] = raw[len(probe):] / raw[: len(probe)]
+        values[positions[probe]] = _objective(frames, f, w, q, probe, c[probe, None])[:, 0]
     return values.tolist(), at.tolist()
 
 
@@ -201,9 +198,7 @@ def oscillation_objective(
     c: float,
 ) -> float:
     """F(c) = (1/w(Q)) * integral over Q of |f - c|**q * w d(content)."""
-    _check_q(q)
-    if w is not None and np.any(w.values <= 0):
-        raise ValueError("weight must be strictly positive")
+    _check(q, w)
     return _values_at(f, w, float(q), params, [Q], [float(c)])[0][0]
 
 
@@ -256,13 +251,13 @@ def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.n
 
 def _lockstep(f: StepFunction, w: StepFunction | None, q: float, frames,
               which: np.ndarray, searches: list) -> list:
-    """Run the searches of a frame-depth group together; return their results in order.
+    """Run a group's piecewise searches together; return their results in order.
 
     searches[k] is a generator over cube which[k] of the group: it yields
-    lists of (centre, side) probes, is sent a ``_Probe`` for each, and
-    returns its result. A probe with side +1 or -1 breaks ties between
-    cells of equal |f - c|**q * w by their order just beyond c on that
-    side, includes the cells where f = c, and carries its chain's piece.
+    lists of (centre, side) probes, is sent F(c) for a plain probe (side 0)
+    and a ``_Piece`` for a one-sided one, and returns its result. A probe
+    with side +1 or -1 breaks ties between cells of equal |f - c|**q * w by
+    their order just beyond c on that side and includes the cells where f = c.
     """
     results = [None] * len(searches)
     pending = {}
@@ -309,8 +304,7 @@ def _lockstep(f: StepFunction, w: StepFunction | None, q: float, frames,
                 levels.append((job + sl.start, chains.contents[pick], fv[job, cells],
                                np.ones(len(cells)) if wv is None else wv[job, cells]))
         norm[first] = raw[: len(first)]
-        value = (raw / norm[cube]).tolist()
-        probes = [None] * len(cube)
+        probes = (raw / norm[cube]).tolist()
         if levels:
             job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
             sided = np.flatnonzero(side)
@@ -323,12 +317,11 @@ def _lockstep(f: StepFunction, w: StepFunction | None, q: float, frames,
             b = bounds.tolist()
             for t, (j, start, end) in enumerate(zip(sided.tolist(), lo.tolist(), hi.tolist())):
                 lv = slice(b[t], b[t + 1])
-                probes[j] = _Probe(value[j], v[lv], s[lv], start, end, roots[t])
+                probes[j] = _Piece(probes[j], v[lv], s[lv], start, end, roots[t], q)
         pos = len(first)
         for k in order:
             gen, cs = pending[k]
-            sent = [probes[j] or _Probe(value[j]) for j in range(pos, pos + len(cs))]
-            advance(k, gen, sent)
+            advance(k, gen, probes[pos : pos + len(cs)])
             pos += len(cs)
     return results
 
@@ -336,14 +329,16 @@ def _lockstep(f: StepFunction, w: StepFunction | None, q: float, frames,
 class _Piece:
     """phi(x) = sum_k s_k * |v_k - x|**q read from a one-sided probe at c.
 
-    phi equals F on [lo, hi], which holds c, and lies below F elsewhere.
+    value is F(c); v holds f at each level's cell, thresholds ascending,
+    and s the weights (H_k - H_{k+1}) * w_k / w(Q). phi equals F on
+    [lo, hi], which holds c, and lies below F elsewhere; roots are the
+    crossings of adjacent levels.
     """
 
-    def __init__(self, probe: _Probe, q: float):
-        self.q = q
-        self.v, self.s = probe.v, probe.s
-        self.lo, self.hi, self.roots = probe.lo, probe.hi, probe.roots
-        self._kinks = None
+    def __init__(self, value: float, v: np.ndarray, s: np.ndarray, lo: float, hi: float,
+                 roots: np.ndarray, q: float):
+        self.value, self.v, self.s, self.lo, self.hi, self.roots = value, v, s, lo, hi, roots
+        self.q, self._kinks = q, None
 
     def kinks(self):
         """q = 1: sorted kinks, prefix sums of their weights, phi at each and
@@ -434,7 +429,7 @@ class _Piece:
 
 def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
     """Exact minimum and plateau of the convex F for q >= 1."""
-    probes: dict[tuple[float, float], _Probe] = {}
+    F: dict[tuple[float, float], float] = {}  # F at each (centre, side) probed
 
     # F is non-increasing below min f and non-decreasing above max f, so a
     # minimiser lies in [a, b]. tangent[-1] and tangent[1] are lines below F
@@ -444,8 +439,8 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
     c = min(max(c, a), b)
     seen, tangent, widths = [], {}, [b - a]
     while True:
-        probes[c, 1.0] = (yield [(c, 1.0)])[0]
-        piece = _Piece(probes[c, 1.0], q)
+        piece = (yield [(c, 1.0)])[0]
+        F[c, 1.0] = piece.value
         seen.append(piece)
         lo, hi = max(piece.lo, a), min(piece.hi, b)
         slope = piece.slope(hi, -1.0)
@@ -474,9 +469,9 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
             c_star = c if c in (a, b) else a  # no float lies between a and b
             break
         c = m
-    if not any(key[0] == c_star for key in probes):
-        probes[c_star, 0.0] = (yield [(c_star, 0.0)])[0]
-    min_value = min(p.value for p in probes.values())
+    if not any(key[0] == c_star for key in F):
+        F[c_star, 0.0] = (yield [(c_star, 0.0)])[0]
+    min_value = min(F.values())
     thr = min_value + tol
 
     # Both plateau edges, from outside in: every sum phi lies below F, so
@@ -498,11 +493,10 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
         bound = {}
         if asks:
             got = yield [(x, -side) for side, x in asks.items()]
-            for (side, x), p in zip(asks.items(), got):
-                probes[x, -side] = p
-                piece = _Piece(p, q)
+            for (side, x), piece in zip(asks.items(), got):
+                F[x, -side] = piece.value
                 nxt = piece.level(thr, c_star, side)
-                if p.value <= thr or (nxt - x) * side >= 0:
+                if piece.value <= thr or (nxt - x) * side >= 0:
                     # inside the plateau, or no inward step left above rounding
                     ends[side], edge[side] = x, piece
                 else:
@@ -511,12 +505,11 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
         # F is linear between the breakpoints around each edge: interpolate
         # the integrals there, as the scan over all breakpoints does
         segs = {side: piece.segment(ends[side], side) for side, piece in edge.items()}
-        values = {c: p.value for (c, _), p in probes.items()}
+        values = {c: v for (c, _), v in F.items()}
         fresh = sorted({float(x) for seg in segs.values() if seg for x in seg} - set(values))
         if fresh:
-            for x, p in zip(fresh, (yield [(x, 0.0) for x in fresh])):
-                probes[x, 0.0] = p
-                values[x] = p.value
+            for x, v in zip(fresh, (yield [(x, 0.0) for x in fresh])):
+                F[x, 0.0] = values[x] = v
         # the inner breakpoints may end a flat bottom; rounding can put
         # them below the minimum found so far
         min_value = min(values.values())
@@ -529,26 +522,7 @@ def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
                     ends[side] = float(seg[0] + frac * (seg[1] - seg[0]))
     return GammaInterval(
         lo=ends[-1.0], hi=ends[1.0], min_value=min_value, tol=tol,
-        evaluations=len(probes) + 1,
-    )
-
-
-def _dense_gamma(vals: np.ndarray, tol: float):
-    """Fallback for q < 1 (no convexity): grid over values and midpoints."""
-    vals = np.unique(vals)
-    cands = vals
-    if len(vals) > 1:
-        cands = np.unique(np.concatenate([vals, 0.5 * (vals[1:] + vals[:-1])]))
-    F = np.array([p.value for p in (yield [(float(c), 0.0) for c in cands])])
-    min_value = float(F.min())
-    keep = F <= min_value + tol
-    return GammaInterval(
-        lo=float(cands[keep].min()),
-        hi=float(cands[keep].max()),
-        min_value=min_value,
-        tol=tol,
-        used_fallback=True,
-        evaluations=len(cands) + 1,
+        evaluations=len(F) + 1,
     )
 
 
@@ -574,16 +548,13 @@ def _distinct_pairs(fv: np.ndarray, inside: np.ndarray, wv: np.ndarray | None, w
     return rank[:, -1] + 1, pairs
 
 
-def _scan(frames, f, w, which: np.ndarray, pairs: np.ndarray, tol: float) -> list[GammaInterval]:
-    """q = 1 on cubes of few (value, weight) pairs: F at every breakpoint.
+def _breakpoints(pairs: np.ndarray) -> np.ndarray:
+    """q = 1 scan candidates from each cube's pairs[:, r] (see _distinct_pairs).
 
-    pairs[:, r] holds the distinct pairs of cube which[r], padded with NaN
-    (see _distinct_pairs). The breakpoints of c -> integral |f - c| w are
-    the values, the crossings of two weighted distances w_i|v_i - c| and
-    w_j|v_j - c| where the weights differ, and the weighted midpoints. The
-    candidates add one point beyond each end; every (cube, candidate) job
-    and the normalisers share layer-cake calls, and F is linear between
-    the candidates.
+    The breakpoints of c -> integral |f - c| w are the values, the
+    crossings of two weighted distances w_i|v_i - c| and w_j|v_j - c| where
+    the weights differ, and the weighted midpoints; the candidates add one
+    point beyond each end, and F is linear between them.
     """
     pv, pw = pairs
     i, j = np.triu_indices(pv.shape[1], k=1)
@@ -595,25 +566,38 @@ def _scan(frames, f, w, which: np.ndarray, pairs: np.ndarray, tol: float) -> lis
     b[~np.isfinite(b)] = math.nan
     b, n = row_unique(b)
     b = b[:, : n.max()]
-
     rows = np.arange(len(b))
-    last = n + 1
-    cands = np.full((len(b), b.shape[1] + 2), math.nan)
-    cands[:, 1:-1] = b
-    cands[:, 0] = b[:, 0] - 1.0
-    cands[rows, last] = b[rows, n - 1] + 1.0
-    valid = np.arange(cands.shape[1]) < (last + 1)[:, None]
-    count = len(which)
-    raw = _plain_integrals(frames, f, w, 1.0, np.concatenate([which, np.repeat(which, last + 1)]),
-                           np.concatenate([np.zeros(count), cands[valid]]), count)
-    F = np.full(cands.shape, math.inf)
-    F[valid] = raw[count:] / np.repeat(raw[:count], last + 1)
+    cands = np.concatenate([b[:, :1] - 1.0, b, np.full((len(b), 1), math.nan)], axis=1)
+    cands[rows, n + 1] = b[rows, n - 1] + 1.0
+    return cands
 
+
+def _midpoints(fv: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """q < 1 scan candidates: each row's distinct masked values and their adjacent midpoints."""
+    v = np.where(inside, fv, math.nan)
+    # a cube's zeros keep their sign unless both signs occur; then they read 0.0
+    v[(v == 0) & ((v == 0) & ~np.signbit(v)).any(axis=1)[:, None]] = 0.0
+    d = row_unique(v)[0]
+    cands, n = row_unique(np.concatenate([d, 0.5 * (d[:, 1:] + d[:, :-1])], axis=1))
+    return cands[:, : n.max()]
+
+
+def _scan(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray,
+          tol: float) -> list[GammaInterval]:
+    """The plateau of F on cube which[r] from F at every candidate cands[r].
+
+    For q = 1 the candidates are _breakpoints and the ends are interpolated
+    on the linear segments around them. For q < 1, where F need not be
+    convex, they are _midpoints and the ends are the outermost candidates
+    within tol of the minimum: the dense-scan fallback."""
+    F = _objective(frames, f, w, q, which, cands)
     min_value = F.min(axis=1)
     thr = min_value + tol
     ok = F <= thr[:, None]
     first = ok.argmax(axis=1)
     final = F.shape[1] - 1 - ok[:, ::-1].argmax(axis=1)
+    count = np.count_nonzero(~np.isnan(cands), axis=1)
+    rows, last = np.arange(len(F)), count - 1
 
     def at(a, k):
         return a[rows, k]
@@ -623,31 +607,35 @@ def _scan(frames, f, w, which: np.ndarray, pairs: np.ndarray, tol: float) -> lis
         frac = (thr - at(F, a)) / (at(F, b) - at(F, a))
         return at(cands, a) + frac * (at(cands, b) - at(cands, a))
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = (F[:, 1] - F[:, 0]) / (cands[:, 1] - cands[:, 0])
-        outer = np.where(slope >= 0, cands[:, 0], cands[:, 0] + (thr - F[:, 0]) / slope)
-        lo = np.where(first == 0, outer, between(np.maximum(first - 1, 0), first))
-        slope = (at(F, last) - at(F, last - 1)) / (at(cands, last) - at(cands, last - 1))
-        outer = np.where(slope <= 0, at(cands, last), at(cands, last) + (thr - at(F, last)) / slope)
-        hi = np.where(final == last, outer, between(np.minimum(final + 1, last), final))
+    if q < 1.0:
+        lo, hi = at(cands, first), at(cands, final)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = (F[:, 1] - F[:, 0]) / (cands[:, 1] - cands[:, 0])
+            outer = np.where(slope >= 0, cands[:, 0], cands[:, 0] + (thr - F[:, 0]) / slope)
+            lo = np.where(first == 0, outer, between(np.maximum(first - 1, 0), first))
+            slope = (at(F, last) - at(F, last - 1)) / (at(cands, last) - at(cands, last - 1))
+            outer = np.where(slope <= 0, at(cands, last),
+                             at(cands, last) + (thr - at(F, last)) / slope)
+            hi = np.where(final == last, outer, between(np.minimum(final + 1, last), final))
     return [
-        GammaInterval(lo=a, hi=b, min_value=m, tol=tol, evaluations=e)
-        for a, b, m, e in zip(lo.tolist(), hi.tolist(), min_value.tolist(), (last + 2).tolist())
+        GammaInterval(lo=a, hi=b, min_value=m, tol=tol, used_fallback=q < 1.0, evaluations=e)
+        for a, b, m, e in zip(lo.tolist(), hi.tolist(), min_value.tolist(), (count + 1).tolist())
     ]
 
 
 def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
     """The minimiser plateau of F on every cube of a family.
 
-    Per frame-depth group, constant cubes and the q = 1 scan cubes are
-    array operations; the other cubes search in lockstep.
+    Per frame-depth group, constant cubes and the scans are array
+    operations; the piecewise searches run in lockstep.
     """
     q = float(q)
     half = tol ** (1.0 / q)
     family = CubeFamily.of(cubes)
     out = [None] * len(family.sides)
     for positions, frames in cube_frames(f.grid, family, params):
-        scan, search, gens = [], [], []
+        scans, search, gens = [], [], []
         for sl, fv, inside, wv in _chunk_rows(frames, f, w, len(positions)):
             lo, hi = _extent(fv, inside)
             flat = lo == hi
@@ -660,22 +648,25 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
                 count, pairs = _distinct_pairs(fv, inside, wv, _SCAN_PAIRS)
                 few = rest & (count <= _SCAN_PAIRS)
                 if few.any():
-                    scan.append((sl.start + np.flatnonzero(few), pairs[:, few]))
+                    scans.append((sl.start + np.flatnonzero(few), _breakpoints(pairs[:, few])))
                 rest &= ~few
+            elif q < 1.0 and rest.any():  # no search: every other cube scans
+                scans.append((sl.start + np.flatnonzero(rest), _midpoints(fv[rest], inside[rest])))
+                continue
             for k in np.flatnonzero(rest).tolist():
                 vals = fv[k][inside[k]]
                 wts = np.ones(vals.size) if wv is None else wv[k][inside[k]]
                 search.append(sl.start + k)
-                gens.append(_dense_gamma(vals, tol) if q < 1
-                            else _piecewise_gamma(vals, wts, q, tol))
-        if scan:
-            which = np.concatenate([k for k, _ in scan])
-            gis = _scan(frames, f, w, which, np.concatenate([p for _, p in scan], axis=1), tol)
-            for k, gi in zip(which.tolist(), gis):
+                gens.append(_piecewise_gamma(vals, wts, q, tol))
+        if scans:
+            which = np.concatenate([k for k, _ in scans])
+            width = max(c.shape[1] for _, c in scans)
+            cands = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=math.nan)
+                                    for _, c in scans])
+            for k, gi in zip(which.tolist(), _scan(frames, f, w, q, which, cands, tol)):
                 out[positions[k]] = gi
         if gens:
-            which = np.array(search, dtype=np.intp)
-            for k, gi in zip(search, _lockstep(f, w, q, frames, which, gens)):
+            for k, gi in zip(search, _lockstep(f, w, q, frames, np.array(search), gens)):
                 out[positions[k]] = gi
     return out
 
@@ -689,11 +680,9 @@ def gamma_interval(
     tol: float = 1e-9,
 ) -> GammaInterval:
     """Global minimum of F and the plateau {F <= min + tol} around it."""
-    _check_q(q)
+    _check(q, w)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if w is not None and np.any(w.values <= 0):
-        raise ValueError("weight must be strictly positive")
     return _gamma_intervals(f, w, q, [Q], params, tol)[0]
 
 
@@ -748,7 +737,7 @@ def blo_seminorm(
     q: float = 1.0,
 ) -> SeminormReport:
     """Supremum of the q-mean of f - esinf_Q f; centers are the esinfs."""
-    _check_q(q)
+    _check(q)
     cubes = enumerate_cubes(f.grid, policy)
     return _report(cubes, *blo_values(f, cubes, params, q), policy)
 
@@ -761,9 +750,7 @@ def weighted_bmo_seminorm(
     policy: CubeFamilyPolicy = CubeFamilyPolicy(),
 ) -> SeminormReport:
     """sup over cubes of (inf_c F(c))**(1/q) for the weighted objective."""
-    _check_q(q)
-    if np.any(w.values <= 0):
-        raise ValueError("weight must be strictly positive")
+    _check(q, w)
     cubes = enumerate_cubes(f.grid, policy)
     gis = _gamma_intervals(f, w, q, cubes, params)
     return _report(

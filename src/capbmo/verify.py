@@ -24,7 +24,6 @@ from .content import (
     dyadic_content,
     job_chunks,
     masked_integral,
-    masked_integral_many,
     row_unique,
     superlevel_integrals,
 )
@@ -108,8 +107,6 @@ def survival_curves(
     """survival_curve of every cube around its own center, with every
     (cube, sample) job of the family in shared layer-cake calls."""
     grid = f.grid
-    for Q in cubes:
-        Q.validate(grid)
     if weight is not None:
         if weight.grid != grid:
             raise ValueError("weight lives on a different grid")
@@ -363,18 +360,19 @@ def _reverse_characterization(kind, function_family, depths, gamma_grid, p, para
     if not depths:
         raise ValueError("reverse characterization needs a list of depths")
     gammas = sorted(gamma_grid or (2.0**-k for k in range(0, 11)), reverse=True)
+    seminorm = bmo_seminorm if kind == "bmo_ap" else blo_seminorm
+    scaled = []  # (f, seminorm of f) per depth; neither depends on gamma
+    for depth in depths:
+        f = function_family(depth)
+        s = seminorm(f, params, policy).value
+        if s <= 0:
+            raise ValueError("function family has zero seminorm at some depth")
+        scaled.append((f, s))
     per_gamma = {}
     largest_passing = None
     for gamma in gammas:
         consts = []
-        for depth in depths:
-            f = function_family(depth)
-            if kind == "bmo_ap":
-                s = bmo_seminorm(f, params, policy).value
-            else:
-                s = blo_seminorm(f, params, policy).value
-            if s <= 0:
-                raise ValueError("function family has zero seminorm at some depth")
+        for f, s in scaled:
             wgt = StepFunction(f.grid, np.exp(gamma * f.values / s))
             if kind == "bmo_ap":
                 consts.append(ap_constant(wgt, p, params, policy).ap_constant)
@@ -654,8 +652,9 @@ def weak_restricted_strong_check(
         )
     values = np.unique(mf[mf > 0])
     lams = values * (1.0 - 1e-9)
-    jobs = [(np.ones(grid.num_cells), mf > lam) for lam in lams]
-    contents = masked_integral_many(grid, jobs, params)
+    # the contents of {Mf > lambda}, Mf >= 0, built one chunk of level rows at a time
+    contents = superlevel_integrals(grid, [CubeSpec.root(grid)], mf, [0.0], [lams],
+                                    np.ones(grid.num_cells), params)[0]
     weak = float(np.max(lams * contents ** (1.0 / p)) / lp)
 
     left = masked_integral(grid, mf**r, E.membership, params) ** (1.0 / r)

@@ -110,6 +110,7 @@ def test_bad_cubes_raise_the_cube_messages(n, monkeypatch):
         assert re.fullmatch(r"cube .* does not fit inside the grid|cube corner dimension does not match the grid", want)
         for family in ([bad], [good, bad], [good, bad, CubeSpec((N,) * n, 1)]):
             assert raised(lambda: cube_integrals(grid, family, jobs, params)) == want
+            assert raised(lambda: survival_curves(f, [0.0] * len(family), family, None, params)) == want
             monkeypatch.setattr(oscillation, "enumerate_cubes", lambda grid, policy: family)
             assert raised(lambda: oscillation.bmo_seminorm(f, params)) == want
         assert raised(lambda: oscillation.gamma_interval(f, None, 1.0, bad, params)) == want

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -536,14 +537,29 @@ def values_oracle(f, cubes, P, centres, q=1.0):
 signed_eighths = st.one_of(st.just(-0.0), eighths)
 
 
+def dense_oracle(vals, F_at, tol):
+    """The q < 1 dense scan of one cube: F at each distinct value and each
+    midpoint of adjacent values; the plateau runs from the first to the
+    last of them within tol of the minimum. Where both signs of zero
+    occur, the zero candidate is 0.0."""
+    if np.any((vals == 0) & ~np.signbit(vals)):
+        vals = vals + 0.0
+    d = np.unique(vals)
+    c = np.unique(np.concatenate([d, 0.5 * (d[1:] + d[:-1])]))
+    F = F_at(c)
+    keep = c[F <= F.min() + tol]
+    return keep[0], keep[-1], F.min(), len(c) + 1
+
+
 @pytest.mark.parametrize("policy", FAMILIES, ids=lambda p: p.kind)
 @pytest.mark.parametrize("n", [1, 2, 3])
 @settings(max_examples=6)
 @given(data=st.data())
 def test_array_searches_match_per_cube_oracle(n, policy, data):
-    """Constant cubes, the q = 1 scan and F at one centre per cube run as
-    array operations over each frame-depth group; each result must be the
-    float a per-cube computation gives, on the same frames."""
+    """Constant cubes, the q = 1 scan, the q < 1 dense scan and F at one
+    centre per cube run as array operations over each frame-depth group;
+    each result must be the float a per-cube computation gives, on the
+    same frames."""
     g = build_grid(n, {1: 4, 2: 2, 3: 2}[n], 1.0)
     cells = g.num_cells
     pairs = data.draw(st.sampled_from([None, 10, 11]), label="pairs")
@@ -564,20 +580,25 @@ def test_array_searches_match_per_cube_oracle(n, policy, data):
     cubes = enumerate_cubes(g, policy)
     tol = 1e-9
 
-    for weight in (None, w):
-        gis = _gamma_intervals(f, weight, 1.0, cubes, P)
+    for weight, q in itertools.product((None, w), (1.0, 0.5)):
+        gis = _gamma_intervals(f, weight, q, cubes, P)
         for Q, gi in zip(cubes, gis):
             vals = f.values[Q.mask(g)]
             wts = np.ones(vals.size) if weight is None else weight.values[Q.mask(g)]
+            F_at = lambda c: objective_oracle(f, weight, q, Q, P, c)  # noqa: E731
             if vals.min() == vals.max():
-                want = (vals[0] - tol, vals[0] + tol, 0.0, 0)
+                half = tol ** (1.0 / q)
+                want = (vals[0] - half, vals[0] + half, 0.0, 0)
+            elif q < 1.0:
+                want = dense_oracle(vals, F_at, tol)
             elif len(np.unique(vals + 1j * wts)) <= capbmo.oscillation._SCAN_PAIRS:
-                want = scan_oracle(vals, wts, lambda c: objective_oracle(f, weight, 1.0, Q, P, c), tol)
+                want = scan_oracle(vals, wts, F_at, tol)
             else:
                 continue  # the piecewise search: test_piecewise_search_matches_...
             got = (gi.lo, gi.hi, gi.min_value, gi.evaluations)
             assert [float(x).hex() for x in got[:3]] == [float(x).hex() for x in want[:3]], Q
             assert got[3] == want[3], Q
+            assert gi.used_fallback == (q < 1.0 and vals.min() != vals.max()), Q
 
     centres = [avg.value for avg in signed_averages(f, cubes, P)]
     want = values_oracle(f, cubes, P, centres)
@@ -592,6 +613,18 @@ def test_array_searches_match_per_cube_oracle(n, policy, data):
         want = [v ** (1.0 / q) for v in values_oracle(f, cubes, P, mins, q)]
         assert [x.hex() for x in values] == [x.hex() for x in want]
         assert blo_seminorm(f, P, policy, q=q).value.hex() == max(want).hex()
+
+
+@pytest.mark.parametrize("zeros,want", [((-0.0, 0.0), "0x0.0p+0"), ((-0.0,), "-0x0.0p+0"), ((0.0,), "0x0.0p+0")])
+def test_dense_scan_zero_keeps_its_sign_unless_both_occur(zeros, want):
+    """The q < 1 plateau of fifteen zeros and a one is the zero candidate
+    alone; its sign does not depend on where the zeros lie."""
+    g = build_grid(1, 4, 1.0)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        f = step_function(g, rng.permutation(np.array([*(zeros * 15)[:15], 1.0])))
+        gi = gamma_interval(f, None, 0.5, CubeSpec.root(g), ContentParams(delta=0.7))
+        assert (gi.lo.hex(), gi.hi.hex()) == (want, want)
 
 
 def scalar_piece_bounds(v, a, c):

@@ -231,6 +231,16 @@ def test_cli_choquet_plain_and_weighted(files, capsys):
     assert json.loads(out)["weighted"] is True
 
 
+def test_cli_choquet_overflowing_sum_is_inf(capsys, tmp_path):
+    """Four layer-cake terms whose sum passes the largest float: the exact
+    sum overflows, so the integral is inf, not an fsum traceback."""
+    grid = write_json(tmp_path / "grid.json", {"n": 1, "depth": 2, "root_side": 4.0})
+    fn = write_json(tmp_path / "f.json", {"values": [1.15e308, 1.25e308, 1.35e308, 1.45e308]})
+    code, out, err = run_cli(capsys, ["choquet", "--grid", grid, "--fn", fn, "--delta", "0.2925"])
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["integral"] == "inf"
+
+
 def test_cli_avg_and_seminorm(files, capsys):
     code, out, _ = run_cli(
         capsys, ["avg", "--grid", files["grid"], "--fn", files["fn"], "--cube", "root"]

@@ -1,11 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import capbmo.verify
-from capbmo.content import ContentParams
+from capbmo.content import ContentParams, masked_integral
 from capbmo.fixtures import (
     log_abs_function,
     neg_log_abs_function,
@@ -14,7 +15,7 @@ from capbmo.fixtures import (
     two_cell_example,
 )
 from capbmo.grid import CubeFamilyPolicy, CubeSpec, DyadicSet, build_grid, full_set, step_function
-from capbmo.oscillation import oscillation_objective
+from capbmo.oscillation import blo_seminorm, bmo_seminorm, oscillation_objective
 from capbmo.reports import InvariantViolation
 from capbmo.verify import (
     fit_envelope,
@@ -26,7 +27,7 @@ from capbmo.verify import (
     verify_jn,
     weak_restricted_strong_check,
 )
-from capbmo.weights import power_maximal_weight
+from capbmo.weights import a1_constant, ap_constant, maximal_function, power_maximal_weight
 from conftest import random_grid, random_params
 
 
@@ -218,6 +219,38 @@ def test_reverse_characterization_both_kinds():
     assert rep_blo.constants["largest_passing_gamma"] > 0
 
 
+@pytest.mark.parametrize("kind", ["bmo_ap", "blo_a1"])
+def test_reverse_characterization_one_seminorm_per_depth(kind, monkeypatch):
+    """Each depth's seminorm is computed once, not once per gamma, and the
+    constants are those of recomputing it for every (gamma, depth)."""
+    params = ContentParams(delta=1.0)
+    family = {"bmo_ap": lambda d: log_abs_function(2, d), "blo_a1": lambda d: neg_log_abs_function(2, d)}[kind]
+    seminorm = {"bmo_ap": bmo_seminorm, "blo_a1": blo_seminorm}[kind]
+    depths, gammas = (2, 3, 4), (1.0, 0.5, 0.25)
+    want = {}
+    for gamma in gammas:
+        consts = []
+        for d in depths:
+            f = family(d)
+            w = step_function(f.grid, np.exp(gamma * f.values / seminorm(f, params).value))
+            consts.append(ap_constant(w, 2.0, params).ap_constant if kind == "bmo_ap"
+                          else a1_constant(w, params).ap_constant)
+        want[f"{gamma:g}"] = consts
+    calls = []
+    for name in ("bmo_seminorm", "blo_seminorm"):
+        real = getattr(capbmo.verify, name)
+        monkeypatch.setattr(capbmo.verify, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    rep = verify_characterization(kind, params, function_family=family, depths=depths, gamma_grid=gammas)
+    assert len(calls) == len(depths)
+    assert {g: v["constants"] for g, v in rep.constants["per_gamma"].items()} == want
+    # a zero seminorm at the last depth stops the check before any weight constant
+    monkeypatch.setattr(capbmo.verify, "ap_constant", lambda *a, **k: pytest.fail("gamma loop ran"))
+    monkeypatch.setattr(capbmo.verify, "a1_constant", lambda *a, **k: pytest.fail("gamma loop ran"))
+    flat_last = lambda d: family(d) if d < 4 else step_function(build_grid(2, d, 2.0), np.zeros(4**d))
+    with pytest.raises(ValueError, match="zero seminorm"):
+        verify_characterization(kind, params, function_family=flat_last, depths=depths, gamma_grid=gammas)
+
+
 def test_characterization_validation(grid_1d, rng):
     params = ContentParams(delta=1.0)
     w = random_positive_weight(grid_1d, rng)
@@ -337,6 +370,13 @@ def test_weak_restricted_strong(rng):
         assert rep.passed, rep.constants
         assert rep.constants["usage"] <= 1 + 1e-8
         assert rep.constants["weak_constant"] > 0
+        # the weak constant from one masked integral per lambda just below a value of Mf
+        absf = np.abs(f.values)
+        mf = maximal_function(step_function(g, absf), params).values
+        lams = np.unique(mf[mf > 0]) * (1.0 - 1e-9)
+        contents = np.array([masked_integral(g, np.ones(g.num_cells), mf > lam, params) for lam in lams])
+        lp = masked_integral(g, absf**2, np.ones(g.num_cells, dtype=bool), params) ** 0.5
+        assert rep.constants["weak_constant"] == float(np.max(lams * contents**0.5) / lp)
     zero = step_function(g, np.zeros(g.num_cells))
     rep = weak_restricted_strong_check(zero, E, 2.0, 1.0, params)
     assert rep.passed and rep.constants["weak_constant"] == 0.0
@@ -345,6 +385,24 @@ def test_weak_restricted_strong(rng):
     other = build_grid(1, 5, 1.0)
     with pytest.raises(ValueError):
         weak_restricted_strong_check(f, full_set(other), 2.0, 1.0, params)
+
+
+def test_weak_constant_memory_is_bounded(monkeypatch):
+    """The contents of {Mf > lambda} for 2,048 lambdas on a 4,096-cell grid
+    are built a few level rows at a time, not as one mask per lambda."""
+    g = build_grid(1, 12, 1.0)
+    rng = np.random.default_rng(8)
+    mf = step_function(g, rng.permutation(np.arange(g.num_cells) % 2048 + 1.0))
+    monkeypatch.setattr(capbmo.verify, "maximal_function", lambda *a, **k: mf)
+    f = step_function(g, rng.normal(size=g.num_cells))
+    tracemalloc.start()
+    try:
+        rep = weak_restricted_strong_check(f, full_set(g), 2.0, 1.0, ContentParams(delta=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.constants["weak_constant"] > 0
+    assert peak < 16e6, peak
 
 
 @pytest.mark.parametrize("fault", ["rising", "above normalizer"])
