@@ -13,8 +13,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .content import ContentParams, cube_content, cube_integrals, masked_integral, superlevel_integrals
-from .grid import CubeSpec, DyadicSet, Grid, StepFunction
+from .content import (
+    ContentParams, cube_content, cube_frames, cube_integrals, masked_integral, superlevel_integrals,
+)
+from .grid import CubeFamily, CubeSpec, DyadicSet, Grid, StepFunction
 
 __all__ = [
     "SignedAverage",
@@ -130,8 +132,8 @@ def weighted_choquet(
     # the level set {f >= t_k} of the region is {f > t_{k-1}}, t_0 = 0
     inside = np.where(region.membership, f.values, 0.0)
     below = np.append(0.0, thresholds[:-1])
-    root = CubeSpec.root(f.grid)
-    measures = superlevel_integrals(f.grid, [root], inside, [0.0], [below], w.values, params)[0]
+    root = cube_frames(f.grid, CubeFamily.of([CubeSpec.root(f.grid)]), params)
+    measures = superlevel_integrals(root, inside, [0.0], [below], w.values)[0]
     return _layer_sum(thresholds, measures)
 
 

@@ -20,7 +20,9 @@ tree, picked per call by ``_sparse_cheaper``: dense, one occupancy row per
 threshold through ``kernels.reduce_tree`` in blocks of at most
 ``_ROW_CELLS`` leaf cells, costing thresholds * cells; or sparse, the
 whole chain at once from the rank array through ``kernels.reduce_ranks``,
-costing about occupied cells * depth * 2**n entries. Both add the same
+costing one sort of the occupied cells, whose parents it builds in
+closed form, and then 2**n lookups per entry on each level above, at
+most one entry per occupied cell. Both add the same
 children in the same order, so every H_k is the same float either way
 and the choice changes only the time. The result is each job's chain
 (``Chains``): its thresholds, the content H_k of each superlevel set and
@@ -135,12 +137,14 @@ def row_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sparse_cheaper(thresholds: int, cells: int, occupied: int, ndim: int, depth: int) -> bool:
     """Whether a layer-cake call reduces its chains sparsely.
 
-    The dense reduction reduces one row of every frame cell per threshold;
-    the sparse one handles about occupied * depth * 2**ndim entries, each
-    costing _SPARSE_COST dense leaf cells. That estimate reads 0 at depth
-    0, where the sparse reduction still has its fixed cost, so one-cell
-    frames stay dense. Both give the same floats, so the choice changes
-    only the time.
+    The dense reduction reduces one row of every frame cell per threshold.
+    The sparse one sorts the occupied leaves once, builds their parents in
+    closed form and then looks up 2**ndim children for each of at most
+    occupied entries per level above; it is priced as occupied * depth *
+    2**ndim units of _SPARSE_COST dense leaf cells. That estimate reads 0
+    at depth 0, where the sparse reduction still has its fixed cost, so
+    one-cell frames stay dense. Both give the same floats, so the choice
+    changes only the time.
     """
     return depth > 0 and thresholds * cells > _SPARSE_COST * occupied * depth * (1 << ndim)
 
@@ -356,12 +360,13 @@ def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray
     return out
 
 
-def superlevel_integrals(grid: Grid, cubes, values, centers, levels, weights, params):
-    """Per cube Q_i, the integrals of weights over Q_i cap {|values - centers[i]| > t}
-    for each t in levels[i], every (cube, level) job stacked on the family's rows."""
+def superlevel_integrals(groups, values, centers, levels, weights):
+    """Per cube Q_i of a family framed by ``cube_frames`` into groups, the
+    integrals of weights over Q_i cap {|values - centers[i]| > t} for each t
+    in levels[i], every (cube, level) job stacked on the family's rows."""
     centers = np.asarray(centers, dtype=np.float64)
-    out = [None] * len(cubes)
-    for positions, frames in cube_frames(grid, CubeFamily.of(cubes), params):
+    out = [None] * sum(len(positions) for positions, _ in groups)
+    for positions, frames in groups:
         members = positions.tolist()
         counts = [len(levels[i]) for i in members]
         local = np.repeat(np.arange(len(members)), counts)

@@ -13,13 +13,17 @@ binary adds. The exhaustive cover-search tests rely on that order: it is
 the order in which their oracles sum a cover's cubes, bit for bit.
 
 ``reduce_ranks`` computes the contents of a whole chain of nested sets
-{rank >= k} at once, with about E * depth * 2**ndim lookups for E
-occupied cells instead of one dense row of every cell per k. Each tree
-node keeps one entry per rank at which its cost changes; a parent
-evaluates its children at the union of their ranks, adds them in the
-same order, zeros included, and clips at its cap. Every content is
-therefore the float ``reduce_tree`` gives for the row of {rank >= k}, and
-``content.layer_cake`` picks either reduction per call by cost alone.
+{rank >= k} at once, at a cost that follows the E occupied cells, not
+one dense row of every cell per k. Each tree node keeps one entry per
+rank at which its cost changes. The parents of the leaves come in closed
+form from one sort of the occupied leaves: every leaf costs the leaf cap
+up to its rank, so a parent's cost at a rank depends only on how many of
+its children reach that rank. Above them a parent evaluates its children
+at the union of their ranks (one lookup per child, at most E entries per
+level), adds them in the same order, zeros included, and clips at its
+cap. Every content is therefore the float ``reduce_tree`` gives for the
+row of {rank >= k}, and ``content.layer_cake`` picks either reduction per
+call by cost alone.
 """
 
 import itertools
@@ -91,10 +95,16 @@ def reduce_ranks(rank, job, level, ndim, depth, level_caps):
     level_caps: as for reduce_tree.
 
     Returns a float64 array of len(job), equal bit for bit to reduce_tree
-    on the leaf rows level_caps[depth] * (rank[job[i]] >= level[i]).
+    on the leaf rows level_caps[depth] * (rank[job[i]] >= level[i]), and
+    zeros where no cell is occupied. The leaf parents cost one sort of the
+    occupied leaves; each level above, 2**ndim lookups per entry.
     """
-    if len(job) == 0:
-        return np.zeros(0)
+    job = np.asarray(job, dtype=np.int64)
+    if depth == 0:  # a one-cell frame: the root is the leaf
+        return np.where(rank[job, 0] >= level, float(level_caps[0]), 0.0)
+    row, cell = np.nonzero(rank >= 0)
+    if len(job) == 0 or len(row) == 0:
+        return np.zeros(len(job))
     # An entry is the int64 key node << bits | rank, nodes numbered
     # row-major by row and in Z-order within a row, and the node's cost
     # at every rank from its previous entry (exclusive) up to rank. Keys
@@ -102,12 +112,24 @@ def reduce_ranks(rank, job, level, ndim, depth, level_caps):
     # that fits in memory.
     bits = int(max(rank.max(), np.max(level))).bit_length()
     low = (1 << bits) - 1
-    row, cell = np.nonzero(rank >= 0)
-    node = row * rank.shape[1] + _morton(ndim, depth)[cell]
-    key = np.append(np.sort(node << bits | rank[row, cell]), _END)
-    val = np.full(len(key), float(level_caps[depth]))
+    # The leaf parents in closed form: a leaf costs caps[depth] up to its
+    # rank, so a leaf parent's cost at rank r is min(caps[depth - 1], S[k])
+    # for its k children of rank >= r, S[k] the left-associated sum of k
+    # leaf caps (the empty children add +0.0). One sort of the occupied
+    # leaves' (parent, rank) keys gives each rank's k as its parent's end
+    # minus the start of the rank's run.
+    parent = row * (rank.shape[1] >> ndim) + (_morton(ndim, depth)[cell] >> ndim)
+    key = np.sort(parent << bits | rank[row, cell])
+    ends = np.flatnonzero(_run_ends(key))
+    starts = np.append(0, ends[:-1] + 1)
+    key = key[ends]
+    last = _run_ends(key >> bits)
+    count = (ends[last] + 1)[np.cumsum(last) - last] - starts
+    leaf_sums = np.cumsum(np.append(0.0, np.full(1 << ndim, float(level_caps[depth]))))
+    key, val = _compress(key, np.minimum(leaf_sums[count], float(level_caps[depth - 1])), last)
+    # the levels above: each child's cost at the union of the children's ranks
     slots = np.arange(1 << ndim, dtype=np.int64)[:, None]
-    for lvl in range(depth, 0, -1):
+    for lvl in range(depth - 1, 0, -1):
         # the parent keys: the union of the children's ranks per parent
         union = key[:-1] >> (bits + ndim) << bits | key[:-1] & low
         union.sort(kind="stable")  # merges the children's sorted runs
@@ -121,12 +143,17 @@ def reduce_ranks(rank, job, level, ndim, depth, level_caps):
         for part in cost[1:]:
             acc += part
         np.minimum(acc, float(level_caps[lvl - 1]), out=acc)
-        # keep the last rank of each run of equal cost within a parent
-        keep = _run_ends(parent)
-        keep[:-1] |= acc[1:] != acc[:-1]
-        key, val = np.append(union[keep], _END), np.append(acc[keep], 0.0)
-    idx = np.searchsorted(key, np.asarray(job, dtype=np.int64) << bits | level)
+        key, val = _compress(union, acc, _run_ends(parent))
+    idx = np.searchsorted(key, job << bits | level)
     return np.where(key[idx] >> bits == job, val[idx], 0.0)
+
+
+def _compress(key, val, keep):
+    """The entries kept of one level, then _END: the last rank of each run
+    of equal cost within a parent. keep marks each parent's last key on
+    entry and is overwritten."""
+    keep[:-1] |= val[1:] != val[:-1]
+    return np.append(key[keep], _END), np.append(val[keep], 0.0)
 
 
 def _run_ends(a):

@@ -122,7 +122,8 @@ def survival_curves(
     family = CubeFamily.of(cubes)
     centre = np.asarray(centers, dtype=np.float64)
     levels = [None] * len(family.sides)
-    for positions, frames in cube_frames(grid, family, params):
+    groups = cube_frames(grid, family, params)
+    for positions, frames in groups:
         for sl in job_chunks(len(positions), frames.cells):
             which = np.arange(sl.start, min(sl.stop, len(positions)))
             pos = positions[which]
@@ -140,7 +141,7 @@ def survival_curves(
     wv = np.ones(grid.num_cells) if weight is None else weight.values
     curves = []
     for Q, level, vals in zip(
-        cubes, levels, superlevel_integrals(grid, cubes, f.values, centers, levels, wv, params)
+        cubes, levels, superlevel_integrals(groups, f.values, centers, levels, wv)
     ):
         samples, surv, norm = level[:-1], vals[:-1], float(vals[-1])
         # Contents of nested sets are monotone; the weighted layer cake picks
@@ -653,8 +654,8 @@ def weak_restricted_strong_check(
     values = np.unique(mf[mf > 0])
     lams = values * (1.0 - 1e-9)
     # the contents of {Mf > lambda}, Mf >= 0, built one chunk of level rows at a time
-    contents = superlevel_integrals(grid, [CubeSpec.root(grid)], mf, [0.0], [lams],
-                                    np.ones(grid.num_cells), params)[0]
+    root = cube_frames(grid, CubeFamily.of([CubeSpec.root(grid)]), params)
+    contents = superlevel_integrals(root, mf, [0.0], [lams], np.ones(grid.num_cells))[0]
     weak = float(np.max(lams * contents ** (1.0 / p)) / lp)
 
     left = masked_integral(grid, mf**r, E.membership, params) ** (1.0 / r)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capbmo import kernels
 
@@ -58,6 +61,44 @@ def test_reduce_ranks_matches_reference_reduction(rng, ndim, depth):
     got = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
     leaves = (rank[job] >= level[:, None]) * caps[depth]
     assert np.array_equal(got, reference_reduce(leaves, ndim, depth, caps))
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_reduce_ranks_matches_reduce_tree_bit_for_bit(data):
+    """reduce_ranks against reduce_tree on the rows caps[depth] * (rank[job]
+    >= level), on caps of random delta (not dyadic, so the order of the adds
+    shows), with sibling ties, heavily clipped parents, ranks above 2**16
+    (longer keys) and rows in no set."""
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    depth = data.draw(st.integers(0, {1: 6, 2: 4, 3: 2}[ndim]), label="depth")
+    rows = data.draw(st.integers(1, 5), label="rows")
+    cells = (1 << depth) ** ndim
+    # a narrow rank range makes ties among the children of one parent
+    top = data.draw(st.sampled_from([1, 2, 4, 40]), label="top")
+    rank = data.draw(arrays(np.int64, (rows, cells), elements=st.integers(-1, top)), label="rank")
+    rank[rank >= 0] += data.draw(st.sampled_from([0, 1 << 16, 1 << 40]), label="base")
+    for r in data.draw(st.sets(st.integers(0, rows - 1), max_size=rows), label="empty rows"):
+        rank[r] = -1
+    delta = data.draw(st.floats(0.05, float(ndim)), label="delta")
+    side = data.draw(st.sampled_from([0.75, 1.0, 3.0]), label="side")
+    caps = np.power(np.ldexp(side, depth - np.arange(depth + 1)), delta)
+    # factors below 1 clip parents well below the sum of their children
+    caps *= data.draw(arrays(np.float64, depth + 1, elements=st.sampled_from([0.1, 0.6, 1.0])),
+                      label="clip")
+    # every distinct set of each row: its ranks, one past each, and level 0
+    levels = np.unique(np.concatenate([[0], rank[rank >= 0], rank[rank >= 0] + 1]))
+    job, level = (a.ravel() for a in np.meshgrid(np.arange(rows), levels, indexing="ij"))
+    got = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
+    leaf = (rank[job] >= level[:, None]) * caps[depth]
+    want = kernels.reduce_tree(leaf, ndim, depth, caps)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+def test_reduce_ranks_with_no_occupied_cell_gives_zeros():
+    got = kernels.reduce_ranks(-np.ones((2, 16), np.int32), np.array([0, 1]), np.array([0, 0]),
+                               2, 2, np.ones(3))
+    assert got.tolist() == [0.0, 0.0]
 
 
 def test_reduce_tree_validates_shapes(rng):

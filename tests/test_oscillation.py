@@ -27,8 +27,8 @@ from conftest import random_grid, random_params
 
 
 def dense_minimum(f, w, q, Q, params, cands):
-    F = [oscillation_objective(f, w, q, Q, params, float(c)) for c in cands]
-    return min(F)
+    """min of F over the candidates, all of them in one objective_oracle call."""
+    return float(np.min(objective_oracle(f, w, q, Q, params, np.asarray(cands, dtype=float))))
 
 
 def breakpoint_lattice(values, weights):
@@ -64,7 +64,7 @@ def test_gamma_interval_exact_path_matches_breakpoint_scan(rng):
             assert oscillation_objective(f, None, 1.0, root, params, outside) > want + gi.tol
 
 
-def test_gamma_interval_ternary_path_matches_breakpoint_scan(rng):
+def test_gamma_interval_piecewise_path_matches_breakpoint_scan(rng):
     g = build_grid(1, 6, 1.0)  # 64 distinct values forces the search path
     params = ContentParams(delta=0.8)
     for _ in range(5):

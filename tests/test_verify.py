@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import capbmo.content
 import capbmo.verify
 from capbmo.content import ContentParams, masked_integral
 from capbmo.fixtures import (
@@ -14,12 +15,21 @@ from capbmo.fixtures import (
     random_positive_weight,
     two_cell_example,
 )
-from capbmo.grid import CubeFamilyPolicy, CubeSpec, DyadicSet, build_grid, full_set, step_function
+from capbmo.grid import (
+    CubeFamilyPolicy,
+    CubeSpec,
+    DyadicSet,
+    build_grid,
+    enumerate_cubes,
+    full_set,
+    step_function,
+)
 from capbmo.oscillation import blo_seminorm, bmo_seminorm, oscillation_objective
 from capbmo.reports import InvariantViolation
 from capbmo.verify import (
     fit_envelope,
     survival_curve,
+    survival_curves,
     verify_characterization,
     verify_equivalences,
     verify_factorization,
@@ -61,6 +71,23 @@ def test_survival_curve_monotone_and_weighted(rng):
         assert np.all(np.diff(s) <= 0)
         assert s[0] <= curve.normalizer + 1e-12
         assert s[-1] == 0.0  # beyond the largest deviation nothing survives
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_survival_curves_frame_the_family_once(monkeypatch, weighted):
+    f = log_abs_function(2, 3)
+    cubes = enumerate_cubes(f.grid, CubeFamilyPolicy("dyadic"))
+    weight = random_positive_weight(f.grid, np.random.default_rng(3)) if weighted else None
+    real, calls = capbmo.verify.cube_frames, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(capbmo.verify, "cube_frames", counted)
+    monkeypatch.setattr(capbmo.content, "cube_frames", counted)
+    curves = survival_curves(f, [0.0] * len(cubes), cubes, weight, ContentParams(delta=1.5), (0.0, 1.0))
+    assert len(curves) == len(cubes) and len(calls) == 1
 
 
 def test_survival_curve_validation(grid_1d):
