@@ -304,7 +304,7 @@ def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
     """Group a family's cubes by frame depth: a list of (positions, CubeFrames),
     positions ascending within each group."""
     params.validate(grid)
-    corners, sides = family
+    corners, sides = family.corners, family.sides
     if not len(sides):
         return []
     if corners.shape[1] != grid.n:
@@ -315,7 +315,7 @@ def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
     span = corners | last
     if np.bitwise_or.reduce(span, axis=None) >> grid.depth:
         i = int(np.flatnonzero(np.bitwise_or.reduce(span, axis=1) >> grid.depth)[0])
-        raise ValueError(f"cube {CubeSpec(corners[i], sides[i])} does not fit inside the grid")
+        raise ValueError(f"cube {family[i]} does not fit inside the grid")
     frames, depth = _frames(corners, last)
     offset = frames @ _strides(grid.shape)
     lo, hi = corners - frames, last - frames
@@ -335,9 +335,9 @@ def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
 def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray:
     """(len(cubes), len(jobs)) Choquet integrals of each job over each cube.
 
-    cubes is a CubeFamily or a CubeSpec sequence. A job is a flat
-    (values, mask) pair, mask None for the whole cube; it is integrated
-    over cube cap mask. Rows are built one chunk at a time.
+    cubes is a CubeFamily or a CubeSpec sequence, one row per cube either
+    way. A job is a flat (values, mask) pair, mask None for the whole cube;
+    it is integrated over cube cap mask. Rows are built one chunk at a time.
     """
     family = CubeFamily.of(cubes)
     jobs = [(np.asarray(v, dtype=np.float64), m if m is None else np.asarray(m, dtype=bool))

@@ -13,14 +13,13 @@ made only for the cubes a result or a witness names.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .content import ContentParams, cube_integrals
-from .grid import CubeFamily, CubeSpec, Grid, StepFunction
+from .grid import CubeFamily, CubeSpec, Grid, StepFunction, dyadic_subcubes
 from .reports import VerificationReport
 
 __all__ = ["CZResult", "cz_decompose", "cz_verify"]
@@ -73,7 +72,7 @@ def cz_decompose(
         )
 
     # 2**n child offsets in corner order, so children come out sorted
-    bits = np.array(list(itertools.product((0, 1), repeat=grid.n)), dtype=np.int64)
+    bits = np.indices((2,) * grid.n).reshape(grid.n, -1).T
     selected: list[CubeSpec] = []
     ratios: list[float] = []
     parent_ratios: list[float] = []
@@ -123,24 +122,20 @@ def cz_verify(
     absf = np.abs(f.values)
     lam = result.threshold
     # Level L holds the (2**L)**n dyadic subcubes of side root_side >> L,
-    # row-major by position, so in corner order; the parent of position p
-    # is position p >> 1 of level L - 1.
+    # in corner order; the parent of position p is position p >> 1 of level L - 1.
+    family = dyadic_subcubes(root.corner, root.side_cells)
     depth = root.side_cells.bit_length() - 1
-    pos = [np.indices((1 << L,) * n).reshape(n, -1).T for L in range(depth + 1)]
-    start = np.cumsum([0] + [len(p) for p in pos]).tolist()
-    sides = np.repeat(root.side_cells >> np.arange(depth + 1), np.diff(start))
-    corners = np.asarray(root.corner) + np.concatenate(pos) * sides[:, None]
-    avg, _ = _weighted_averages(grid, absf, w.values, CubeFamily(corners, sides), params)
+    start = np.cumsum([0] + [1 << (n * L) for L in range(depth + 1)]).tolist()
+    pos = (family.corners - root.corner) // family.sides[:, None]
+    avg, _ = _weighted_averages(grid, absf, w.values, family, params)
     # above[i]: the largest average among cube i's strict ancestors
     above = np.full(len(avg), -np.inf)
     for L in range(1, depth + 1):
-        parent = start[L - 1] + np.ravel_multi_index((pos[L] >> 1).T, (1 << (L - 1),) * n)
-        above[start[L] : start[L + 1]] = np.maximum(above[parent], avg[parent])
-    maximal = (avg > lam) & ~(above > lam)
-    expected = []
-    for L in range(depth + 1):
         level = slice(start[L], start[L + 1])
-        expected += [CubeSpec(c, root.side_cells >> L) for c in corners[level][maximal[level]].tolist()]
+        parent = start[L - 1] + np.ravel_multi_index((pos[level] >> 1).T, (1 << (L - 1),) * n)
+        above[level] = np.maximum(above[parent], avg[parent])
+    maximal = (avg > lam) & ~(above > lam)
+    expected = [family[i] for i in np.flatnonzero(maximal).tolist()]
 
     def index(cube: CubeSpec) -> int:
         """Position of a dyadic subcube of the root in the levels."""
@@ -149,10 +144,8 @@ def cz_verify(
         if (len(cube.corner) != n or side & (side - 1) or not per_axis
                 or any(x % side or not 0 <= x < root.side_cells for x in rel)):
             raise ValueError(f"selected cube {cube.cube_id()} is not a dyadic subcube of the root")
-        i = 0
-        for x in rel:
-            i = i * per_axis + x // side
-        return start[per_axis.bit_length() - 1] + i
+        at = np.ravel_multi_index([x // side for x in rel], (per_axis,) * n)
+        return start[per_axis.bit_length() - 1] + int(at)
 
     witnesses: list = []
     selection_ok = expected == list(result.selected)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CubeSpec, Grid, StepFunction, build_grid, step_function
+from .grid import CubeFamily, Grid, StepFunction, build_grid, step_function
 
 __all__ = [
     "log_grid",
@@ -66,19 +66,13 @@ def spike_and_slab_example() -> tuple[Grid, StepFunction]:
     return grid, StepFunction(grid, values.ravel())
 
 
-def origin_chain(grid: Grid) -> list[CubeSpec]:
+def origin_chain(grid: Grid) -> CubeFamily:
     """Dyadic cubes containing the cell whose corner is the grid midpoint,
     coarsest first. On [-1,1]^n grids these are the cubes touching the
     origin from the positive orthant."""
-    cells = grid.cells_per_axis
-    target = cells // 2
-    chain = []
-    side = cells
-    while side >= 1:
-        corner = tuple((target // side) * side for _ in range(grid.n))
-        chain.append(CubeSpec(corner, side))
-        side //= 2
-    return chain
+    sides = grid.cells_per_axis >> np.arange(grid.depth + 1)
+    corner = grid.cells_per_axis // 2 // sides * sides
+    return CubeFamily(np.repeat(corner[:, None], grid.n, axis=1), sides)
 
 
 def random_step_function(grid: Grid, rng: np.random.Generator, scale: float = 1.0) -> StepFunction:

@@ -7,13 +7,16 @@ this package is constant on cells. Working with half-open cells keeps
 index arithmetic exact; geometry that is stated for left-open cubes
 elsewhere maps onto this convention by the reflection x -> root_side - x,
 under which contents and integrals are invariant.
+
+A cube family is one ``CubeFamily`` of corner and side arrays from
+``enumerate_cubes``, which builds it with array operations, to the reports;
+a ``CubeSpec`` is made only where one cube is read.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -220,11 +223,29 @@ class CubeSpec:
         return CubeSpec((0,) * grid.n, grid.cells_per_axis)
 
 
-class CubeFamily(NamedTuple):
-    """A cube family as arrays: corner cell indices (N, n) and sides (N,), int64."""
+class CubeFamily(Sequence):
+    """A cube family as arrays: corner cell indices (N, n) and sides (N,),
+    int64. As a sequence it holds CubeSpecs, each made when it is read."""
 
-    corners: np.ndarray
-    sides: np.ndarray
+    __slots__ = ("corners", "sides")
+
+    def __init__(self, corners, sides):
+        self.corners = np.asarray(corners, dtype=np.int64)
+        self.sides = np.asarray(sides, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.sides)
+
+    def __getitem__(self, i) -> CubeSpec:
+        return CubeSpec(self.corners[i].tolist(), self.sides[i])
+
+    def __iter__(self):
+        return map(CubeSpec, self.corners.tolist(), self.sides.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
     @classmethod
     def of(cls, cubes) -> "CubeFamily":
@@ -235,7 +256,7 @@ class CubeFamily(NamedTuple):
             corners = np.array([Q.corner for Q in cubes], dtype=np.int64)
         except ValueError:  # ragged: some corner has another dimension
             raise ValueError("cube corner dimension does not match the grid") from None
-        return cls(corners, np.array([Q.side_cells for Q in cubes], dtype=np.int64))
+        return cls(corners, [Q.side_cells for Q in cubes])
 
 
 @dataclass(frozen=True)
@@ -249,8 +270,8 @@ class CubeFamilyPolicy:
     def __post_init__(self):
         if self.kind not in ("dyadic", "lattice", "sampled"):
             raise ValueError(f"unknown cube family kind {self.kind!r}")
-        if self.kind == "sampled" and self.sample_count < 1:
-            raise ValueError("sampled policy needs a positive sample_count")
+        if self.kind == "sampled" and not 1 <= self.sample_count <= MAX_CELLS:
+            raise ValueError(f"sampled policy needs a sample_count from 1 to MAX_CELLS = {MAX_CELLS}")
 
 
 def build_grid(n: int, depth: int, root_side: float = 1.0, origin=None) -> Grid:
@@ -291,28 +312,29 @@ def cube_set(grid: Grid, cube: CubeSpec) -> DyadicSet:
     return DyadicSet(grid, cube.mask(grid))
 
 
-def dyadic_cubes(grid: Grid):
+def dyadic_subcubes(corner, side: int) -> CubeFamily:
+    """Every dyadic subcube of the cube (corner, side), side a power of two:
+    level by level from the cube itself down to single cells, each level
+    in row-major order of position, so in corner order."""
+    n, levels = len(corner), range(side.bit_length())
+    sides = np.repeat(side >> np.arange(len(levels)), [1 << (n * L) for L in levels])
+    pos = np.concatenate([np.indices((1 << L,) * n).reshape(n, -1).T for L in levels])
+    return CubeFamily(np.asarray(corner) + pos * sides[:, None], sides)
+
+
+def dyadic_cubes(grid: Grid) -> CubeFamily:
     """All dyadic subcubes of the root, coarsest level first."""
-    out = []
-    for level in range(grid.depth + 1):
-        side = grid.cells_per_axis >> level
-        positions = range(0, grid.cells_per_axis, side)
-        for corner in itertools.product(positions, repeat=grid.n):
-            out.append(CubeSpec(corner, side))
-    return out
+    return dyadic_subcubes((0,) * grid.n, grid.cells_per_axis)
 
 
-def lattice_cubes(grid: Grid):
-    """Every cube of whole cells: any corner, any side that fits."""
-    N = grid.cells_per_axis
-    out = []
-    for side in range(1, N + 1):
-        for corner in itertools.product(range(N - side + 1), repeat=grid.n):
-            out.append(CubeSpec(corner, side))
-    return out
+def lattice_cubes(grid: Grid) -> CubeFamily:
+    """Every cube of whole cells, by side and then row-major by corner."""
+    N, n = grid.cells_per_axis, grid.n
+    corners = [np.indices((N - s + 1,) * n).reshape(n, -1).T for s in range(1, N + 1)]
+    return CubeFamily(np.concatenate(corners), np.repeat(np.arange(1, N + 1), [len(c) for c in corners]))
 
 
-def enumerate_cubes(grid: Grid, policy: CubeFamilyPolicy):
+def enumerate_cubes(grid: Grid, policy: CubeFamilyPolicy) -> CubeFamily:
     """Cube family for the policy; deterministic for a fixed seed."""
     if policy.kind == "dyadic":
         return dyadic_cubes(grid)
@@ -320,24 +342,20 @@ def enumerate_cubes(grid: Grid, policy: CubeFamilyPolicy):
         return lattice_cubes(grid)
     base = dyadic_cubes(grid)
     N = grid.cells_per_axis
-    # Uniform draw over the lattice family without materializing it:
-    # pick a side with probability proportional to its corner count.
-    counts = np.array([(N - s + 1) ** grid.n for s in range(1, N + 1)], dtype=np.int64)
-    total = int(counts.sum())
+    # Uniform draw over the lattice family without materializing it: a draw
+    # numbers the lattice cubes side by side, so its side is the first whose
+    # running cube count exceeds it, and its rank among that side's cubes,
+    # in base N - side + 1, gives the corner, most significant digit first.
+    per_axis = np.arange(N, 0, -1, dtype=np.int64)  # N - side + 1 for side 1..N
+    cum = np.cumsum(per_axis**grid.n)
     rng = np.random.default_rng(policy.rng_seed)
-    draws = rng.integers(0, total, size=policy.sample_count)
-    cum = np.cumsum(counts)
-    extras = []
-    for d in draws:
-        side = int(np.searchsorted(cum, d, side="right")) + 1
-        offset = int(d - (cum[side - 2] if side > 1 else 0))
-        per_axis = N - side + 1
-        corner = []
-        for _ in range(grid.n):
-            corner.append(offset % per_axis)
-            offset //= per_axis
-        extras.append(CubeSpec(tuple(reversed(corner)), side))
-    return base + extras
+    draws = rng.integers(0, int(cum[-1]), size=policy.sample_count)
+    k = np.searchsorted(cum, draws, side="right")  # side - 1
+    rank = draws - np.append(0, cum)[k]
+    corners = np.empty((len(draws), grid.n), dtype=np.int64)
+    for axis in range(grid.n - 1, -1, -1):
+        rank, corners[:, axis] = np.divmod(rank, per_axis[k])
+    return CubeFamily(np.concatenate([base.corners, corners]), np.concatenate([base.sides, k + 1]))
 
 
 def level_set(f: StepFunction, comparator: str, threshold: float) -> DyadicSet:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,13 +93,21 @@ class GammaInterval:
 
 @dataclass(frozen=True)
 class SeminormReport:
-    """exact is False when some cube's centre came from the q < 1 dense scan."""
+    """The supremum over a family, the first cube attaining it, and the centre
+    of each cube in family order; exact is False when some centre came from
+    the q < 1 dense scan."""
 
     value: float
     worst_cube: CubeSpec | None
-    per_cube_centers: dict = field(repr=False)
+    family: CubeFamily = field(repr=False, compare=False)
+    centers: np.ndarray = field(repr=False, compare=False)
     policy: CubeFamilyPolicy | None = None
     exact: bool = True
+
+    @property
+    def per_cube_centers(self) -> MappingProxyType:
+        """A read-only cube -> centre mapping, made when it is read."""
+        return MappingProxyType(dict(zip(self.family, self.centers.tolist())))
 
 
 # q = 1 cubes with at most this many distinct (value, weight) pairs scan
@@ -175,8 +184,8 @@ def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: Conten
     (the minimum of f on it) when centres is None. F is 0 without an
     integral where f equals the centre on the whole cube."""
     family = CubeFamily.of(cubes)
-    values = np.zeros(len(family.sides))
-    at = np.empty(len(family.sides)) if centres is None else np.asarray(centres, dtype=np.float64)
+    values = np.zeros(len(family))
+    at = np.empty(len(family)) if centres is None else np.asarray(centres, dtype=np.float64)
     for positions, frames in cube_frames(f.grid, family, params):
         lo, hi = np.empty(len(positions)), np.empty(len(positions))
         for sl, fv, inside, _ in _chunk_rows(frames, f, None, len(positions)):
@@ -633,7 +642,7 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
     q = float(q)
     half = tol ** (1.0 / q)
     family = CubeFamily.of(cubes)
-    out = [None] * len(family.sides)
+    out = [None] * len(family)
     for positions, frames in cube_frames(f.grid, family, params):
         scans, search, gens = [], [], []
         for sl, fv, inside, wv in _chunk_rows(frames, f, w, len(positions)):
@@ -686,19 +695,23 @@ def gamma_interval(
     return _gamma_intervals(f, w, q, [Q], params, tol)[0]
 
 
-def _report(cubes, values, centers, policy, gis=()) -> SeminormReport:
-    best = None
-    best_val = 0.0
-    for cube, val in zip(cubes, values):
-        if best is None or val > best_val:
-            best, best_val = cube, val
+def _report(family, values, centers, policy, gis=()) -> SeminormReport:
+    worst = int(np.argmax(values))
     return SeminormReport(
-        value=best_val,
-        worst_cube=best,
-        per_cube_centers=dict(zip(cubes, centers)),
+        value=values[worst],
+        worst_cube=family[worst],
+        family=family,
+        centers=np.asarray(centers, dtype=np.float64),
         policy=policy,
         exact=not any(gi.used_fallback for gi in gis),
     )
+
+
+def _search_report(f, w, q, family, params, policy) -> SeminormReport:
+    """The report of the centre searches: (min F)**(1/q), at the plateaus' midpoints."""
+    gis = _gamma_intervals(f, w, q, family, params)
+    return _report(family, [gi.min_value ** (1.0 / q) for gi in gis],
+                   [0.5 * (gi.lo + gi.hi) for gi in gis], policy, gis)
 
 
 def bmo_seminorm(
@@ -716,9 +729,7 @@ def bmo_seminorm(
         raise ValueError(f"unknown centering {centering!r}")
     cubes = enumerate_cubes(f.grid, policy)
     if centering == "inf_c":
-        gis = _gamma_intervals(f, None, 1.0, cubes, params)
-        centers = [0.5 * (gi.lo + gi.hi) for gi in gis]
-        return _report(cubes, [gi.min_value for gi in gis], centers, policy, gis)
+        return _search_report(f, None, 1.0, cubes, params, policy)
     centers = [avg.value for avg in signed_averages(f, cubes, params)]
     return _report(cubes, _values_at(f, None, 1.0, params, cubes, centers)[0], centers, policy)
 
@@ -751,12 +762,4 @@ def weighted_bmo_seminorm(
 ) -> SeminormReport:
     """sup over cubes of (inf_c F(c))**(1/q) for the weighted objective."""
     _check(q, w)
-    cubes = enumerate_cubes(f.grid, policy)
-    gis = _gamma_intervals(f, w, q, cubes, params)
-    return _report(
-        cubes,
-        [gi.min_value ** (1.0 / q) for gi in gis],
-        [0.5 * (gi.lo + gi.hi) for gi in gis],
-        policy,
-        gis,
-    )
+    return _search_report(f, w, q, enumerate_cubes(f.grid, policy), params, policy)

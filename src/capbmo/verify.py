@@ -245,9 +245,7 @@ def verify_jn(
         )
 
     weight = w if kind == "weighted" else None
-    cubes = enumerate_cubes(f.grid, policy)
-    centers = [report.per_cube_centers[Q] for Q in cubes]
-    curves = survival_curves(f, centers, cubes, weight, params, (0.0,))
+    curves = survival_curves(f, report.centers, report.family, weight, params, (0.0,))
     fits = [fit_envelope(curve, seminorm) for curve in curves]
     if curves_out is not None:
         curves_out.extend(curves)
@@ -290,41 +288,33 @@ def _forward_characterization(kind, weight, p, params, policy):
     wv = weight.values
     dual = wv ** (-1.0 / (p - 1.0)) if kind == "bmo_ap" else None
 
-    jensen_ok = True
-    percube_ok = True
-    worst_jensen = 0.0
-    worst_percube = 0.0
-    witnesses = []
     a1 = a1_constant(weight, params, policy).ap_constant if kind == "blo_a1" else None
-    cubes = enumerate_cubes(grid, policy)
-    jobs = [(wv, None), (np.ones(grid.num_cells), None)]
+    family = enumerate_cubes(grid, policy)
+    jobs = [(wv, None), (np.ones(grid.num_cells), None)] + ([] if dual is None else [(dual, None)])
+    vals = cube_integrals(grid, family, jobs, params)
+    int_w, content = vals[:, 0], vals[:, 1]
+    m = [avg.value for avg in signed_averages(lnw, family, params)]
+    # (issue, ratio, failed) of each check on every cube; exp is math.exp
+    # per cube, which NumPy's array exp may miss by an ulp
+    jensen = [("exp bound", np.array([math.exp(x) for x in m]) * content / (2.0 * int_w))]
     if dual is not None:
-        jobs.append((dual, None))
-    family = cube_integrals(grid, cubes, jobs, params)
-    averages = signed_averages(lnw, cubes, params)
-    for Q, vals, avg in zip(cubes, family, averages):
-        int_w, content = float(vals[0]), float(vals[1])
-        m = avg.value
-        ratio = math.exp(m) * content / (2.0 * int_w)
-        worst_jensen = max(worst_jensen, ratio)
-        if ratio > 1 + _REL:
-            jensen_ok = False
-            witnesses.append({"issue": "exp bound", "cube": Q.cube_id(), "ratio": ratio})
-        if dual is not None:
-            int_dual = float(vals[2])
-            ratio2 = math.exp(-m / (p - 1.0)) * content / (2.0 * int_dual)
-            worst_jensen = max(worst_jensen, ratio2)
-            if ratio2 > 1 + _REL:
-                jensen_ok = False
-                witnesses.append({"issue": "dual exp bound", "cube": Q.cube_id(), "ratio": ratio2})
-        if kind == "blo_a1":
-            min_w = float(wv.reshape(grid.shape)[Q.slices()].min())
-            lhs = (int_w / content) / min_w
-            used = lhs / a1
-            worst_percube = max(worst_percube, used)
-            if lhs > a1 * (1 + _REL):
-                percube_ok = False
-                witnesses.append({"issue": "per-cube A1 bound", "cube": Q.cube_id(), "ratio": used})
+        exp_dual = np.array([math.exp(-x / (p - 1.0)) for x in m])
+        jensen.append(("dual exp bound", exp_dual * content / (2.0 * vals[:, 2])))
+    checks = [(issue, ratio, ratio > 1 + _REL) for issue, ratio in jensen]
+    worst_jensen = max(0.0, *(float(ratio.max()) for _, ratio in jensen))
+    jensen_ok = not any(bad.any() for _, _, bad in checks)
+    percube_ok, worst_percube = True, 0.0
+    if kind == "blo_a1":
+        w_cells = wv.reshape(grid.shape)
+        min_w = np.array([w_cells[tuple(slice(c, c + side) for c in corner)].min()
+                          for corner, side in zip(family.corners.tolist(), family.sides.tolist())])
+        lhs = int_w / content / min_w
+        used, over = lhs / a1, lhs > a1 * (1 + _REL)
+        checks.append(("per-cube A1 bound", used, over))
+        percube_ok, worst_percube = not over.any(), max(0.0, float(used.max()))
+    # witnesses cube by cube, and each cube's in the order of the checks
+    witnesses = [{"issue": checks[k][0], "cube": family[i].cube_id(), "ratio": float(checks[k][1][i])}
+                 for i, k in zip(*np.nonzero(np.array([bad for _, _, bad in checks]).T))]
 
     constants = {"jensen_usage": worst_jensen}
     chain_ok = True

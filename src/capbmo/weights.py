@@ -80,9 +80,10 @@ def maximal_function(
     if np.any(w.values < 0):
         raise ValueError("maximal_function expects a non-negative weight")
     out = np.zeros(grid.shape)
-    cubes = enumerate_cubes(grid, policy)
-    for Q, (avg,) in zip(cubes, cube_averages(grid, [w.values], cubes, params)):
-        region = out[Q.slices()]
+    family = enumerate_cubes(grid, policy)
+    avgs = cube_averages(grid, [w.values], family, params)[:, 0]
+    for corner, side, avg in zip(family.corners.tolist(), family.sides.tolist(), avgs.tolist()):
+        region = out[tuple(slice(c, c + side) for c in corner)]
         np.maximum(region, avg, out=region)
     return StepFunction(grid, out.ravel())
 
@@ -99,23 +100,23 @@ def ap_constant(
         raise ValueError("ap_constant requires a finite p > 1")
     grid = w.grid
     dual = w.values ** (-1.0 / (p - 1.0))
-    best = -math.inf
-    worst = None
-    cubes = enumerate_cubes(grid, policy)
-    for Q, (avg_w, avg_dual) in zip(cubes, cube_averages(grid, [w.values, dual], cubes, params)):
-        product = avg_w * avg_dual ** (p - 1.0)
-        # Choquet-Hoelder gives product >= 1 per cube; a failure here means
-        # a broken content, not a property of the weight.
-        if not product >= 1.0 - 1e-9:
-            raise InvariantViolation(
-                f"A_p product {product} < 1 on cube {Q.cube_id()}",
-                {"cube": Q.cube_id(), "product": float(product), "avg_w": float(avg_w),
-                 "avg_dual": float(avg_dual), "p": float(p)},
-            )
-        if product > best:
-            best, worst = product, Q
-    value = math.inf if best > INFINITE_CONSTANT else float(best)
-    return WeightReport(ap_constant=value, p=float(p), worst_cube=worst, policy=policy)
+    family = enumerate_cubes(grid, policy)
+    avgs = cube_averages(grid, [w.values, dual], family, params)
+    # scalar pow per cube: NumPy's array ** may differ from it by an ulp
+    products = [a * d ** (p - 1.0) for a, d in avgs.tolist()]
+    # Choquet-Hoelder gives product >= 1 per cube; a failure here means
+    # a broken content, not a property of the weight.
+    low = np.flatnonzero(~(np.array(products) >= 1.0 - 1e-9))
+    if low.size:
+        i = int(low[0])
+        raise InvariantViolation(
+            f"A_p product {products[i]} < 1 on cube {family[i].cube_id()}",
+            {"cube": family[i].cube_id(), "product": products[i], "avg_w": float(avgs[i, 0]),
+             "avg_dual": float(avgs[i, 1]), "p": float(p)},
+        )
+    i = int(np.argmax(products))
+    value = math.inf if products[i] > INFINITE_CONSTANT else float(products[i])
+    return WeightReport(ap_constant=value, p=float(p), worst_cube=family[i], policy=policy)
 
 
 def a1_constant(

@@ -456,3 +456,35 @@ def test_cli_invariant_violation_exits_1_with_witness(files, capsys, monkeypatch
     assert json.loads(witness) == {
         "avg_dual": 0.5, "avg_w": 0.5, "cube": "0:4", "p": 2.0, "product": 0.25
     }
+
+
+def test_oversized_sample_count_is_rejected_before_allocation(files, capsys, tmp_path):
+    # a sampled family draws sample_count cubes; at most MAX_CELLS are allowed
+    assert CubeFamilyPolicy("sampled", sample_count=MAX_CELLS).sample_count == MAX_CELLS
+    assert parse_policy(f"sampled:{MAX_CELLS}") == CubeFamilyPolicy("sampled", sample_count=MAX_CELLS)
+    for count in (0, -1, MAX_CELLS + 1):
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            CubeFamilyPolicy("sampled", sample_count=count)
+    huge = f"sampled:{10**18}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            parse_policy(f"sampled:{MAX_CELLS + 1}")
+        code, _, err = run_cli(
+            capsys, ["seminorm", "--grid", files["grid"], "--fn", files["fn"], "--family", huge]
+        )
+        assert code == 2 and "MAX_CELLS" in err
+        fx = write_json(
+            tmp_path / "fx.json",
+            {
+                "grid": {"n": 1, "depth": 2, "root_side": 4.0},
+                "functions": {"f": {"values": [8.0, 0.0, 0.0, 0.0]}},
+                "parameters": {"delta": 1.0, "family": huge},
+            },
+        )
+        code, _, err = run_cli(capsys, ["verify", "jn-bmo", "--fixture", fx])
+        assert code == 2 and "MAX_CELLS" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
