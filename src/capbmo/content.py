@@ -37,7 +37,9 @@ frame with ``_frames`` (which masks share) and groups the cubes by frame
 depth into ``CubeFrames``, all in whole-array operations; rows of
 different cubes in a group share layer-cake calls. ``cube_integrals``
 takes jobs common to every cube, ``superlevel_integrals`` per-cube level
-sets, and ``masked_integral_many`` any (values, mask) jobs, on the
+sets {|f - c| > t}, one job per distinct non-empty set (plain contents:
+one chain per cube, whose levels are all of the cube's sets), and
+``masked_integral_many`` any (values, mask) jobs, on the
 one-cube family of their mask union's frame. Callers stack at most
 ``_JOB_CELLS`` cells of job rows per call (``job_chunks``). Both budgets
 bound memory only: a job's thresholds, frame and exactly rounded sum do
@@ -360,27 +362,78 @@ def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray
     return out
 
 
-def superlevel_integrals(groups, values, centers, levels, weights):
+def superlevel_integrals(groups, values, centers, levels, weights=None):
     """Per cube Q_i of a family framed by ``cube_frames`` into groups, the
     integrals of weights over Q_i cap {|values - centers[i]| > t} for each t
-    in levels[i], every (cube, level) job stacked on the family's rows."""
+    in levels[i]; with weights None, the contents of those sets.
+
+    The set of a level t is fixed by how many of Q_i's distinct deviations
+    |values - centers[i]| exceed t, so each distinct non-empty set is
+    integrated once and its float scattered back to every level selecting
+    it; an empty set is 0.0 without a job. Plain contents take a cube's
+    sets from one chain instead: |values - centers[i]| over Q_i keyed by
+    zeros, so that every distinct deviation d_k, zero included, is a level
+    and {|values - c| >= d_k} is the set of every t in [d_{k-1}, d_k), the
+    whole cube at k = 1. Either way a value is its set's float in Q_i's
+    frame, whichever levels share it.
+    """
     centers = np.asarray(centers, dtype=np.float64)
     out = [None] * sum(len(positions) for positions, _ in groups)
     for positions, frames in groups:
         members = positions.tolist()
         counts = [len(levels[i]) for i in members]
-        local = np.repeat(np.arange(len(members)), counts)
-        thresholds = np.concatenate([levels[i] for i in members])
+        first = np.cumsum([0] + counts)  # each cube's first level
+        owner = np.repeat(np.arange(len(members)), counts)
+        ts = np.concatenate([np.asarray(levels[i], dtype=np.float64) for i in members])
         shift = centers[positions]
-        vals = np.empty(len(local))
-        for sl in job_chunks(len(local), frames.cells):
-            which = local[sl]
-            dev = np.abs(frames.rows(values, which) - shift[which, None])
-            masks = frames.masks(which) & (dev > thresholds[sl, None])
-            vals[sl] = frames.integrate(frames.rows(weights, which), masks)
-        for i, part in zip(members, np.split(vals, np.cumsum(counts)[:-1])):
-            out[i] = part
+
+        def deviations(which):
+            return np.abs(frames.rows(values, which) - shift[which, None])
+
+        vals = np.zeros(len(ts))
+        # below[l]: how many of its cube's distinct deviations level l reaches
+        below, distinct = np.empty(len(ts), dtype=np.int64), np.empty(len(members), dtype=np.int64)
+        for sl in job_chunks(len(members), frames.cells):
+            which = np.arange(sl.start, min(sl.stop, len(members)))
+            lv = slice(first[which[0]], first[which[-1] + 1])
+            local = owner[lv] - sl.start
+            dev, inside = deviations(which), frames.masks(which)
+            if weights is None:
+                chains = frames.chains(dev, inside, np.zeros(dev.shape))
+                edges, bounds = chains.thresholds, chains.bounds
+            else:
+                dev[~inside] = np.nan
+                rows, count = row_unique(dev)
+                edges, bounds = rows[~np.isnan(rows)], np.cumsum(np.append(0, count))
+            below[lv] = _at_most(edges, bounds, ts[lv], local)
+            distinct[which] = np.diff(bounds)
+            if weights is None:  # chain level below[l] is level l's set
+                at = np.append(chains.contents, 0.0)[bounds[local] + below[lv]]
+                vals[lv] = np.where(below[lv] < distinct[owner[lv]], at, 0.0)
+        if weights is not None:
+            live = np.flatnonzero(below < distinct[owner])
+            sets, pick, job = np.unique(owner[live] * (frames.cells + 1) + below[live],
+                                        return_index=True, return_inverse=True)
+            pick = live[pick]  # the first level selecting each set
+            integrals = np.empty(len(sets))
+            for sl in job_chunks(len(sets), frames.cells):
+                which = owner[pick[sl]]
+                masks = frames.masks(which) & (deviations(which) > ts[pick[sl], None])
+                integrals[sl] = frames.integrate(frames.rows(weights, which), masks)
+            vals[live] = integrals[job]
+        for i, a, b in zip(members, first[:-1].tolist(), first[1:].tolist()):
+            out[i] = vals[a:b]
     return out
+
+
+def _at_most(edges, bounds, queries, owner):
+    """For each query, how many edges of its owner are at most it; owner j
+    holds the ascending edges[bounds[j]:bounds[j + 1]]. One sort ranks the
+    edges and queries together, so that (owner, rank) keys are ordered."""
+    _, rank = np.unique(np.concatenate([edges, queries]), return_inverse=True)
+    scale = len(rank) + 1
+    key = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)) * scale + rank[: len(edges)]
+    return np.searchsorted(key, owner * scale + rank[len(edges) :], side="right") - bounds[owner]
 
 
 def masked_integral_many(

@@ -730,8 +730,13 @@ def bmo_seminorm(
     cubes = enumerate_cubes(f.grid, policy)
     if centering == "inf_c":
         return _search_report(f, None, 1.0, cubes, params, policy)
-    centers = [avg.value for avg in signed_averages(f, cubes, params)]
-    return _report(cubes, _values_at(f, None, 1.0, params, cubes, centers)[0], centers, policy)
+    return _signed_report(f, cubes, [avg.value for avg in signed_averages(f, cubes, params)],
+                          params, policy)
+
+
+def _signed_report(f, cubes, averages, params, policy) -> SeminormReport:
+    """The "f_Q_delta" report, given the signed averages of f on the cubes."""
+    return _report(cubes, _values_at(f, None, 1.0, params, cubes, averages)[0], averages, policy)
 
 
 def blo_values(f: StepFunction, cubes, params: ContentParams, q: float = 1.0):

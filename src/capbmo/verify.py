@@ -35,9 +35,9 @@ from .grid import (
     StepFunction,
     enumerate_cubes,
 )
-from .oscillation import blo_seminorm, blo_values, bmo_seminorm, weighted_bmo_seminorm
+from .oscillation import _signed_report, blo_seminorm, blo_values, bmo_seminorm, weighted_bmo_seminorm
 from .reports import InvariantViolation, VerificationReport
-from .weights import a1_constant, ap_constant, maximal_function
+from .weights import _ap_report, a1_constant, ap_constant, maximal_function
 from . import fixtures
 
 __all__ = [
@@ -104,8 +104,13 @@ def survival_curves(
     params: ContentParams,
     t_grid: tuple[float, ...] = (0.0,),
 ) -> list[SurvivalCurve]:
-    """survival_curve of every cube around its own center, with every
-    (cube, sample) job of the family in shared layer-cake calls."""
+    """survival_curve of every cube around its own center.
+
+    A cube's samples select one set per distinct jump at most (a jump and
+    the point below the next one select the same set), so the weighted
+    curves integrate each distinct set once and the unweighted ones read
+    every sample and the normaliser from one chain of |f - center| per
+    cube, all in shared layer-cake calls of the family."""
     grid = f.grid
     if weight is not None:
         if weight.grid != grid:
@@ -138,7 +143,7 @@ def survival_curves(
             rows[np.arange(len(pos)), count] = -np.inf
             for i, row, end in zip(pos.tolist(), rows, (count + 1).tolist()):
                 levels[i] = row[:end]
-    wv = np.ones(grid.num_cells) if weight is None else weight.values
+    wv = None if weight is None else weight.values
     curves = []
     for Q, level, vals in zip(
         cubes, levels, superlevel_integrals(groups, f.values, centers, levels, wv)
@@ -319,8 +324,10 @@ def _forward_characterization(kind, weight, p, params, policy):
     constants = {"jensen_usage": worst_jensen}
     chain_ok = True
     if kind == "bmo_ap":
-        semi = bmo_seminorm(lnw, params, policy, centering="f_Q_delta").value
-        ap = ap_constant(weight, p, params, policy).ap_constant
+        # both from the integrals above: the signed averages m of ln w, and
+        # the averages of w and its dual over the same family
+        semi = _signed_report(lnw, family, m, params, policy).value
+        ap = _ap_report(vals[:, [0, 2]] / vals[:, 1:2], p, family, policy).ap_constant
         constants.update({"seminorm": semi, "ap_constant": ap, "p": p})
         if p == 2.0:
             constants["chain_usage"] = semi / (4.0 * ap)
@@ -413,8 +420,8 @@ def verify_characterization(
         raise ValueError(f"unknown characterization kind {kind!r}")
     if (weight is None) == (function_family is None):
         raise ValueError("supply exactly one of weight or function_family")
-    if kind == "bmo_ap" and not p > 1:
-        raise ValueError("bmo_ap characterization needs p > 1")
+    if kind == "bmo_ap" and not 1 < p < math.inf:
+        raise ValueError("bmo_ap characterization needs a finite p > 1")
     if weight is not None:
         return _forward_characterization(kind, weight, p, params, policy)
     return _reverse_characterization(kind, function_family, depths, gamma_grid, p, params, policy)
@@ -622,18 +629,21 @@ def weak_restricted_strong_check(
     The weak constant C is measured as the maximum of
     lambda * content({Mf > lambda})^(1/p) / ||f||_p over a grid of lambdas
     placed just below each value of Mf, which attains the supremum for
-    step functions up to rounding.
+    step functions up to rounding. Every content of {Mf > lambda} comes
+    from the one chain of Mf over the root, each the float of its own set.
+
+    p must be finite. A ||f||_p, left or right side that over- or
+    underflows, to inf or NaN or to 0 although f is not 0 and content(E)
+    is positive, raises ValueError: the check would compare rounding, not
+    the inequality.
     """
-    if not 0 < r < p:
-        raise ValueError("need 0 < r < p")
+    if not 0 < r < p < math.inf:
+        raise ValueError("need 0 < r < p < inf")
     grid = f.grid
     if E.grid != grid:
         raise ValueError("set lives on a different grid")
     absf = np.abs(f.values)
-    full = np.ones(grid.num_cells, dtype=bool)
-    lp = masked_integral(grid, absf**p, full, params) ** (1.0 / p)
-    mf = maximal_function(StepFunction(grid, absf), params, policy).values
-    if lp == 0:
+    if not absf.any():
         return VerificationReport(
             check_name="weak-restricted-strong",
             params={"p": p, "r": r, "delta": params.delta},
@@ -641,16 +651,24 @@ def weak_restricted_strong_check(
             constants={"weak_constant": 0.0, "left": 0.0, "right": 0.0},
             witnesses=[],
         )
+    full = np.ones(grid.num_cells, dtype=bool)
+    with np.errstate(over="ignore", under="ignore"):
+        lp = _power(masked_integral(grid, absf**p, full, params), 1.0 / p)
+    _require_representable("||f||_p", lp, p, r)
+    mf = maximal_function(StepFunction(grid, absf), params, policy).values
     values = np.unique(mf[mf > 0])
     lams = values * (1.0 - 1e-9)
-    # the contents of {Mf > lambda}, Mf >= 0, built one chunk of level rows at a time
+    # the contents of {Mf > lambda}, Mf >= 0, from one chain of Mf
     root = cube_frames(grid, CubeFamily.of([CubeSpec.root(grid)]), params)
-    contents = superlevel_integrals(root, mf, [0.0], [lams], np.ones(grid.num_cells))[0]
+    contents = superlevel_integrals(root, mf, [0.0], [lams])[0]
     weak = float(np.max(lams * contents ** (1.0 / p)) / lp)
 
-    left = masked_integral(grid, mf**r, E.membership, params) ** (1.0 / r)
+    with np.errstate(over="ignore", under="ignore"):
+        left = _power(masked_integral(grid, mf**r, E.membership, params), 1.0 / r)
     content_e = dyadic_content(grid, E, params)
-    right = weak * (p / (p - r)) ** (1.0 / r) * content_e ** (1.0 / r - 1.0 / p) * lp
+    right = weak * _power(p / (p - r), 1.0 / r) * _power(content_e, 1.0 / r - 1.0 / p) * lp
+    _require_representable("left", left, p, r, zero_ok=content_e == 0)
+    _require_representable("right", right, p, r, zero_ok=content_e == 0)
     ok = left <= right * (1 + 1e-8)
     return VerificationReport(
         check_name="weak-restricted-strong",
@@ -665,3 +683,17 @@ def weak_restricted_strong_check(
         },
         witnesses=[],
     )
+
+
+def _power(x: float, y: float) -> float:
+    """x ** y for x >= 0, inf where the float power overflows."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _require_representable(name: str, value: float, p: float, r: float, zero_ok: bool = False) -> None:
+    """Reject a side of the weak-type check that is not finite, or is 0 unless zero_ok."""
+    if not math.isfinite(value) or (value == 0 and not zero_ok):
+        raise ValueError(f"{name} = {value!r} over- or underflows with p = {p!r} and r = {r!r}")

@@ -101,7 +101,11 @@ def ap_constant(
     grid = w.grid
     dual = w.values ** (-1.0 / (p - 1.0))
     family = enumerate_cubes(grid, policy)
-    avgs = cube_averages(grid, [w.values, dual], family, params)
+    return _ap_report(cube_averages(grid, [w.values, dual], family, params), p, family, policy)
+
+
+def _ap_report(avgs: np.ndarray, p: float, family, policy: CubeFamilyPolicy) -> WeightReport:
+    """The A_p report of the (avg w, avg w**(-1/(p-1))) rows of a family."""
     # scalar pow per cube: NumPy's array ** may differ from it by an ulp
     products = [a * d ** (p - 1.0) for a, d in avgs.tolist()]
     # Choquet-Hoelder gives product >= 1 per cube; a failure here means

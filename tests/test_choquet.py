@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capbmo.choquet import (
     choquet,
@@ -42,15 +44,20 @@ def layer_cake_reference(f, region, params):
     return total
 
 
-def test_matches_midpoint_layer_cake_oracle(rng):
-    for _ in range(200):
-        g = random_grid(rng)
-        params = random_params(rng, g.n)
-        f = step_function(g, np.round(rng.exponential(size=g.num_cells), 2))
-        region = DyadicSet(g, rng.random(g.num_cells) < 0.6)
-        got = choquet(f, region, params)
-        want = layer_cake_reference(f, region, params)
-        assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_matches_midpoint_layer_cake_oracle(data):
+    n = data.draw(st.sampled_from([1, 2]), label="n")
+    depth = data.draw(st.integers(1, 3 if n == 1 else 2), label="depth")
+    g = build_grid(n, depth, data.draw(st.sampled_from([1.0, 2.0, 4.0]), label="root side"))
+    params = ContentParams(delta=data.draw(st.floats(0.05, 1.0), label="delta / n") * n)
+    cells = lambda elements: st.lists(elements, min_size=g.num_cells, max_size=g.num_cells)  # noqa: E731
+    # values in hundredths, so that cells tie
+    f = step_function(g, np.array(data.draw(cells(st.integers(0, 800)), label="f")) / 100.0)
+    region = DyadicSet(g, np.array(data.draw(cells(st.booleans()), label="region")))
+    got = choquet(f, region, params)
+    want = layer_cake_reference(f, region, params)
+    assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
 def test_reduces_to_sum_under_counting_measure(rng):

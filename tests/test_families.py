@@ -15,13 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbmo import czd, oscillation
+import capbmo.verify
+from capbmo import content, czd, oscillation
 from capbmo.choquet import signed_averages
-from capbmo.content import ContentParams, cube_frames, cube_integrals, masked_integral_many
+from capbmo.content import (
+    ContentParams, cube_frames, cube_integrals, masked_integral_many, superlevel_integrals,
+)
 from capbmo.fixtures import random_positive_weight
-from capbmo.grid import CubeFamily, CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, step_function
-from capbmo.verify import survival_curves, verify_characterization
+from capbmo.grid import (
+    CubeFamily, CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, full_set, step_function,
+)
+from capbmo.verify import survival_curves, verify_characterization, weak_restricted_strong_check
 from capbmo.weights import ap_constant, maximal_function
+from conftest import forced_reduction
 
 GRIDS = {1: 4, 2: 3, 3: 2}  # dimension -> depth
 POLICIES = [
@@ -205,6 +211,80 @@ def test_survival_samples_match_per_cube_unique(n, policy):
         below = np.maximum(pos - 1e-9 * np.maximum(pos, 1.0), 0.0)
         want = np.unique(np.concatenate([t_grid, jumps, below]))
         assert [t.hex() for t in curve.t_samples] == [t.hex() for t in want.tolist()]
+
+
+def superlevel_inputs(n, policy, seed):
+    """A family, centres and levels per cube that meet every case of the
+    level-to-set mapping: each cube's jumps |f - c| (0 among them, as odd
+    cubes centre on one of their cell values), points 1e-9 below and
+    1e-10 above them, a repeated jump, negative and -inf levels and a level
+    past every jump, in no particular order."""
+    grid, f, w, params = inputs(n, seed)
+    cubes = enumerate_cubes(grid, policy)
+    rng = np.random.default_rng(seed)
+    centers, levels = [], []
+    for k, Q in enumerate(cubes):
+        vals = f.values[Q.mask(grid)]
+        c = float(vals[-1]) if k % 2 else float(np.median(vals)) + 0.1
+        jumps = np.unique(np.abs(vals - c))
+        t = np.concatenate([jumps, jumps - 1e-9 * np.maximum(jumps, 1.0), jumps + 1e-10,
+                            jumps[-1:], [-1.0, -math.inf, jumps[-1] + 1.0]])
+        centers.append(c)
+        levels.append(rng.permutation(t))
+    return grid, f, w, params, cubes, centers, levels
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_superlevel_integrals_match_per_level_reference(n, policy, weighted, path):
+    """Each level's value is the float of its own (cube, level) job, by
+    float.hex, whether it comes from a shared set job or a cube's chain."""
+    grid, f, w, params, cubes, centers, levels = superlevel_inputs(n, policy, 12)
+    wv = w.values if weighted else np.ones(grid.num_cells)
+    with forced_reduction(path):
+        got = superlevel_integrals(cube_frames(grid, CubeFamily.of(cubes), params), f.values, centers,
+                                   levels, w.values if weighted else None)
+        for Q, c, t, vals in zip(cubes, centers, levels, got):
+            dev = np.abs(f.values - c)
+            # the whole-cube job keeps the reference in the cube's frame
+            want = reference(grid, Q, [(wv, dev > x) for x in t] + [(wv, None)], params)[:-1]
+            assert [v.hex() for v in vals.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
+    """One layer-cake job per distinct non-empty set with weights, one per
+    cube without, and one for every level of the weak-type check."""
+    grid, f, w, params, cubes, centers, levels = superlevel_inputs(2, CubeFamilyPolicy("lattice"), 5)
+    real, jobs = content.layer_cake, []
+
+    def counted(values, *args):
+        jobs.append(len(values))
+        return real(values, *args)
+
+    monkeypatch.setattr(content, "layer_cake", counted)
+    groups = cube_frames(grid, CubeFamily.of(cubes), params)
+    superlevel_integrals(groups, f.values, centers, levels, w.values)
+    sets = 0
+    for Q, c, t in zip(cubes, centers, levels):
+        inside = np.abs(f.values[Q.mask(grid)] - c)
+        sets += len({tuple(inside > x) for x in t} - {(False,) * len(inside)})
+    assert sum(jobs) == sets < sum(map(len, levels))
+    jobs.clear()
+    superlevel_integrals(groups, f.values, centers, levels)
+    assert sum(jobs) == len(cubes)
+
+    weak_jobs = []
+
+    def counted_levels(*args):
+        jobs.clear()
+        out = capbmo.content.superlevel_integrals(*args)
+        weak_jobs.append(sum(jobs))
+        return out
+
+    monkeypatch.setattr(capbmo.verify, "superlevel_integrals", counted_levels)
+    weak_restricted_strong_check(f, full_set(grid), 2.0, 1.0, params)
+    assert weak_jobs == [1]
 
 
 @pytest.mark.parametrize("n,policy", CASES, ids=IDS)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,31 @@ def test_cli_czd_nan_threshold_exits_2(files, capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert "NaN" in err
+
+
+@pytest.mark.parametrize("p,r,code,message", [
+    ("Infinity", 0.5, 2, "need 0 < r < p < inf"),
+    (1e308, 0.5, 2, "||f||_p = inf"),
+    (2.0, 1e-300, 2, "left = 0.0"),
+    (2.0, 1.0, 0, ""),
+])
+def test_cli_weak_strong_degenerate_parameters_exit_2(capsys, tmp_path, p, r, code, message):
+    """p = inf and p = 1e308 used to exit 1 with right = nan (the latter
+    after an overflow warning), and r = 1e-300 to pass with left = right = 0
+    from underflow; the same fixture with p = 2, r = 1 passes."""
+    fx = {
+        "grid": {"n": 1, "depth": 3, "root_side": 0.5},
+        "functions": {"f": {"values": [1.0, -2.0, 0.5, 3.0, 0.0, 1.5, -1.0, 2.0]},
+                      "E": {"values": [1, 1, 0, 0, 1, 0, 0, 1]}},
+        "parameters": {"delta": 0.5, "p": p, "r": r},
+    }
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fx).replace('"Infinity"', "Infinity"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, ["verify", "weak-strong", "--fixture", str(path)])
+    assert got == code and message in err
+    assert ("PASS" in out) == (code == 0)
 
 
 def test_cli_verify_single_and_multi(files, capsys, tmp_path):

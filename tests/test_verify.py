@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 import tracemalloc
@@ -207,6 +208,30 @@ def test_forward_characterization_bmo_ap(rng):
     rep3 = verify_characterization("bmo_ap", params, weight=w, p=3.0)
     assert rep3.passed
     assert "chain_usage" not in rep3.constants
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_forward_characterization_integrates_each_cube_once(monkeypatch, p):
+    """The A_p constant and the signed-average seminorm of ln w reuse the
+    forward check's own integrals: 3 + 4 jobs per cube, not 3 + 4 + 4 + 3,
+    and the same floats as the standalone ap_constant and bmo_seminorm."""
+    g = build_grid(2, 4, 1.0)
+    w = random_positive_weight(g, np.random.default_rng(4))
+    params = ContentParams(delta=1.0)
+    real, jobs = capbmo.content.cube_integrals, []
+
+    def counted(grid, cubes, job_list, prm):
+        jobs.append(len(cubes) * len(job_list))
+        return real(grid, cubes, job_list, prm)
+
+    for name in ("content", "verify", "choquet", "weights"):
+        monkeypatch.setattr(importlib.import_module(f"capbmo.{name}"), "cube_integrals", counted)
+    rep = verify_characterization("bmo_ap", params, weight=w, p=p)
+    assert sum(jobs) == 7 * len(enumerate_cubes(g, CubeFamilyPolicy()))
+    monkeypatch.undo()
+    assert rep.constants["ap_constant"] == ap_constant(w, p, params).ap_constant
+    lnw = step_function(g, np.log(w.values))
+    assert rep.constants["seminorm"] == bmo_seminorm(lnw, params, centering="f_Q_delta").value
 
 
 def test_forward_characterization_blo_a1(rng):
