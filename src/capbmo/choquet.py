@@ -133,7 +133,7 @@ def weighted_choquet(
     inside = np.where(region.membership, f.values, 0.0)
     below = np.append(0.0, thresholds[:-1])
     root = cube_frames(f.grid, CubeFamily.of([CubeSpec.root(f.grid)]), params)
-    measures = superlevel_integrals(root, inside, [0.0], [below], w.values)[0]
+    measures = superlevel_integrals(root, inside, [0.0], below, [0, len(below)], w.values)
     return _layer_sum(thresholds, measures)
 
 

@@ -36,10 +36,10 @@ side arrays: ``cube_frames`` checks it against the grid, finds every
 frame with ``_frames`` (which masks share) and groups the cubes by frame
 depth into ``CubeFrames``, all in whole-array operations; rows of
 different cubes in a group share layer-cake calls. ``cube_integrals``
-takes jobs common to every cube, ``superlevel_integrals`` per-cube level
-sets {|f - c| > t}, one job per distinct non-empty set (plain contents:
-one chain per cube, whose levels are all of the cube's sets), and
-``masked_integral_many`` any (values, mask) jobs, on the
+takes jobs common to every cube, ``superlevel_integrals`` level sets
+{|f - c| > t} laid out flat as ``Chains`` lays out jobs, one job per
+distinct non-empty set (plain contents: one chain per cube, whose levels
+are all of the cube's sets), and ``masked_integral_many`` any jobs, on the
 one-cube family of their mask union's frame. Callers stack at most
 ``_JOB_CELLS`` cells of job rows per call (``job_chunks``). Both budgets
 bound memory only: a job's thresholds, frame and exactly rounded sum do
@@ -362,10 +362,11 @@ def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray
     return out
 
 
-def superlevel_integrals(groups, values, centers, levels, weights=None):
+def superlevel_integrals(groups, values, centers, levels, bounds, weights=None):
     """Per cube Q_i of a family framed by ``cube_frames`` into groups, the
     integrals of weights over Q_i cap {|values - centers[i]| > t} for each t
-    in levels[i]; with weights None, the contents of those sets.
+    of Q_i's levels[bounds[i]:bounds[i + 1]]; with weights None, the
+    contents of those sets. The result is one flat array laid out as levels.
 
     The set of a level t is fixed by how many of Q_i's distinct deviations
     |values - centers[i]| exceed t, so each distinct non-empty set is
@@ -378,13 +379,14 @@ def superlevel_integrals(groups, values, centers, levels, weights=None):
     frame, whichever levels share it.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    out = [None] * sum(len(positions) for positions, _ in groups)
+    levels, bounds = np.asarray(levels, dtype=np.float64), np.asarray(bounds)
+    out = np.empty(len(levels))
     for positions, frames in groups:
-        members = positions.tolist()
-        counts = [len(levels[i]) for i in members]
-        first = np.cumsum([0] + counts)  # each cube's first level
-        owner = np.repeat(np.arange(len(members)), counts)
-        ts = np.concatenate([np.asarray(levels[i], dtype=np.float64) for i in members])
+        counts = bounds[positions + 1] - bounds[positions]
+        first = np.append(0, np.cumsum(counts))  # each member's first level in the group
+        owner = np.repeat(np.arange(len(positions)), counts)
+        at = np.arange(first[-1]) + np.repeat(bounds[positions] - first[:-1], counts)
+        ts = levels[at]
         shift = centers[positions]
 
         def deviations(which):
@@ -392,24 +394,24 @@ def superlevel_integrals(groups, values, centers, levels, weights=None):
 
         vals = np.zeros(len(ts))
         # below[l]: how many of its cube's distinct deviations level l reaches
-        below, distinct = np.empty(len(ts), dtype=np.int64), np.empty(len(members), dtype=np.int64)
-        for sl in job_chunks(len(members), frames.cells):
-            which = np.arange(sl.start, min(sl.stop, len(members)))
+        below, distinct = np.empty(len(ts), dtype=np.int64), np.empty(len(positions), dtype=np.int64)
+        for sl in job_chunks(len(positions), frames.cells):
+            which = np.arange(sl.start, min(sl.stop, len(positions)))
             lv = slice(first[which[0]], first[which[-1] + 1])
             local = owner[lv] - sl.start
             dev, inside = deviations(which), frames.masks(which)
             if weights is None:
                 chains = frames.chains(dev, inside, np.zeros(dev.shape))
-                edges, bounds = chains.thresholds, chains.bounds
+                edges, ends = chains.thresholds, chains.bounds
             else:
                 dev[~inside] = np.nan
                 rows, count = row_unique(dev)
-                edges, bounds = rows[~np.isnan(rows)], np.cumsum(np.append(0, count))
-            below[lv] = _at_most(edges, bounds, ts[lv], local)
-            distinct[which] = np.diff(bounds)
+                edges, ends = rows[~np.isnan(rows)], np.cumsum(np.append(0, count))
+            below[lv] = _at_most(edges, ends, ts[lv], local)
+            distinct[which] = np.diff(ends)
             if weights is None:  # chain level below[l] is level l's set
-                at = np.append(chains.contents, 0.0)[bounds[local] + below[lv]]
-                vals[lv] = np.where(below[lv] < distinct[owner[lv]], at, 0.0)
+                hit = np.append(chains.contents, 0.0)[ends[local] + below[lv]]
+                vals[lv] = np.where(below[lv] < distinct[owner[lv]], hit, 0.0)
         if weights is not None:
             live = np.flatnonzero(below < distinct[owner])
             sets, pick, job = np.unique(owner[live] * (frames.cells + 1) + below[live],
@@ -421,8 +423,7 @@ def superlevel_integrals(groups, values, centers, levels, weights=None):
                 masks = frames.masks(which) & (deviations(which) > ts[pick[sl], None])
                 integrals[sl] = frames.integrate(frames.rows(weights, which), masks)
             vals[live] = integrals[job]
-        for i, a, b in zip(members, first[:-1].tolist(), first[1:].tolist()):
-            out[i] = vals[a:b]
+        out[at] = vals
     return out
 
 

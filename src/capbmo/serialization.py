@@ -166,10 +166,12 @@ def report_document(body, include_timestamp: bool = True) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def curves_to_csv(curves) -> str:
+def curves_to_csv(families) -> str:
+    """One CSV row per sample of every curve of each SurvivalCurves in turn,
+    read from its flat arrays."""
     lines = ["cube_id,t,survival,normalizer"]
-    for curve in curves:
-        cube_id = curve.cube.cube_id()
-        for t, s in zip(curve.t_samples, curve.survival):
-            lines.append(f"{cube_id},{t!r},{s!r},{curve.normalizer!r}")
+    for curves in families:  # each cube's id and normaliser formatted once
+        head, tail = [f"{Q.cube_id()}," for Q in curves.family], [f",{n!r}" for n in curves.normalizers.tolist()]
+        rows = zip(curves.owners().tolist(), curves.samples.tolist(), curves.survival.tolist())
+        lines += [f"{head[i]}{t!r},{s!r}{tail[i]}" for i, t, s in rows]
     return "\n".join(lines) + "\n"

@@ -7,50 +7,41 @@ cube family and stability across depth refinements. Unknown universal
 constants are never asserted; each check either uses a sub-inequality
 with an explicit constant or records a measured constant together with a
 stability requirement.
+
+A family's survival curves live in one flat layout, ``SurvivalCurves``:
+samples and survival values in family order, bounds (cube i owns
+bounds[i]:bounds[i + 1], as ``content.Chains`` holds its jobs) and one
+normaliser per cube. ``survival_curves`` builds it from one flat
+``superlevel_integrals`` call and checks and clamps it with array
+operations; ``_envelopes`` fits every curve's envelope in one segmented
+least-squares pass, of which ``fit_envelope`` is the one-curve case;
+``verify_jn`` takes its uniform bound and ``curves_to_csv`` its rows
+from the same arrays. A ``SurvivalCurve`` is made only when one is read.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .choquet import signed_averages
 from .content import (
-    ContentParams,
-    cube_frames,
-    cube_integrals,
-    dyadic_content,
-    job_chunks,
-    masked_integral,
-    row_unique,
+    ContentParams, cube_frames, cube_integrals, dyadic_content, job_chunks, masked_integral, row_unique,
     superlevel_integrals,
 )
-from .grid import (
-    CubeFamily,
-    CubeFamilyPolicy,
-    CubeSpec,
-    DyadicSet,
-    StepFunction,
-    enumerate_cubes,
-)
+from .grid import CubeFamily, CubeFamilyPolicy, CubeSpec, DyadicSet, StepFunction, enumerate_cubes
 from .oscillation import _signed_report, blo_seminorm, blo_values, bmo_seminorm, weighted_bmo_seminorm
 from .reports import InvariantViolation, VerificationReport
-from .weights import _ap_report, a1_constant, ap_constant, maximal_function
+from .weights import _a1_report, _ap_report, _largest_averages, a1_constant, ap_constant, maximal_function
 from . import fixtures
 
 __all__ = [
-    "SurvivalCurve",
-    "EnvelopeFit",
-    "survival_curve",
-    "survival_curves",
-    "fit_envelope",
-    "verify_jn",
-    "verify_characterization",
-    "verify_equivalences",
-    "verify_inclusions",
-    "verify_factorization",
+    "SurvivalCurve", "SurvivalCurves", "EnvelopeFit", "survival_curve", "survival_curves", "fit_envelope",
+    "verify_jn", "verify_characterization", "verify_equivalences", "verify_inclusions", "verify_factorization",
     "weak_restricted_strong_check",
 ]
 
@@ -67,6 +58,35 @@ class SurvivalCurve:
     normalizer: float
     cube: CubeSpec
     weighted: bool = False
+
+
+class SurvivalCurves(Sequence):
+    """A family's survival curves in one flat layout, in family order: curve
+    i owns samples[bounds[i]:bounds[i + 1]], the same slice of survival, and
+    normalizers[i]. As a sequence it holds SurvivalCurve objects, each made
+    when it is read."""
+
+    __slots__ = ("samples", "survival", "bounds", "normalizers", "family", "weighted")
+
+    def __init__(self, samples, survival, bounds, normalizers, family: CubeFamily, weighted: bool):
+        self.samples, self.survival, self.bounds = samples, survival, bounds
+        self.normalizers, self.family, self.weighted = normalizers, family, weighted
+
+    def __len__(self) -> int:
+        return len(self.normalizers)
+
+    def __getitem__(self, i) -> SurvivalCurve:
+        i = range(len(self))[i]
+        part = slice(self.bounds[i], self.bounds[i + 1])
+        return SurvivalCurve(tuple(self.samples[part].tolist()), tuple(self.survival[part].tolist()),
+                             float(self.normalizers[i]), self.family[i], self.weighted)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def owners(self) -> np.ndarray:
+        """The curve of every sample."""
+        return np.repeat(np.arange(len(self)), np.diff(self.bounds))
 
 
 @dataclass(frozen=True)
@@ -103,8 +123,8 @@ def survival_curves(
     weight: StepFunction | None,
     params: ContentParams,
     t_grid: tuple[float, ...] = (0.0,),
-) -> list[SurvivalCurve]:
-    """survival_curve of every cube around its own center.
+) -> SurvivalCurves:
+    """survival_curve of every cube around its own center, as one SurvivalCurves.
 
     A cube's samples select one set per distinct jump at most (a jump and
     the point below the next one select the same set), so the weighted
@@ -126,7 +146,7 @@ def survival_curves(
     # at once; cells outside a cube read NaN, which row_unique drops.
     family = CubeFamily.of(cubes)
     centre = np.asarray(centers, dtype=np.float64)
-    levels = [None] * len(family.sides)
+    parts, owners = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     groups = cube_frames(grid, family, params)
     for positions, frames in groups:
         for sl in job_chunks(len(positions), frames.cells):
@@ -136,46 +156,77 @@ def survival_curves(
             jumps[~frames.masks(which)] = np.nan
             below = np.where(jumps > 0, np.maximum(jumps - 1e-9 * np.maximum(jumps, 1.0), 0.0),
                              np.nan)
-            pad = np.full((len(pos), 1), np.nan)  # room for the final level
+            # a cube's first level, -inf, takes the whole cube: the normaliser w(Q)
             rows, count = row_unique(np.concatenate(
-                [np.broadcast_to(ts, (len(pos), ts.size)), jumps, below, pad], axis=1))
-            # the final level -inf takes the whole cube: the normaliser w(Q)
-            rows[np.arange(len(pos)), count] = -np.inf
-            for i, row, end in zip(pos.tolist(), rows, (count + 1).tolist()):
-                levels[i] = row[:end]
-    wv = None if weight is None else weight.values
-    curves = []
-    for Q, level, vals in zip(
-        cubes, levels, superlevel_integrals(groups, f.values, centers, levels, wv)
-    ):
-        samples, surv, norm = level[:-1], vals[:-1], float(vals[-1])
-        # Contents of nested sets are monotone; the weighted layer cake picks
-        # job-specific thresholds, so rounding may wiggle by a few ulps. Anything
-        # beyond that means a broken content, not rounding.
-        tol = 1e-12 * max(norm, 1.0)
-        rises = np.flatnonzero(~(np.diff(surv) <= tol))
-        if rises.size:
-            k = int(rises[0])
-            raise InvariantViolation(
-                f"survival curve rises on cube {Q.cube_id()}",
-                {"cube": Q.cube_id(), "t": [float(samples[k]), float(samples[k + 1])],
-                 "survival": [float(surv[k]), float(surv[k + 1])]},
-            )
-        if surv.size and not surv[0] <= norm + tol:
-            raise InvariantViolation(
-                f"survival exceeds the cube content on cube {Q.cube_id()}",
-                {"cube": Q.cube_id(), "t": float(samples[0]), "survival": float(surv[0]),
-                 "normalizer": norm},
-            )
-        surv = np.minimum(np.minimum.accumulate(surv), norm)
-        curves.append(SurvivalCurve(
-            t_samples=tuple(float(t) for t in samples),
-            survival=tuple(float(s) for s in surv),
-            normalizer=norm,
-            cube=Q,
-            weighted=weight is not None,
-        ))
+                [np.full((len(pos), 1), -np.inf), np.broadcast_to(ts, (len(pos), ts.size)), jumps, below], axis=1))
+            keep = np.arange(rows.shape[1]) < count[:, None]
+            parts.append(rows[keep])
+            owners.append(np.broadcast_to(pos[:, None], rows.shape)[keep])
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")  # family order, each cube's levels ascending
+    levels = np.concatenate(parts)[order]
+    bounds = np.append(0, np.cumsum(np.bincount(owner, minlength=len(family))))
+    vals = superlevel_integrals(groups, f.values, centre, levels, bounds, None if weight is None else weight.values)
+    sample = np.ones(len(levels), dtype=bool)
+    sample[bounds[:-1]] = False
+    curves = SurvivalCurves(levels[sample], vals[sample], bounds - np.arange(len(bounds)), vals[bounds[:-1]],
+                            family, weight is not None)
+    # Contents of nested sets are monotone; the weighted layer cake picks
+    # job-specific thresholds, so rounding may wiggle by a few ulps. Anything
+    # beyond that means a broken content, not rounding.
+    surv, norm, owner, start = curves.survival, curves.normalizers, curves.owners(), curves.bounds[:-1]
+    tol = 1e-12 * np.maximum(norm, 1.0)
+    rises = np.flatnonzero((owner[1:] == owner[:-1]) & ~(np.diff(surv) <= tol[owner[1:]]))
+    if rises.size:
+        k = int(rises[0])
+        cube = family[owner[k]].cube_id()
+        raise InvariantViolation(
+            f"survival curve rises on cube {cube}",
+            {"cube": cube, "t": curves.samples[k : k + 2].tolist(), "survival": surv[k : k + 2].tolist()},
+        )
+    heads = np.flatnonzero(curves.bounds[1:] > start)
+    over = heads[~(surv[start[heads]] <= norm[heads] + tol[heads])]
+    if over.size:
+        i, k = int(over[0]), int(start[over[0]])
+        raise InvariantViolation(
+            f"survival exceeds the cube content on cube {family[i].cube_id()}",
+            {"cube": family[i].cube_id(), "t": float(curves.samples[k]), "survival": float(surv[k]),
+             "normalizer": float(norm[i])},
+        )
+    # each curve's running minimum at once: ranks lifted per curve, so that
+    # no earlier curve's rank is below any of a later curve's
+    value, rank = np.unique(surv, return_inverse=True)
+    lift = owner * (len(value) + 1)
+    curves.survival = np.minimum(value[np.minimum.accumulate(rank - lift) + lift], norm[owner])
     return curves
+
+
+def _envelopes(t, s, bounds, normalizers, seminorm: float):
+    """fit_envelope of every curve of a flat layout in one pass: c, C and the
+    index into t and s of each witness, -1 without positive survival. The
+    slope is sum(dx * dy) / sum(dx * dx), x and y about their curve's means,
+    x first shifted by its curve's first x so that one sample or samples at
+    one t give dx = 0 and slope 0."""
+    count = len(normalizers)
+    keep = np.flatnonzero(s > 0)
+    owner = np.repeat(np.arange(count), np.diff(bounds))[keep]
+    n = np.bincount(owner, minlength=count)
+    first = np.cumsum(n) - n
+    x = t[keep] / seminorm
+    lnratio = np.log(s[keep] / normalizers[owner])
+    dx, dy = x - x[first[owner]], -lnratio
+    dx -= (np.bincount(owner, dx, count) / np.maximum(n, 1))[owner]
+    dy -= (np.bincount(owner, dy, count) / np.maximum(n, 1))[owner]
+    sxx = np.bincount(owner, dx * dx, count)
+    slope = np.divide(np.bincount(owner, dx * dy, count), sxx, out=np.zeros(count), where=sxx > 0)
+    live = n > 0
+    c = np.where(live, np.maximum(0.5 * slope, _DECAY_FLOOR), np.inf)
+    margins = lnratio + c[owner] * x
+    # each curve's first largest margin: a stable sort by (curve, -margin)
+    at = np.lexsort((-margins, owner))[first[live]]
+    C, witness = np.ones(count), np.full(count, -1)
+    C[live], witness[live] = np.exp(margins[at]), keep[at]
+    return c, C, witness
 
 
 def fit_envelope(curve: SurvivalCurve, seminorm: float) -> EnvelopeFit:
@@ -184,28 +235,15 @@ def fit_envelope(curve: SurvivalCurve, seminorm: float) -> EnvelopeFit:
     c is half the least-squares slope of -ln(survival/normalizer) against
     t/seminorm over the positive-survival samples (floored at 1e-6); C is
     then the smallest prefactor that makes the envelope hold at every
-    sample, so a returned fit always satisfies its own bound.
+    sample, so a returned fit always satisfies its own bound. This is the
+    one-curve case of the family fit that verify_jn runs.
     """
     if seminorm <= 0:
         raise ValueError("seminorm must be positive")
-    t = np.asarray(curve.t_samples)
-    s = np.asarray(curve.survival)
-    keep = s > 0
-    if not keep.any():
-        return EnvelopeFit(c=math.inf, C=1.0, passed=True, witness=None)
-    x = t[keep] / seminorm
-    y = -np.log(s[keep] / curve.normalizer)
-    if x.size >= 2 and np.ptp(x) > 0:
-        slope = float(np.polyfit(x, y, 1)[0])
-    else:
-        slope = 0.0
-    c = max(0.5 * slope, _DECAY_FLOOR)
-    margins = np.log(s[keep] / curve.normalizer) + c * x
-    k = int(np.argmax(margins))
-    C = float(np.exp(margins[k]))
-    witness = (float(t[keep][k]), float(s[keep][k]))
-    passed = c > 0 and math.isfinite(C)
-    return EnvelopeFit(c=c, C=C, passed=passed, witness=witness)
+    t, s = np.asarray(curve.t_samples, dtype=float), np.asarray(curve.survival, dtype=float)
+    (c,), (C,), (k,) = _envelopes(t, s, np.array([0, len(t)]), np.array([curve.normalizer]), seminorm)
+    witness = None if k < 0 else (float(t[k]), float(s[k]))
+    return EnvelopeFit(c=float(c), C=float(C), passed=bool(c > 0 and math.isfinite(C)), witness=witness)
 
 
 def verify_jn(
@@ -224,6 +262,7 @@ def verify_jn(
     weighted, the essential infimum for blo), then
     asserts that the single pair (min c, max C) satisfies the bound at
     every sample of every cube. A constant function passes trivially.
+    curves_out, when given, receives the family's SurvivalCurves.
     """
     if kind not in ("bmo", "blo", "weighted"):
         raise ValueError(f"unknown John-Nirenberg kind {kind!r}")
@@ -251,26 +290,20 @@ def verify_jn(
 
     weight = w if kind == "weighted" else None
     curves = survival_curves(f, report.centers, report.family, weight, params, (0.0,))
-    fits = [fit_envelope(curve, seminorm) for curve in curves]
+    c, C, _ = _envelopes(curves.samples, curves.survival, curves.bounds, curves.normalizers, seminorm)
     if curves_out is not None:
-        curves_out.extend(curves)
+        curves_out.append(curves)
 
-    finite_cs = [fit.c for fit in fits if math.isfinite(fit.c)]
-    c_uniform = min(finite_cs) if finite_cs else math.inf
-    C_uniform = max(fit.C for fit in fits)
-    worst_C = max(range(len(fits)), key=lambda i: fits[i].C)
+    c_uniform = float(np.min(c, where=np.isfinite(c), initial=math.inf))
+    worst_C = int(np.argmax(C))
+    C_uniform = float(C[worst_C])
 
-    slack = 0.0
-    uniform_ok = True
-    for curve in curves:
-        for t, s in zip(curve.t_samples, curve.survival):
-            if s <= 0:
-                continue
-            bound = C_uniform * curve.normalizer * math.exp(-c_uniform * t / seminorm)
-            slack = max(slack, s / bound)
-            if s > bound * (1 + _REL):
-                uniform_ok = False
-    passed = uniform_ok and all(fit.passed for fit in fits)
+    live = curves.survival > 0
+    s, t = curves.survival[live], curves.samples[live]
+    bound = C_uniform * curves.normalizers[curves.owners()[live]] * np.exp(-c_uniform * t / seminorm)
+    slack = float(np.fmax.reduce(s / bound, initial=0.0))
+    uniform_ok = not np.any(s > bound * (1 + _REL))
+    passed = uniform_ok and bool(np.all((c > 0) & np.isfinite(C)))
     return VerificationReport(
         check_name="john-nirenberg",
         params=base_params,
@@ -281,7 +314,7 @@ def verify_jn(
             "seminorm": seminorm,
             "max_bound_usage": slack,
         },
-        witnesses=[curves[worst_C].cube.cube_id()],
+        witnesses=[report.family[worst_C].cube_id()],
     )
 
 
@@ -293,7 +326,6 @@ def _forward_characterization(kind, weight, p, params, policy):
     wv = weight.values
     dual = wv ** (-1.0 / (p - 1.0)) if kind == "bmo_ap" else None
 
-    a1 = a1_constant(weight, params, policy).ap_constant if kind == "blo_a1" else None
     family = enumerate_cubes(grid, policy)
     jobs = [(wv, None), (np.ones(grid.num_cells), None)] + ([] if dual is None else [(dual, None)])
     vals = cube_integrals(grid, family, jobs, params)
@@ -309,11 +341,12 @@ def _forward_characterization(kind, weight, p, params, policy):
     worst_jensen = max(0.0, *(float(ratio.max()) for _, ratio in jensen))
     jensen_ok = not any(bad.any() for _, _, bad in checks)
     percube_ok, worst_percube = True, 0.0
-    if kind == "blo_a1":
-        w_cells = wv.reshape(grid.shape)
+    if kind == "blo_a1":  # [w]_A1 from M w of the same (w, 1) integrals
+        avg_w, w_cells = int_w / content, wv.reshape(grid.shape)
+        a1 = _a1_report(weight, _largest_averages(grid, family, avg_w), policy).ap_constant
         min_w = np.array([w_cells[tuple(slice(c, c + side) for c in corner)].min()
                           for corner, side in zip(family.corners.tolist(), family.sides.tolist())])
-        lhs = int_w / content / min_w
+        lhs = avg_w / min_w
         used, over = lhs / a1, lhs > a1 * (1 + _REL)
         checks.append(("per-cube A1 bound", used, over))
         percube_ok, worst_percube = not over.any(), max(0.0, float(used.max()))
@@ -635,7 +668,10 @@ def weak_restricted_strong_check(
     p must be finite. A ||f||_p, left or right side that over- or
     underflows, to inf or NaN or to 0 although f is not 0 and content(E)
     is positive, raises ValueError: the check would compare rounding, not
-    the inequality.
+    the inequality. So does an r below 1e8 times the float epsilon (about
+    2.2e-8): both sides are 1/r-th powers, which magnify a relative rounding
+    error eps of their bases to about eps / r, past the 1e-8 tolerance of
+    the comparison.
     """
     if not 0 < r < p < math.inf:
         raise ValueError("need 0 < r < p < inf")
@@ -660,7 +696,7 @@ def weak_restricted_strong_check(
     lams = values * (1.0 - 1e-9)
     # the contents of {Mf > lambda}, Mf >= 0, from one chain of Mf
     root = cube_frames(grid, CubeFamily.of([CubeSpec.root(grid)]), params)
-    contents = superlevel_integrals(root, mf, [0.0], [lams])[0]
+    contents = superlevel_integrals(root, mf, [0.0], lams, [0, len(lams)])
     weak = float(np.max(lams * contents ** (1.0 / p)) / lp)
 
     with np.errstate(over="ignore", under="ignore"):
@@ -669,6 +705,8 @@ def weak_restricted_strong_check(
     right = weak * _power(p / (p - r), 1.0 / r) * _power(content_e, 1.0 / r - 1.0 / p) * lp
     _require_representable("left", left, p, r, zero_ok=content_e == 0)
     _require_representable("right", right, p, r, zero_ok=content_e == 0)
+    if r < 1e8 * sys.float_info.epsilon:  # after the side checks, whose messages come first
+        raise ValueError(f"r = {r!r} is too small: the 1/r-th powers magnify rounding past the 1e-8 tolerance")
     ok = left <= right * (1 + 1e-8)
     return VerificationReport(
         check_name="weak-restricted-strong",

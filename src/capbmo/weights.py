@@ -79,9 +79,14 @@ def maximal_function(
     grid = w.grid
     if np.any(w.values < 0):
         raise ValueError("maximal_function expects a non-negative weight")
-    out = np.zeros(grid.shape)
     family = enumerate_cubes(grid, policy)
-    avgs = cube_averages(grid, [w.values], family, params)[:, 0]
+    return _largest_averages(grid, family, cube_averages(grid, [w.values], family, params)[:, 0])
+
+
+def _largest_averages(grid: Grid, family, avgs: np.ndarray) -> StepFunction:
+    """Per cell, the largest of the family cubes' averages avgs over the
+    cubes containing it: M w from the averages of w."""
+    out = np.zeros(grid.shape)
     for corner, side, avg in zip(family.corners.tolist(), family.sides.tolist(), avgs.tolist()):
         region = out[tuple(slice(c, c + side) for c in corner)]
         np.maximum(region, avg, out=region)

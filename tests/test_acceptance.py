@@ -320,7 +320,7 @@ def test_exponential_decay_uniform_and_depth_stable():
                 assert rep.constants["c"] > 0
                 assert math.isfinite(rep.constants["C"]) and rep.constants["C"] > 0
                 reports[depth] = rep
-                curve_sets[depth] = curves
+                curve_sets[depth] = curves[0]  # the one family's SurvivalCurves
             floor = 0.15 if name == "log-singularity" else 1e-6
             assert min(reports[d].constants["c"] for d in (3, 4, 5)) >= floor
             # constants fitted at one depth keep working one level deeper,

@@ -25,7 +25,10 @@ from capbmo.fixtures import random_positive_weight
 from capbmo.grid import (
     CubeFamily, CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, full_set, step_function,
 )
-from capbmo.verify import survival_curves, verify_characterization, weak_restricted_strong_check
+from capbmo.verify import (
+    EnvelopeFit, SurvivalCurve, fit_envelope, survival_curves, verify_characterization,
+    weak_restricted_strong_check,
+)
 from capbmo.weights import ap_constant, maximal_function
 from conftest import forced_reduction
 
@@ -213,6 +216,66 @@ def test_survival_samples_match_per_cube_unique(n, policy):
         assert [t.hex() for t in curve.t_samples] == [t.hex() for t in want.tolist()]
 
 
+def polyfit_envelope(curve, seminorm):
+    """fit_envelope of one curve with np.polyfit's least-squares slope."""
+    t, s = np.asarray(curve.t_samples), np.asarray(curve.survival)
+    keep = s > 0
+    if not keep.any():
+        return EnvelopeFit(c=math.inf, C=1.0, passed=True, witness=None)
+    x = t[keep] / seminorm
+    y = -np.log(s[keep] / curve.normalizer)
+    slope = float(np.polyfit(x, y, 1)[0]) if x.size >= 2 and np.ptp(x) > 0 else 0.0
+    c = max(0.5 * slope, 1e-6)
+    margins = np.log(s[keep] / curve.normalizer) + c * x
+    k = int(np.argmax(margins))
+    C = float(np.exp(margins[k]))
+    return EnvelopeFit(c=c, C=C, passed=c > 0 and math.isfinite(C), witness=(float(t[keep][k]), float(s[keep][k])))
+
+
+def family_fits(curves, seminorm):
+    """EnvelopeFits of the one family pass over a list of curves, flattened."""
+    t = np.concatenate([np.asarray(curve.t_samples, dtype=float) for curve in curves])
+    s = np.concatenate([np.asarray(curve.survival, dtype=float) for curve in curves])
+    bounds = np.cumsum([0] + [len(curve.t_samples) for curve in curves])
+    norms = np.array([curve.normalizer for curve in curves])
+    c, C, at = capbmo.verify._envelopes(t, s, bounds, norms, seminorm)
+    return [EnvelopeFit(c=float(a), C=float(b), passed=bool(a > 0 and math.isfinite(b)),
+                        witness=None if k < 0 else (float(t[k]), float(s[k]))) for a, b, k in zip(c, C, at)]
+
+
+def assert_same_fit(got, want):
+    assert got.passed == want.passed and got.witness == want.witness
+    for a, b in ((got.c, want.c), (got.C, want.C)):
+        assert a == b or abs(a - b) <= 1e-12 * abs(b), (got, want)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_family_fit_matches_per_curve_polyfit(n, policy, weighted):
+    """The one least-squares pass over a family's flat curves gives every
+    curve's c and C within 1e-12 relative of np.polyfit on that curve
+    alone, with the same passed and witness, and fit_envelope, its one-curve
+    case, the same floats as the family pass. Shuffled families interleave
+    frame-depth groups; degenerate curves (no positive survival, one
+    sample, every sample at one t) sit between the others."""
+    grid, f, w, params = inputs(n, 8)
+    rng = np.random.default_rng(8)
+    cubes = enumerate_cubes(grid, policy)
+    cubes = [cubes[i] for i in rng.permutation(len(cubes))]
+    Q = CubeSpec((0,) * n, 1)
+    degenerate = [SurvivalCurve((0.0, 1.0), (0.0, 0.0), 2.0, Q), SurvivalCurve((0.5,), (0.3,), 1.0, Q),
+                  SurvivalCurve((0.1, 0.1, 0.1), (0.9, 0.5, 0.2), 1.0, Q)]
+    for values in (f.values, rng.normal(scale=3.0, size=grid.num_cells)):
+        g = step_function(grid, values)
+        centers = [float(np.median(values[Q.mask(grid)])) + 0.1 for Q in cubes]
+        curves = list(survival_curves(g, centers, cubes, w if weighted else None, params, (0.0, 0.5)))
+        curves = curves[:3] + degenerate + curves[3:] + degenerate[:1]
+        seminorm = float(rng.uniform(0.2, 3.0))
+        for curve, fit in zip(curves, family_fits(curves, seminorm)):
+            assert_same_fit(fit, polyfit_envelope(curve, seminorm))
+            assert fit_envelope(curve, seminorm) == fit
+
+
 def superlevel_inputs(n, policy, seed):
     """A family, centres and levels per cube that meet every case of the
     level-to-set mapping: each cube's jumps |f - c| (0 among them, as odd
@@ -234,6 +297,16 @@ def superlevel_inputs(n, policy, seed):
     return grid, f, w, params, cubes, centers, levels
 
 
+def flat_levels(levels):
+    """(levels, bounds) of per-cube level lists in the flat layout."""
+    return np.concatenate(levels), np.cumsum([0] + [len(t) for t in levels])
+
+
+def split_levels(flat, levels):
+    """The flat values of superlevel_integrals, one array per cube again."""
+    return np.split(flat, flat_levels(levels)[1][1:-1])
+
+
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("n,policy", CASES, ids=IDS)
@@ -243,8 +316,9 @@ def test_superlevel_integrals_match_per_level_reference(n, policy, weighted, pat
     grid, f, w, params, cubes, centers, levels = superlevel_inputs(n, policy, 12)
     wv = w.values if weighted else np.ones(grid.num_cells)
     with forced_reduction(path):
-        got = superlevel_integrals(cube_frames(grid, CubeFamily.of(cubes), params), f.values, centers,
-                                   levels, w.values if weighted else None)
+        got = split_levels(superlevel_integrals(cube_frames(grid, CubeFamily.of(cubes), params), f.values,
+                                                centers, *flat_levels(levels), w.values if weighted else None),
+                           levels)
         for Q, c, t, vals in zip(cubes, centers, levels, got):
             dev = np.abs(f.values - c)
             # the whole-cube job keeps the reference in the cube's frame
@@ -264,14 +338,14 @@ def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
 
     monkeypatch.setattr(content, "layer_cake", counted)
     groups = cube_frames(grid, CubeFamily.of(cubes), params)
-    superlevel_integrals(groups, f.values, centers, levels, w.values)
+    superlevel_integrals(groups, f.values, centers, *flat_levels(levels), w.values)
     sets = 0
     for Q, c, t in zip(cubes, centers, levels):
         inside = np.abs(f.values[Q.mask(grid)] - c)
         sets += len({tuple(inside > x) for x in t} - {(False,) * len(inside)})
     assert sum(jobs) == sets < sum(map(len, levels))
     jobs.clear()
-    superlevel_integrals(groups, f.values, centers, levels)
+    superlevel_integrals(groups, f.values, centers, *flat_levels(levels))
     assert sum(jobs) == len(cubes)
 
     weak_jobs = []

@@ -24,7 +24,7 @@ from capbmo.serialization import (
     parse_policy,
     report_document,
 )
-from capbmo.verify import survival_curve
+from capbmo.verify import survival_curves
 from capbmo.serialization import curves_to_csv
 from capbmo.content import ContentParams
 from capbmo.grid import step_function
@@ -178,8 +178,9 @@ def test_report_document_hash_and_timestamp():
 def test_curves_to_csv_shape():
     g = build_grid(1, 1, 2.0)
     f = step_function(g, np.array([2.0, 0.0]))
-    curve = survival_curve(f, 0.0, CubeSpec((0,), 2), None, ContentParams(delta=1.0))
-    text = curves_to_csv([curve])
+    curves = survival_curves(f, [0.0], [CubeSpec((0,), 2)], None, ContentParams(delta=1.0))
+    text = curves_to_csv([curves])
+    curve = curves[0]
     lines = text.strip().splitlines()
     assert lines[0] == "cube_id,t,survival,normalizer"
     assert len(lines) == 1 + len(curve.t_samples)
@@ -354,6 +355,23 @@ def test_cli_weak_strong_degenerate_parameters_exit_2(capsys, tmp_path, p, r, co
         warnings.simplefilter("error")
         got, out, err = run_cli(capsys, ["verify", "weak-strong", "--fixture", str(path)])
     assert got == code and message in err
+    assert ("PASS" in out) == (code == 0)
+
+
+@pytest.mark.parametrize("r,code", [(1e-300, 2), (1e-15, 2), (1e-8, 2), (0.5, 0)])
+def test_cli_weak_strong_rounding_decided_r_exits_2(capsys, tmp_path, r, code):
+    """With content(E) = 1 the check used to pass at r = 1e-300 with
+    left = 1.0, where (Mf)**r rounds to 1, and at r = 1e-15 with sides
+    12.20 against 10.33, where r = 1e-6 gives 10.33; such r now exit 2."""
+    fx = {
+        "grid": {"n": 1, "depth": 3, "root_side": 1.0},
+        "functions": {"f": {"values": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]}, "E": {"values": [1] * 8}},
+        "parameters": {"delta": 0.5, "p": 2.0, "r": r},
+    }
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fx))
+    got, out, err = run_cli(capsys, ["verify", "weak-strong", "--fixture", str(path)])
+    assert got == code and ("too small" in err) == (code == 2)
     assert ("PASS" in out) == (code == 0)
 
 

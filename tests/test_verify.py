@@ -148,8 +148,37 @@ def test_verify_jn_all_kinds_pass(rng):
             assert rep.passed, (kind, rep.witnesses)
             assert rep.constants["max_bound_usage"] <= 1 + 1e-9
             assert rep.constants["c"] > 0
-            assert len(curves) > 0
+            assert len(curves) == 1 and len(curves[0]) > 0
             assert rep.check_name == "john-nirenberg"
+
+
+def test_verify_jn_fits_the_family_in_one_pass(monkeypatch):
+    """On the 16x16 ln|x| fixture (341 dyadic cubes) verify_jn calls
+    np.polyfit 0 times, where a fit per cube called it 341 times, and makes
+    a SurvivalCurve only when a caller reads one from curves_out."""
+    f = log_abs_function(2, 4)
+    params = ContentParams(delta=1.0)
+    fits, made = [], []
+    real_polyfit = np.polyfit
+
+    def counted_polyfit(*args, **kwargs):
+        fits.append(1)
+        return real_polyfit(*args, **kwargs)
+
+    class CountedCurve(capbmo.verify.SurvivalCurve):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np, "polyfit", counted_polyfit)
+    monkeypatch.setattr(capbmo.verify, "SurvivalCurve", CountedCurve)
+    assert len(enumerate_cubes(f.grid, CubeFamilyPolicy())) == 341
+    assert verify_jn("bmo", f, params=params).passed
+    assert fits == [] and made == []
+    curves = []
+    assert verify_jn("bmo", f, params=params, curves_out=curves).passed
+    assert fits == [] and made == []
+    assert len(list(curves[0])) == 341 and len(made) == 341
 
 
 def test_verify_jn_takes_centers_from_the_seminorm_report(rng, monkeypatch):
@@ -210,11 +239,14 @@ def test_forward_characterization_bmo_ap(rng):
     assert "chain_usage" not in rep3.constants
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_forward_characterization_integrates_each_cube_once(monkeypatch, p):
+@pytest.mark.parametrize("kind,p", [("bmo_ap", 2.0), ("bmo_ap", 3.0), ("blo_a1", 2.0)],
+                         ids=["2.0", "3.0", "blo_a1"])
+def test_forward_characterization_integrates_each_cube_once(monkeypatch, kind, p):
     """The A_p constant and the signed-average seminorm of ln w reuse the
     forward check's own integrals: 3 + 4 jobs per cube, not 3 + 4 + 4 + 3,
-    and the same floats as the standalone ap_constant and bmo_seminorm."""
+    and the same floats as the standalone ap_constant and bmo_seminorm. The
+    A_1 constant reuses the (w, 1) integrals: 2 + 4 jobs, not 2 + 2 + 4,
+    and the same float as the standalone a1_constant."""
     g = build_grid(2, 4, 1.0)
     w = random_positive_weight(g, np.random.default_rng(4))
     params = ContentParams(delta=1.0)
@@ -226,9 +258,13 @@ def test_forward_characterization_integrates_each_cube_once(monkeypatch, p):
 
     for name in ("content", "verify", "choquet", "weights"):
         monkeypatch.setattr(importlib.import_module(f"capbmo.{name}"), "cube_integrals", counted)
-    rep = verify_characterization("bmo_ap", params, weight=w, p=p)
-    assert sum(jobs) == 7 * len(enumerate_cubes(g, CubeFamilyPolicy()))
+    rep = verify_characterization(kind, params, weight=w, p=p)
+    per_cube = 7 if kind == "bmo_ap" else 6
+    assert sum(jobs) == per_cube * len(enumerate_cubes(g, CubeFamilyPolicy()))
     monkeypatch.undo()
+    if kind == "blo_a1":
+        assert rep.constants["a1_constant"] == a1_constant(w, params).ap_constant
+        return
     assert rep.constants["ap_constant"] == ap_constant(w, p, params).ap_constant
     lnw = step_function(g, np.log(w.values))
     assert rep.constants["seminorm"] == bmo_seminorm(lnw, params, centering="f_Q_delta").value
@@ -464,11 +500,11 @@ def test_survival_curve_invariants_raise_with_witness(monkeypatch, fault):
 
     def broken(*args):
         out = real(*args)
-        vals = out[0]  # survival samples, then w(Q)
+        vals = out  # one cube: w(Q), then the survival samples
         if fault == "rising":
-            vals[1] = vals[0] + 1.0
+            vals[2] = vals[1] + 1.0
         else:
-            vals[:-1] = vals[-1] + 1.0
+            vals[1:] = vals[0] + 1.0
         return out
 
     monkeypatch.setattr(capbmo.verify, "superlevel_integrals", broken)
