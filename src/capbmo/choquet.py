@@ -117,9 +117,9 @@ def weighted_choquet(
 ) -> float:
     """choquet_wrt with mu = the w-weighted content w(.).
 
-    The w-contents of all level sets come from one family call on the
-    root cube, level set rows built one chunk at a time; each is the float
-    that ``weighted_content`` gives for that set alone.
+    The w-contents of the level sets {f >= t_k} are the root cube's chain
+    of level sets of f on the region (0 outside it) at its positive levels,
+    each the float that ``weighted_content`` gives for that set alone.
     """
     thresholds = _layer_thresholds(f, region, "weighted_choquet")
     if w.grid != f.grid:
@@ -129,12 +129,10 @@ def weighted_choquet(
     params.validate(f.grid)
     if thresholds.size == 0:
         return 0.0
-    # the level set {f >= t_k} of the region is {f > t_{k-1}}, t_0 = 0
     inside = np.where(region.membership, f.values, 0.0)
-    below = np.append(0.0, thresholds[:-1])
     root = cube_frames(f.grid, CubeFamily.of([CubeSpec.root(f.grid)]), params)
-    measures = superlevel_integrals(root, inside, [0.0], below, [0, len(below)], w.values)
-    return _layer_sum(thresholds, measures)
+    sets = superlevel_integrals(root, inside, [0.0], w.values)
+    return _layer_sum(thresholds, sets.values[sets.levels > 0])
 
 
 def signed_average(f: StepFunction, Q: CubeSpec, params: ContentParams) -> SignedAverage:

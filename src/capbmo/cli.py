@@ -23,8 +23,8 @@ from .grid import CubeSpec, DyadicSet, StepFunction
 from .oscillation import blo_seminorm, bmo_seminorm, gamma_interval, weighted_bmo_seminorm
 from .reports import InvariantViolation, to_jsonable
 from .serialization import (
-    atomic_write_text, curves_to_csv, load_fixture, load_function, load_grid, load_set, parse_cube, parse_policy,
-    report_document,
+    atomic_write_text, curves_to_csv, list_of, load_fixture, load_function, load_grid, load_set, parse_cube,
+    parse_policy, read_field, report_document,
 )
 from .verify import (
     verify_characterization, verify_equivalences, verify_factorization, verify_inclusions, verify_jn,
@@ -183,42 +183,45 @@ def _cmd_czd(args) -> int:
 def _run_check(check: str, fixture_path: str):
     fx = load_fixture(fixture_path)
     par = fx.parameters
-    params = ContentParams(delta=float(par.get("delta", 1.0)))
-    seed = int(par.get("seed", 0))
-    policy = parse_policy(str(par.get("family", "dyadic")), seed)
+
+    def get(key, default, convert=float):
+        return read_field(par, key, convert, default, "fixture parameters")
+
+    params = ContentParams(delta=get("delta", 1.0))
+    seed = get("seed", 0, int)
+    policy = parse_policy(get("family", "dyadic", str), seed)
     curves: list = []
     if check.startswith("jn-"):
         kind = check[3:]  # bmo, blo or weighted; only the weighted check reads w and q
         f = fx.function(par.get("function", "f"))
-        w, q = (fx.weight(par.get("weight", "w")), float(par.get("q", 1.0))) if kind == "weighted" else (None, 1.0)
+        w, q = (fx.weight(par.get("weight", "w")), get("q", 1.0)) if kind == "weighted" else (None, 1.0)
         rep = verify_jn(kind, f, w, q, params, policy, curves)
     elif check in ("thm-bmo-ap", "thm-blo-a1"):
-        kind, p = "bmo_ap" if check == "thm-bmo-ap" else "blo_a1", float(par.get("p", 2.0))
+        kind, p = "bmo_ap" if check == "thm-bmo-ap" else "blo_a1", get("p", 2.0)
         if "reverse_family" in par:
             if par["reverse_family"] != "log_abs":
                 raise ValueError(f"unknown reverse family {par['reverse_family']!r}")
-            n = int(par.get("n", 2))
+            n = get("n", 2, int)
             rep = verify_characterization(kind, params, policy, function_family=lambda d: log_abs_function(n, d),
-                                          depths=tuple(par.get("depths", (3, 4, 5))),
-                                          gamma_grid=par.get("gamma_grid"), p=p)
+                                          depths=tuple(get("depths", (3, 4, 5), list_of(int))),
+                                          gamma_grid=get("gamma_grid", [], lambda v: v and list_of(float)(v)), p=p)
         else:
             rep = verify_characterization(kind, params, policy, weight=fx.weight(par.get("weight", "w")), p=p)
     elif check == "equiv":
-        q_list = [float(q) for q in par.get("q_list", (0.5, 1.0, 2.0))]
         rep = verify_equivalences(fx.function(par.get("function", "f")), fx.weight(par.get("weight", "w")),
-                                  q_list, params, policy)
+                                  get("q_list", (0.5, 1.0, 2.0), list_of(float)), params, policy)
     elif check == "inclusions":
-        lo, hi = par.get("depth_range", (3, 6))
-        rep = verify_inclusions(range(int(lo), int(hi) + 1), params, n=int(par.get("n", 2)), policy=policy)
+        lo, hi = get("depth_range", (3, 6), list_of(int, 2))
+        rep = verify_inclusions(range(lo, hi + 1), params, n=get("n", 2, int), policy=policy)
     elif check == "factorization":
         g1 = fx.function(par.get("g1", "g1"))
         g2, b = fx.function(par.get("g2", par.get("g1", "g1"))), fx.function(par.get("b", "b"))
-        rep = verify_factorization(float(par.get("alpha", 1.0)), float(par.get("beta", 0.0)), g1, g2, b,
-                                   str(par.get("kind", "bmo")), params, policy)
+        rep = verify_factorization(get("alpha", 1.0), get("beta", 0.0), g1, g2, b, get("kind", "bmo", str),
+                                   params, policy)
     elif check == "weak-strong":
         E = DyadicSet(fx.grid, fx.function(par.get("set_function", "E")).values != 0)
-        rep = weak_restricted_strong_check(fx.function(par.get("function", "f")), E, float(par.get("p", 1.0)),
-                                           float(par.get("r", 0.5)), params, policy)
+        rep = weak_restricted_strong_check(fx.function(par.get("function", "f")), E, get("p", 1.0), get("r", 0.5),
+                                           params, policy)
     else:
         raise ValueError(f"unknown verify check {check!r}")
     rep = dataclasses.replace(rep, seed=seed)

@@ -36,10 +36,9 @@ side arrays: ``cube_frames`` checks it against the grid, finds every
 frame with ``_frames`` (which masks share) and groups the cubes by frame
 depth into ``CubeFrames``, all in whole-array operations; rows of
 different cubes in a group share layer-cake calls. ``cube_integrals``
-takes jobs common to every cube, ``superlevel_integrals`` level sets
-{|f - c| > t} laid out flat as ``Chains`` lays out jobs, one job per
-distinct non-empty set (plain contents: one chain per cube, whose levels
-are all of the cube's sets), and ``masked_integral_many`` any jobs, on the
+takes jobs common to every cube, ``superlevel_integrals`` each cube's
+chain of level sets of |f - c| (``LevelSets``, which ``LevelSets.at``
+reads at any level), and ``masked_integral_many`` any jobs, on the
 one-cube family of their mask union's frame. Callers stack at most
 ``_JOB_CELLS`` cells of job rows per call (``job_chunks``). Both budgets
 bound memory only: a job's thresholds, frame and exactly rounded sum do
@@ -362,79 +361,67 @@ def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray
     return out
 
 
-def superlevel_integrals(groups, values, centers, levels, bounds, weights=None):
-    """Per cube Q_i of a family framed by ``cube_frames`` into groups, the
-    integrals of weights over Q_i cap {|values - centers[i]| > t} for each t
-    of Q_i's levels[bounds[i]:bounds[i + 1]]; with weights None, the
-    contents of those sets. The result is one flat array laid out as levels.
+@dataclass(frozen=True)
+class LevelSets:
+    """Each cube's chain of level sets of |f - c|, flat in family order as
+    ``Chains`` lays out jobs: cube i owns levels[bounds[i]:bounds[i + 1]],
+    its distinct deviations d_1 < d_2 < ..., and values[k], the integral
+    over the cube's set {|f - c| >= d_k} (the whole cube at k = 1)."""
 
-    The set of a level t is fixed by how many of Q_i's distinct deviations
-    |values - centers[i]| exceed t, so each distinct non-empty set is
-    integrated once and its float scattered back to every level selecting
-    it; an empty set is 0.0 without a job. Plain contents take a cube's
-    sets from one chain instead: |values - centers[i]| over Q_i keyed by
-    zeros, so that every distinct deviation d_k, zero included, is a level
-    and {|values - c| >= d_k} is the set of every t in [d_{k-1}, d_k), the
-    whole cube at k = 1. Either way a value is its set's float in Q_i's
-    frame, whichever levels share it.
+    levels: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
+
+    def owners(self) -> np.ndarray:
+        """The cube of every level."""
+        return np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
+
+    def at(self, ts, owner) -> np.ndarray:
+        """The value of the set {|f - c| > t} of cube owner[j] for each
+        t = ts[j]: its k-th set for k = #{d <= t}, 0.0 past its last level.
+        One sort ranks the levels and the ts together, so that (cube, rank)
+        keys are ordered and one search counts the levels at most each t."""
+        _, rank = np.unique(np.concatenate([self.levels, ts]), return_inverse=True)
+        scale, m = len(rank) + 1, len(self.levels)
+        k = np.searchsorted(self.owners() * scale + rank[:m], owner * scale + rank[m:], side="right")
+        return np.where(k < self.bounds[owner + 1], np.append(self.values, 0.0)[k], 0.0)
+
+
+def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
+    """The ``LevelSets`` of |values - centers[i]| on each cube Q_i of a
+    family framed by ``cube_frames`` into groups: the integral of weights
+    over each level set, or its content with weights None.
+
+    Each chunk of cubes builds its rows of the deviations and its cube
+    masks once. Plain contents take a cube's sets from one chain of the
+    deviations keyed by zeros, so that every distinct deviation, zero
+    included, is a level; weighted sets are masks of the same deviation
+    rows, one layer-cake job per set. A value is its set's float in Q_i's
+    frame either way.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    levels, bounds = np.asarray(levels, dtype=np.float64), np.asarray(bounds)
-    out = np.empty(len(levels))
+    parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # (levels, values, cube) per chunk
     for positions, frames in groups:
-        counts = bounds[positions + 1] - bounds[positions]
-        first = np.append(0, np.cumsum(counts))  # each member's first level in the group
-        owner = np.repeat(np.arange(len(positions)), counts)
-        at = np.arange(first[-1]) + np.repeat(bounds[positions] - first[:-1], counts)
-        ts = levels[at]
-        shift = centers[positions]
-
-        def deviations(which):
-            return np.abs(frames.rows(values, which) - shift[which, None])
-
-        vals = np.zeros(len(ts))
-        # below[l]: how many of its cube's distinct deviations level l reaches
-        below, distinct = np.empty(len(ts), dtype=np.int64), np.empty(len(positions), dtype=np.int64)
         for sl in job_chunks(len(positions), frames.cells):
             which = np.arange(sl.start, min(sl.stop, len(positions)))
-            lv = slice(first[which[0]], first[which[-1] + 1])
-            local = owner[lv] - sl.start
-            dev, inside = deviations(which), frames.masks(which)
+            dev = np.abs(frames.rows(values, which) - centers[positions[which], None])
+            inside = frames.masks(which)
             if weights is None:
                 chains = frames.chains(dev, inside, np.zeros(dev.shape))
-                edges, ends = chains.thresholds, chains.bounds
+                d, out, count = chains.thresholds, chains.contents, np.diff(chains.bounds)
             else:
-                dev[~inside] = np.nan
+                dev[~inside] = np.nan  # NaN >= d is False: the masks below stay in the cube
                 rows, count = row_unique(dev)
-                edges, ends = rows[~np.isnan(rows)], np.cumsum(np.append(0, count))
-            below[lv] = _at_most(edges, ends, ts[lv], local)
-            distinct[which] = np.diff(ends)
-            if weights is None:  # chain level below[l] is level l's set
-                hit = np.append(chains.contents, 0.0)[ends[local] + below[lv]]
-                vals[lv] = np.where(below[lv] < distinct[owner[lv]], hit, 0.0)
-        if weights is not None:
-            live = np.flatnonzero(below < distinct[owner])
-            sets, pick, job = np.unique(owner[live] * (frames.cells + 1) + below[live],
-                                        return_index=True, return_inverse=True)
-            pick = live[pick]  # the first level selecting each set
-            integrals = np.empty(len(sets))
-            for sl in job_chunks(len(sets), frames.cells):
-                which = owner[pick[sl]]
-                masks = frames.masks(which) & (deviations(which) > ts[pick[sl], None])
-                integrals[sl] = frames.integrate(frames.rows(weights, which), masks)
-            vals[live] = integrals[job]
-        out[at] = vals
-    return out
-
-
-def _at_most(edges, bounds, queries, owner):
-    """For each query, how many edges of its owner are at most it; owner j
-    holds the ascending edges[bounds[j]:bounds[j + 1]]. One sort ranks the
-    edges and queries together, so that (owner, rank) keys are ordered."""
-    _, rank = np.unique(np.concatenate([edges, queries]), return_inverse=True)
-    scale = len(rank) + 1
-    key = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)) * scale + rank[: len(edges)]
-    return np.searchsorted(key, owner * scale + rank[len(edges) :], side="right") - bounds[owner]
+                d = rows[~np.isnan(rows)]
+                local = np.repeat(np.arange(len(which)), count)
+                wrows, out = frames.rows(weights, which), np.empty(len(d))
+                for s in job_chunks(len(d), frames.cells):
+                    out[s] = frames.integrate(wrows[local[s]], dev[local[s]] >= d[s, None])
+            parts.append((d, out, np.repeat(positions[which], count)))
+    levels, vals, owner = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(owner, kind="stable")  # family order, each cube's levels ascending
+    bounds = np.append(0, np.cumsum(np.bincount(owner, minlength=len(centers))))
+    return LevelSets(levels[order], vals[order], bounds)
 
 
 def masked_integral_many(

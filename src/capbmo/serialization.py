@@ -50,22 +50,40 @@ class Fixture:
 
 
 def _resolve(table: dict, name: str, kind: str) -> StepFunction:
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         known = ", ".join(sorted(table)) or "none"
         raise KeyError(f"fixture has no {kind} named {name!r} (available: {known})")
     return table[name]
 
 
-def load_grid(obj: dict) -> Grid:
+def read_field(obj: dict, key: str, convert, default=None, where: str = "grid file"):
+    """convert(obj[key]), or convert(default) when obj has no key. A missing
+    field without a default, or a value of a type or form convert rejects,
+    is a ValueError naming the field."""
+    if not isinstance(obj, dict) or (key not in obj and default is None):
+        raise ValueError(f"{where} is missing field {key!r}")
+    value = obj.get(key, default)
     try:
-        return build_grid(
-            int(obj["n"]),
-            int(obj["depth"]),
-            float(obj["root_side"]),
-            origin=tuple(float(x) for x in obj.get("origin", (0.0,) * int(obj["n"]))),
-        )
-    except KeyError as e:
-        raise ValueError(f"grid file is missing field {e}") from e
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} field {key!r} has a bad value {value!r}") from None
+
+
+def list_of(convert, length: int | None = None):
+    """A converter of a JSON list (of the given length) whose items each pass convert."""
+
+    def read(value) -> list:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            raise TypeError(f"not a list of {length or 'any'} items")
+        return [convert(x) for x in value]
+
+    return read
+
+
+def load_grid(obj: dict) -> Grid:
+    n = read_field(obj, "n", int)
+    return build_grid(n, read_field(obj, "depth", int), read_field(obj, "root_side", float),
+                      origin=read_field(obj, "origin", list_of(float, n), (0.0,) * n))
 
 
 def load_function(obj: dict, grid: Grid) -> StepFunction:
@@ -93,22 +111,26 @@ def load_set(obj: dict, grid: Grid) -> DyadicSet:
 def load_fixture(path: str) -> Fixture:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "grid" not in obj:
+    if not isinstance(obj, dict) or "grid" not in obj:
         raise ValueError(f"fixture {path} has no grid")
     grid = load_grid(obj["grid"])
-    functions = {
-        name: load_function(spec, grid) for name, spec in obj.get("functions", {}).items()
-    }
-    weights = {
-        name: load_function(spec, grid) for name, spec in obj.get("weights", {}).items()
-    }
-    return Fixture(
-        grid=grid,
-        functions=functions,
-        weights=weights,
-        parameters=dict(obj.get("parameters", {})),
-        expectations=dict(obj.get("expectations", {})),
-    )
+
+    def table(key):
+        return read_field(obj, key, _object, {}, f"fixture {path}")
+
+    def loaded(key):
+        specs = table(key)
+        return {name: load_function(read_field(specs, name, _object, where=key), grid) for name in specs}
+
+    return Fixture(grid=grid, functions=loaded("functions"), weights=loaded("weights"),
+                   parameters=table("parameters"), expectations=table("expectations"))
+
+
+def _object(value) -> dict:
+    """A JSON object as a dict."""
+    if not isinstance(value, dict):
+        raise TypeError("not an object")
+    return dict(value)
 
 
 def parse_cube(text: str, grid: Grid) -> CubeSpec:

@@ -11,8 +11,9 @@ stability requirement.
 A family's survival curves live in one flat layout, ``SurvivalCurves``:
 samples and survival values in family order, bounds (cube i owns
 bounds[i]:bounds[i + 1], as ``content.Chains`` holds its jobs) and one
-normaliser per cube. ``survival_curves`` builds it from one flat
-``superlevel_integrals`` call and checks and clamps it with array
+normaliser per cube. ``survival_curves`` reads samples, values and
+normalisers from each cube's chain of level sets (one
+``superlevel_integrals`` call) and checks and clamps them with array
 operations; ``_envelopes`` fits every curve's envelope in one segmented
 least-squares pass, of which ``fit_envelope`` is the one-curve case;
 ``verify_jn`` takes its uniform bound and ``curves_to_csv`` its rows
@@ -30,8 +31,7 @@ import numpy as np
 
 from .choquet import signed_averages
 from .content import (
-    ContentParams, cube_frames, cube_integrals, dyadic_content, job_chunks, masked_integral, row_unique,
-    superlevel_integrals,
+    ContentParams, cube_frames, cube_integrals, dyadic_content, masked_integral, superlevel_integrals,
 )
 from .grid import CubeFamily, CubeFamilyPolicy, CubeSpec, DyadicSet, StepFunction, enumerate_cubes
 from .oscillation import _signed_report, blo_seminorm, blo_values, bmo_seminorm, weighted_bmo_seminorm
@@ -126,11 +126,9 @@ def survival_curves(
 ) -> SurvivalCurves:
     """survival_curve of every cube around its own center, as one SurvivalCurves.
 
-    A cube's samples select one set per distinct jump at most (a jump and
-    the point below the next one select the same set), so the weighted
-    curves integrate each distinct set once and the unweighted ones read
-    every sample and the normaliser from one chain of |f - center| per
-    cube, all in shared layer-cake calls of the family."""
+    The samples and the normalisers are read from the cubes' chains of
+    level sets of |f - center| (``superlevel_integrals``), so each distinct
+    set is integrated once, in shared layer-cake calls of the family."""
     grid = f.grid
     if weight is not None:
         if weight.grid != grid:
@@ -141,40 +139,27 @@ def survival_curves(
     if not (np.all(ts >= 0) and np.all(np.diff(ts) >= 0)):
         raise ValueError("t_grid must be non-negative and increasing")
 
-    # Samples per cube: t_grid, every distinct |f - center| (the jumps) and
-    # a point 1e-9 below each positive jump, for a whole frame-depth group
-    # at once; cells outside a cube read NaN, which row_unique drops.
     family = CubeFamily.of(cubes)
-    centre = np.asarray(centers, dtype=np.float64)
-    parts, owners = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    groups = cube_frames(grid, family, params)
-    for positions, frames in groups:
-        for sl in job_chunks(len(positions), frames.cells):
-            which = np.arange(sl.start, min(sl.stop, len(positions)))
-            pos = positions[which]
-            jumps = np.abs(frames.rows(f.values, which) - centre[pos, None])
-            jumps[~frames.masks(which)] = np.nan
-            below = np.where(jumps > 0, np.maximum(jumps - 1e-9 * np.maximum(jumps, 1.0), 0.0),
-                             np.nan)
-            # a cube's first level, -inf, takes the whole cube: the normaliser w(Q)
-            rows, count = row_unique(np.concatenate(
-                [np.full((len(pos), 1), -np.inf), np.broadcast_to(ts, (len(pos), ts.size)), jumps, below], axis=1))
-            keep = np.arange(rows.shape[1]) < count[:, None]
-            parts.append(rows[keep])
-            owners.append(np.broadcast_to(pos[:, None], rows.shape)[keep])
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")  # family order, each cube's levels ascending
-    levels = np.concatenate(parts)[order]
+    sets = superlevel_integrals(cube_frames(grid, family, params), f.values, centers,
+                                None if weight is None else weight.values)
+    # Samples per cube, ascending and distinct: t_grid, every level d_k of
+    # its chain (the jumps of |f - center|) and a point 1e-9 below each
+    # positive one; the first set, the whole cube, is the normaliser w(Q).
+    d, owner = sets.levels, sets.owners()
+    jump = d > 0
+    t = np.concatenate([np.tile(ts, len(family)), d, np.maximum(d[jump] - 1e-9 * np.maximum(d[jump], 1.0), 0.0)])
+    owner = np.concatenate([np.repeat(np.arange(len(family)), ts.size), owner, owner[jump]])
+    order = np.lexsort((t, owner))
+    t, owner = t[order], owner[order]
+    keep = np.ones(len(t), dtype=bool)
+    keep[1:] = (t[1:] != t[:-1]) | (owner[1:] != owner[:-1])
+    t, owner = t[keep], owner[keep]
     bounds = np.append(0, np.cumsum(np.bincount(owner, minlength=len(family))))
-    vals = superlevel_integrals(groups, f.values, centre, levels, bounds, None if weight is None else weight.values)
-    sample = np.ones(len(levels), dtype=bool)
-    sample[bounds[:-1]] = False
-    curves = SurvivalCurves(levels[sample], vals[sample], bounds - np.arange(len(bounds)), vals[bounds[:-1]],
-                            family, weight is not None)
+    curves = SurvivalCurves(t, sets.at(t, owner), bounds, sets.values[sets.bounds[:-1]], family, weight is not None)
     # Contents of nested sets are monotone; the weighted layer cake picks
     # job-specific thresholds, so rounding may wiggle by a few ulps. Anything
     # beyond that means a broken content, not rounding.
-    surv, norm, owner, start = curves.survival, curves.normalizers, curves.owners(), curves.bounds[:-1]
+    surv, norm, start = curves.survival, curves.normalizers, bounds[:-1]
     tol = 1e-12 * np.maximum(norm, 1.0)
     rises = np.flatnonzero((owner[1:] == owner[:-1]) & ~(np.diff(surv) <= tol[owner[1:]]))
     if rises.size:
@@ -184,7 +169,7 @@ def survival_curves(
             f"survival curve rises on cube {cube}",
             {"cube": cube, "t": curves.samples[k : k + 2].tolist(), "survival": surv[k : k + 2].tolist()},
         )
-    heads = np.flatnonzero(curves.bounds[1:] > start)
+    heads = np.flatnonzero(bounds[1:] > start)
     over = heads[~(surv[start[heads]] <= norm[heads] + tol[heads])]
     if over.size:
         i, k = int(over[0]), int(start[over[0]])
@@ -613,21 +598,21 @@ def verify_factorization(
     grid = g1.grid
     semi = bmo_seminorm if kind == "bmo" else blo_seminorm
 
-    def log_maximal(g):
+    def part(g):  # ln(M|g|) and its seminorm
         mg = maximal_function(StepFunction(grid, np.abs(g.values)), params, policy)
         if np.any(mg.values <= 0):
             raise ValueError("maximal function vanishes; g must not be identically 0")
-        return np.log(mg.values)
+        ln = np.log(mg.values)
+        return ln, semi(StepFunction(grid, ln), params, policy).value
 
     parts = np.zeros(grid.num_cells)
     s1 = s2 = 0.0
     if alpha > 0:
-        ln1 = log_maximal(g1)
-        s1 = semi(StepFunction(grid, ln1), params, policy).value
+        ln1, s1 = part(g1)
         parts = parts + alpha * ln1
     if beta > 0:
-        ln2 = log_maximal(g2)
-        s2 = semi(StepFunction(grid, ln2), params, policy).value
+        # the CLI passes g1 as g2 when a fixture names no g2
+        ln2, s2 = (ln1, s1) if g2 is g1 and alpha > 0 else part(g2)
         parts = parts + beta * ln2
     sup_b = float(np.abs(b.values).max())
     f = StepFunction(grid, parts + b.values)
@@ -696,7 +681,7 @@ def weak_restricted_strong_check(
     lams = values * (1.0 - 1e-9)
     # the contents of {Mf > lambda}, Mf >= 0, from one chain of Mf
     root = cube_frames(grid, CubeFamily.of([CubeSpec.root(grid)]), params)
-    contents = superlevel_integrals(root, mf, [0.0], lams, [0, len(lams)])
+    contents = superlevel_integrals(root, mf, [0.0]).at(lams, 0)
     weak = float(np.max(lams * contents ** (1.0 / p)) / lp)
 
     with np.errstate(over="ignore", under="ignore"):

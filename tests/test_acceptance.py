@@ -40,9 +40,11 @@ from capbmo import (
     verify_characterization,
     verify_inclusions,
     verify_jn,
+    weak_restricted_strong_check,
     weighted_bmo_seminorm,
     weighted_l1_comparison,
 )
+from capbmo.choquet import weighted_choquet
 from capbmo.cli import main
 from capbmo.content import masked_integral_many
 from capbmo.fixtures import (
@@ -182,6 +184,45 @@ def test_outputs_keep_their_bits_on_both_reductions(tmp_path, capsys):
             got[path] = _reduction_outputs(tmp_path)
     capsys.readouterr()
     assert got["dense"] == got["sparse"]
+
+
+def test_level_set_outputs_keep_their_pinned_bits(tmp_path, capsys):
+    """The outputs built from superlevel sets, pinned as recorded: the JN
+    curves CSV of an unweighted and a weighted check, a weighted Choquet
+    integral over a region with zero cells, and the weak-type constants.
+    Inputs are dyadic rationals, so no libm function enters the samples."""
+    cells = np.arange(64)
+    fv = ((cells * 37) % 11) * 0.25 - 1.0
+    wv = 1.0 + ((cells * 13) % 7) / 8.0
+    got = {}
+    for check, family in (("jn-bmo", "dyadic"), ("jn-weighted", "lattice")):
+        fixture, curves = tmp_path / f"{check}.json", tmp_path / f"{check}.csv"
+        fixture.write_text(json.dumps({
+            "grid": {"n": 2, "depth": 3, "root_side": 2.0, "origin": [-1.0, -1.0]},
+            "functions": {"f": {"values": fv.tolist()}},
+            "weights": {"w": {"values": wv.tolist()}},
+            "parameters": {"delta": 1.0, "family": family, "q": 1.0},
+        }))
+        assert main(["verify", check, "--fixture", str(fixture), "--curves", str(curves)]) == 0
+        got[check] = hashlib.sha256(curves.read_bytes()).hexdigest()
+    capsys.readouterr()
+    g = build_grid(2, 3, 2.0)
+    region, P = DyadicSet(g, cells % 3 != 0), ContentParams(delta=0.5)
+    got["weighted_choquet"] = weighted_choquet(step_function(g, np.abs(fv)), region, step_function(g, wv), P).hex()
+    rep = weak_restricted_strong_check(step_function(g, fv), region, 2.0, 1.0, P)
+    got["weak_strong"] = {k: float(v).hex() for k, v in rep.constants.items()}
+    assert got == {
+        "jn-bmo": "f3300c31b91019cdc98a2348017cee4c6a25ad8c69595a080d7e4243f07d95fb",
+        "jn-weighted": "6c09b9573c948b5787a2358674285d48f309287c5258599144cb0ac4235774b1",
+        "weighted_choquet": "0x1.c993e935113f2p+1",
+        "weak_strong": {
+            "weak_constant": "0x1.fffffff768fa1p-1",
+            "left": "0x1.0f876ccdf6cdap+1",
+            "right": "0x1.0f876cc968984p+2",
+            "content_E": "0x1.6a09e667f3bcdp+0",
+            "usage": "0x1.000000044b831p-1",
+        },
+    }
 
 
 def test_choquet_calculus_battery_zero_violations(rng):

@@ -316,9 +316,10 @@ def test_superlevel_integrals_match_per_level_reference(n, policy, weighted, pat
     grid, f, w, params, cubes, centers, levels = superlevel_inputs(n, policy, 12)
     wv = w.values if weighted else np.ones(grid.num_cells)
     with forced_reduction(path):
-        got = split_levels(superlevel_integrals(cube_frames(grid, CubeFamily.of(cubes), params), f.values,
-                                                centers, *flat_levels(levels), w.values if weighted else None),
-                           levels)
+        sets = superlevel_integrals(cube_frames(grid, CubeFamily.of(cubes), params), f.values, centers,
+                                    w.values if weighted else None)
+        owner = np.repeat(np.arange(len(levels)), [len(t) for t in levels])
+        got = split_levels(sets.at(flat_levels(levels)[0], owner), levels)
         for Q, c, t, vals in zip(cubes, centers, levels, got):
             dev = np.abs(f.values - c)
             # the whole-cube job keeps the reference in the cube's frame
@@ -338,14 +339,14 @@ def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
 
     monkeypatch.setattr(content, "layer_cake", counted)
     groups = cube_frames(grid, CubeFamily.of(cubes), params)
-    superlevel_integrals(groups, f.values, centers, *flat_levels(levels), w.values)
+    superlevel_integrals(groups, f.values, centers, w.values)
     sets = 0
     for Q, c, t in zip(cubes, centers, levels):
         inside = np.abs(f.values[Q.mask(grid)] - c)
         sets += len({tuple(inside > x) for x in t} - {(False,) * len(inside)})
     assert sum(jobs) == sets < sum(map(len, levels))
     jobs.clear()
-    superlevel_integrals(groups, f.values, centers, *flat_levels(levels))
+    superlevel_integrals(groups, f.values, centers)
     assert sum(jobs) == len(cubes)
 
     weak_jobs = []

@@ -406,6 +406,46 @@ def test_cli_verify_single_and_multi(files, capsys, tmp_path):
     assert isinstance(doc["body"], list) and len(doc["body"]) == 2
 
 
+MALFORMED = [
+    pytest.param("jn-bmo", {"parameters": {"delta": None}}, "'delta'", id="delta-null"),
+    pytest.param("jn-weighted", {"parameters": {"q": None}}, "'q'", id="q-null"),
+    pytest.param("thm-bmo-ap", {"parameters": {"p": None}}, "'p'", id="p-null"),
+    pytest.param("factorization", {"parameters": {"alpha": None}}, "'alpha'", id="alpha-null"),
+    pytest.param("inclusions", {"parameters": {"n": None}}, "'n'", id="n-null"),
+    pytest.param("jn-weighted", {"parameters": {"q": [1.0]}}, "'q'", id="q-list"),
+    pytest.param("thm-bmo-ap", {"parameters": {"reverse_family": "log_abs", "depths": 3}}, "'depths'",
+                 id="depths-number"),
+    pytest.param("thm-blo-a1", {"parameters": {"reverse_family": "log_abs", "gamma_grid": 0.5}}, "'gamma_grid'",
+                 id="gamma_grid-number"),
+    pytest.param("inclusions", {"parameters": {"depth_range": 3}}, "'depth_range'", id="depth_range-number"),
+    pytest.param("equiv", {"parameters": {"q_list": 2}}, "'q_list'", id="q_list-number"),
+    pytest.param("equiv", {"parameters": {"q_list": [None]}}, "'q_list'", id="q_list-null-item"),
+    pytest.param("jn-bmo", {"grid": {"n": 1, "depth": 2, "root_side": None}}, "'root_side'", id="root_side-null"),
+    pytest.param("jn-bmo", {"grid": {"n": 1, "depth": 2, "root_side": 4.0, "origin": 5}}, "'origin'",
+                 id="origin-number"),
+    pytest.param("jn-bmo", {"functions": {"f": [8.0, 1.0, 2.0, 3.0]}}, "'f'", id="function-list"),
+    pytest.param("jn-bmo", {"parameters": 5}, "parameters", id="parameters-number"),
+]
+
+
+@pytest.mark.parametrize("check,change,field", MALFORMED)
+def test_cli_verify_malformed_fixture_types_exit_2(capsys, tmp_path, check, change, field):
+    """A field of the wrong JSON type is a usage error naming the field
+    (exit 2), not a TypeError traceback (exit 1, the failed-check code)."""
+    fx = {
+        "grid": {"n": 1, "depth": 2, "root_side": 4.0},
+        "functions": {name: {"values": [8.0, 1.0, 2.0, 3.0]} for name in ("f", "g1", "b")},
+        "weights": {"w": {"values": [1.0, 2.0, 1.0, 0.5]}},
+        "parameters": {},
+    }
+    fx.update(change)
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps(fx))
+    code, out, err = run_cli(capsys, ["verify", check, "--fixture", str(path)])
+    assert (code, out) == (2, "")
+    assert field in err and "Traceback" not in err
+
+
 def test_cli_verify_failure_exit_code(files, capsys, tmp_path, monkeypatch):
     fx = write_json(
         tmp_path / "fx.json",

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import capbmo.content
 import capbmo.verify
-from capbmo.content import ContentParams, masked_integral
+from capbmo.content import ContentParams, LevelSets, masked_integral
 from capbmo.fixtures import (
     log_abs_function,
     neg_log_abs_function,
@@ -89,6 +90,30 @@ def test_survival_curves_frame_the_family_once(monkeypatch, weighted):
     monkeypatch.setattr(capbmo.content, "cube_frames", counted)
     curves = survival_curves(f, [0.0] * len(cubes), cubes, weight, ContentParams(delta=1.5), (0.0, 1.0))
     assert len(curves) == len(cubes) and len(calls) == 1
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_survival_curves_build_rows_and_masks_once_per_chunk(monkeypatch, weighted):
+    """Each chunk of cubes gets its cube masks once and its rows of f once
+    (and of the weight once), shared by the samples and every level set."""
+    f = log_abs_function(2, 4)
+    params = ContentParams(delta=1.0)
+    cubes = enumerate_cubes(f.grid, CubeFamilyPolicy("dyadic"))
+    weight = random_positive_weight(f.grid, np.random.default_rng(3)) if weighted else None
+    chunks = sum(len(capbmo.content.job_chunks(len(positions), frames.cells))
+                 for positions, frames in capbmo.content.cube_frames(f.grid, cubes, params))
+    calls = {"masks": 0, "rows": 0}
+    for name in calls:
+        real = getattr(capbmo.content.CubeFrames, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(capbmo.content.CubeFrames, name, counted)
+    curves = survival_curves(f, [0.1] * len(cubes), cubes, weight, params, (0.0, 1.0))
+    assert len(curves) == len(cubes) and chunks > 1
+    assert calls == {"masks": chunks, "rows": chunks * (2 if weighted else 1)}
 
 
 def test_survival_curve_validation(grid_1d):
@@ -446,6 +471,32 @@ def test_verify_factorization(rng):
         verify_factorization(1.0, 0.0, zero, g2, b, "bmo", params)
 
 
+def test_factorization_with_g2_is_g1_computes_its_part_once(monkeypatch):
+    """With g2 the same function as g1 (what the CLI passes when a fixture
+    names no g2), M g1 and its seminorm are computed once, and the report
+    keeps the bits of two separate computations on equal inputs."""
+    g = build_grid(2, 2, 4.0)
+    rng = np.random.default_rng(3)
+    g1 = step_function(g, rng.exponential(size=16) + 0.1)
+    b = step_function(g, rng.uniform(-0.2, 0.2, size=16))
+    params = ContentParams(delta=1.0)
+    want = verify_factorization(0.7, 0.4, g1, step_function(g, g1.values.copy()), b, "bmo", params)
+    calls = {"maximal_function": 0, "bmo_seminorm": 0}
+    for name in calls:
+        real = getattr(capbmo.verify, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(capbmo.verify, name, counted)
+    got = verify_factorization(0.7, 0.4, g1, g1, b, "bmo", params)
+    assert calls == {"maximal_function": 1, "bmo_seminorm": 2}
+    assert got == want
+    hexed = lambda rep: {k: [float(x).hex() for x in np.atleast_1d(v)] for k, v in rep.constants.items()}
+    assert hexed(got) == hexed(want)
+
+
 def test_weak_restricted_strong(rng):
     for _ in range(10):
         g = random_grid(rng, max_depth_1d=3, max_depth_2d=2)
@@ -499,13 +550,13 @@ def test_survival_curve_invariants_raise_with_witness(monkeypatch, fault):
     real = capbmo.verify.superlevel_integrals
 
     def broken(*args):
-        out = real(*args)
-        vals = out  # one cube: w(Q), then the survival samples
-        if fault == "rising":
-            vals[2] = vals[1] + 1.0
-        else:
-            vals[1:] = vals[0] + 1.0
-        return out
+        sets = real(*args)  # one cube: levels 0 and 2, w(Q) and the content of {f = 2}
+        if fault == "rising":  # a level at 1 whose set outweighs the one below it
+            return LevelSets(np.array([0.0, 1.0, 2.0]), np.append(sets.values, sets.values[1] + 1.0),
+                             np.array([0, 3]))
+        values = sets.values.copy()
+        values[1:] = values[0] + 1.0
+        return dataclasses.replace(sets, values=values)
 
     monkeypatch.setattr(capbmo.verify, "superlevel_integrals", broken)
     with pytest.raises(InvariantViolation) as err:
