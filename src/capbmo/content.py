@@ -183,7 +183,10 @@ class Chains:
         long = np.flatnonzero(count > 2)
         if long.size:
             t, b = terms.tolist(), self.bounds.tolist()
-            out[long] = [_fsum(t[b[j] : b[j + 1]]) for j in long.tolist()]
+            try:
+                out[long] = [math.fsum(t[b[j] : b[j + 1]]) for j in long.tolist()]
+            except OverflowError:
+                out[long] = [_fsum(t[b[j] : b[j + 1]]) for j in long.tolist()]
         return out
 
 
@@ -212,13 +215,15 @@ def layer_cake(
     by_job = np.arange(jobs)[:, None]
     if keys is None:
         masks = masks & (values > 0)
-        keys = np.zeros(values.shape)
     levels = np.where(masks, values, -1.0)
-    order = np.lexsort((keys, levels))
+    order = np.argsort(levels, axis=1, kind="stable") if keys is None else np.lexsort((keys, levels))
     levels = levels[by_job, order]
-    ranked = keys[by_job, order]
+    step = levels[:, 1:] != levels[:, :-1]
+    if keys is not None:
+        ranked = keys[by_job, order]
+        step |= ranked[:, 1:] != ranked[:, :-1]
     distinct = levels >= 0
-    distinct[:, 1:] &= (levels[:, 1:] != levels[:, :-1]) | (ranked[:, 1:] != ranked[:, :-1])
+    distinct[:, 1:] &= step
     # rank[j, x]: index of cell x's level in job j's chain (-1 when it has
     # none), so level k of job j occupies {x: rank[j, x] >= k}.
     sorted_rank = np.cumsum(distinct, axis=1, dtype=np.int32) - 1

@@ -34,22 +34,27 @@ and cubes with at most ``_SCAN_PAIRS`` distinct (value, weight) pairs
 evaluate every breakpoint in one step instead, which is cheaper there.
 A probe at a crossing breaks ties toward one side (``layer_cake`` keys),
 so its chain still holds on that side. For q < 1 a dense scan over the
-cell values and their midpoints is used, and reported as a fallback.
+cell values and their midpoints is used, marked as a fallback
+(``GammaInterval.used_fallback``).
 
 Searches whose centres are known up front are array operations over each
 frame-depth group of ``cube_frames``: constant cubes need no integral,
 and ``_objective`` gives F on a NaN-padded (cubes x centres) matrix, the
 normalisers w(Q) in the first rows of the same layer-cake calls, for one
 given centre per cube (``_values_at``) and for ``_scan``: the q = 1
-breakpoints of small cubes and the q < 1 dense scan. Only the piecewise
-search is a generator over one cube: it yields (centre, side) probes,
-side 0 for a plain value, and is sent F(c) or a ``_Piece``. ``_lockstep``
-advances a group's generators together: each step stacks every pending
-(cube, centre) integrand, plus the normaliser of each cube asking for
-the first time, into one layer-cake call (split only at the integrator's
-cell budget), and reads the pieces of all one-sided probes of the step
-in one pass (``_piece_bounds``). The one-cube entry points run the same
-code on a one-cube family.
+breakpoints of small cubes and the q < 1 dense scan. The piecewise
+searches of all groups run together in ``_search``, in rounds of array
+operations. Each round integrates every pending (centre, side) probe,
+side 0 for a plain value, a group's probes in its own layer-cake calls
+(split only at the integrator's cell budget) and the normalisers in the
+first round; reads the pieces of all one-sided probes in one pass
+(``_piece_bounds``); and moves every cube on by masked operations. For
+q = 1 each piece's kinks come from cumsums over a padded array
+(``_kinks``), which add in the order of a 1-D cumsum. Dots and sums of
+the levels, which a padded row would round differently, are matmuls and
+row sums over the chains of one length; the bisections of q other than
+1 and 2 run per chain. The one-cube entry points run the same code on a
+one-cube family.
 """
 
 from __future__ import annotations
@@ -212,12 +217,12 @@ def oscillation_objective(
 
 
 def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.ndarray):
-    """(lo, hi, roots) of the piece of every chain in one pass.
+    """(lo, hi, roots, root_bounds) of the piece of every chain in one pass.
 
     Chain t holds the levels bounds[t]:bounds[t + 1] of v (f at each
     level's cell) and a (w**(1/q) there) and was read at centre[t]; its
-    piece is [lo[t], hi[t]] and roots[t] are the crossings of its
-    adjacent levels.
+    piece is [lo[t], hi[t]] and roots[root_bounds[t]:root_bounds[t + 1]]
+    are the crossings of its adjacent levels.
     """
     chain = np.repeat(np.arange(len(centre)), np.diff(bounds))
     # Adjacent levels l < u keep their order where
@@ -253,286 +258,406 @@ def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.n
     # each chain's roots: its m in level order, then its o where a_l != a_u
     owner = np.concatenate([at, at[k]])
     order = np.argsort(owner, kind="stable")
-    roots = np.split(np.concatenate([m, o[k]])[order],
-                     np.searchsorted(owner[order], np.arange(1, len(centre))))
-    return piece_lo, piece_hi, roots
+    return (piece_lo, piece_hi, np.concatenate([m, o[k]])[order],
+            np.searchsorted(owner[order], np.arange(len(centre) + 1)))
 
 
-def _lockstep(f: StepFunction, w: StepFunction | None, q: float, frames,
-              which: np.ndarray, searches: list) -> list:
-    """Run a group's piecewise searches together; return their results in order.
+def _bisect(lo: float, hi: float, go_right) -> tuple[float, float]:
+    """Halve [lo, hi] toward the side go_right picks until no float lies between."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if go_right(mid):
+            lo = mid
+        else:
+            hi = mid
 
-    searches[k] is a generator over cube which[k] of the group: it yields
-    lists of (centre, side) probes, is sent F(c) for a plain probe (side 0)
-    and a ``_Piece`` for a one-sided one, and returns its result. A probe
-    with side +1 or -1 breaks ties between cells of equal |f - c|**q * w by
-    their order just beyond c on that side and includes the cells where f = c.
+
+def _argmin(v: np.ndarray, s: np.ndarray, q: float) -> float:
+    """For q > 1 other than 2, a minimiser of one chain's phi(x) =
+    sum_k s_k * |v_k - x|**q, by bisection on its slope."""
+    def falling(x):
+        return q * (s @ (np.abs(x - v) ** (q - 1.0) * np.sign(x - v))) < 0
+    return _bisect(float(v.min()), float(v.max()), falling)[0]
+
+
+def _level(v: np.ndarray, s: np.ndarray, q: float, thr: float, inner: float, side: float) -> float:
+    """For q > 1 other than 2, the end on the given side of the interval
+    {phi <= thr} holding inner, by doubling and bisection."""
+    def phi(x):
+        return s @ np.abs(v - x) ** q
+    step = max(float(v.max() - v.min()), 1.0)
+    out = inner + side * step
+    while phi(out) <= thr:
+        step *= 2.0
+        out = inner + side * step
+    if side < 0:
+        return _bisect(out, inner, lambda x: phi(x) > thr)[1]
+    return _bisect(inner, out, lambda x: phi(x) <= thr)[0]
+
+
+def _kinks(v: np.ndarray, s: np.ndarray, bounds: np.ndarray):
+    """q = 1: the levels of each chain bounds[t]:bounds[t + 1] sorted by v
+    (stably), flat in chain order: v, the prefix sums of the weights s,
+    phi at each level and the slopes of phi left and right of it. The
+    prefix sums run down the columns of a padded (levels x chains) array,
+    adding in the order of each chain's own cumsum."""
+    n = np.diff(bounds)
+    chain = np.repeat(np.arange(len(n)), n)
+    at, last = (np.arange(len(v)) - bounds[chain], chain), (n - 1, np.arange(len(n)))
+    rows = np.full((len(n), n.max()), math.inf)
+    rows[chain, at[0]] = v
+    order = bounds[chain] + np.argsort(rows, axis=1, kind="stable")[chain, at[0]]
+    v, s = v[order], s[order]
+    rows = np.zeros((n.max(), len(n)))
+    rows[at] = s
+    upto = np.cumsum(rows, axis=0)
+    rows[at] = s * v
+    weighted = np.cumsum(rows, axis=0)
+    right = 2.0 * upto[at] - upto[last][chain]
+    phi = v * right + weighted[last][chain] - 2.0 * weighted[at]
+    return v, upto[at], phi, right - 2.0 * s, right
+
+
+def _probe_integrals(f, w, q: float, frames, which: np.ndarray, centre: np.ndarray,
+                     side: np.ndarray, norms: int):
+    """F's integrals at the probes (centre[j], side[j]) on the group's cubes
+    which[j], the first `norms` of them the normalisers w(Q), and (probe,
+    H, v, w) of each level of the one-sided probes. Side +1 or -1 breaks
+    ties between cells of equal |f - c|**q * w by their order just beyond
+    c on that side and includes the cells where f = c."""
+    raw, levels = np.empty(len(which)), []
+    for sl in job_chunks(len(which), frames.cells):
+        rows = which[sl]
+        fv, dev, wv, vals = _probe_rows(frames, f, w, q, rows, centre[sl], max(0, norms - sl.start))
+        sided = side[sl] != 0
+        keys = None
+        if sided.any():
+            # order of |f - x|**q * w just beyond c on side d: ties by
+            # -d / (f - c), and the cells where f = c by their weight.
+            # Keyed plain rows gain only zero-width levels.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                keys = np.where(dev == 0, 1.0 if wv is None else wv, -side[sl, None] / dev)
+        chains = frames.chains(vals, frames.masks(rows), keys)
+        raw[sl] = chains.integrals()
+        if keys is not None:
+            job = np.repeat(np.arange(len(rows)), np.diff(chains.bounds))
+            pick = sided[job]
+            job, cells = job[pick], chains.cells[pick]
+            levels.append((job + sl.start, chains.contents[pick], fv[job, cells],
+                           np.ones(len(cells)) if wv is None else wv[job, cells]))
+    return raw, levels
+
+
+_BRACKET, _CENTRE, _PLATEAU, _FRESH, _DONE = range(5)
+_SIDES = (-1.0, 1.0)
+
+
+def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
+            start: np.ndarray, tol: float) -> list[GammaInterval]:
+    """The exact minimum and plateau of the convex F for q >= 1 on every
+    searched cube, in rounds of array operations over all of them.
+
+    groups lists (frames, which), the searched cubes which[j] of each
+    frame-depth group, numbered on across the groups; start holds each
+    cube's min f, max f and first centre. Each round integrates the
+    probes of all pending cubes, a group's in its own layer-cake calls,
+    and then moves every cube on by masked array operations. Each cube
+    keeps up to 4 probes (centre, side) for the next round, every probe
+    so far and, for each one-sided probe, its piece: bounds, value,
+    levels (v, s) in chain order and, for q = 1, kinks and roots.
     """
-    results = [None] * len(searches)
-    pending = {}
+    K = start.shape[1]
+    offsets = np.cumsum([0] + [len(which) for _, which in groups])
+    a, b, c = start.copy()
+    phase = np.full(K, _BRACKET)
+    c_star, thr, min_value, norm = np.full((4, K), math.nan)
+    tangent = np.full((2, 3, K), math.nan)  # lines below F touching it at a and b: (point, value, slope)
+    widths = np.full((3, K), math.nan)  # the bracket's last three widths, latest last
+    widths[2], steps = b - a, np.ones(K, dtype=np.intp)
+    # per side: the bound on the edge from outside and its piece, the edge
+    # and its piece, and the (outer, inner) breakpoints around the edge
+    bound, ends = np.full((2, 2, K), math.nan)
+    bound_piece, edge = np.zeros((2, 2, K), dtype=np.intp)
+    active, seg = np.zeros((2, K), dtype=bool), np.full((2, 2, K), math.nan)
+    slot, slot_side, ask = np.full((K, 4), math.nan), np.zeros((K, 4)), np.zeros((K, 4), dtype=bool)
+    slot[:, 0], slot_side[:, 0], ask[:, 0] = c, 1.0, True
+    log_c, log_s, log_v, log_p = np.empty((4, K, 0))
+    store = [np.empty(0)] * 8  # v, s, the five _kinks arrays and the roots of every piece
+    p_lo, p_hi, p_value = np.empty((3, 0))
+    p_start, p_n, r_start, r_n = np.empty((4, 0), dtype=np.intp)
 
-    def advance(k, gen, sent):
-        try:
-            pending[k] = (gen, gen.send(sent))
-        except StopIteration as stop:
-            pending.pop(k, None)
-            results[k] = stop.value
+    def spans(start, n):
+        """Store indices of the runs start[i]:start[i] + n[i], and the run of each."""
+        owner = np.repeat(np.arange(len(n)), n)
+        return np.arange(len(owner)) + np.repeat(start - np.cumsum(n) + n, n), owner
 
-    for k, gen in enumerate(searches):
-        advance(k, gen, None)
-    norm = np.full(len(searches), math.nan)
-    while pending:
-        order = list(pending)
-        # the first rows integrate w (or 1) for cubes asking for the first time
-        first = [k for k in order if math.isnan(norm[k])]
-        asks = [(k, c, d) for k in order for c, d in pending[k][1]]
-        cube = np.array(first + [k for k, _, _ in asks], dtype=np.intp)
-        centre = np.array([0.0] * len(first) + [c for _, c, _ in asks])
-        side = np.array([0.0] * len(first) + [d for _, _, d in asks])
-        raw = np.empty(len(cube))
-        levels = []  # (probe, H, v, w) of each level of the one-sided probes
-        for sl in job_chunks(len(cube), frames.cells):
-            rows = which[cube[sl]]
-            fv, dev, wv, vals = _probe_rows(frames, f, w, q, rows, centre[sl],
-                                            max(0, len(first) - sl.start))
-            sided = side[sl] != 0
-            keys = None
-            if sided.any():
-                # order of |f - x|**q * w just beyond c on side d: ties by
-                # -d / (f - c), and the cells where f = c by their weight.
-                # Keyed plain rows gain only zero-width levels.
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    keys = np.where(dev == 0, 1.0 if wv is None else wv,
-                                    -side[sl, None] / dev)
-            chains = frames.chains(vals, frames.masks(rows), keys)
-            raw[sl] = chains.integrals()
-            if keys is not None:
-                job = np.repeat(np.arange(len(rows)), np.diff(chains.bounds))
-                pick = sided[job]
-                job, cells = job[pick], chains.cells[pick]
-                levels.append((job + sl.start, chains.contents[pick], fv[job, cells],
-                               np.ones(len(cells)) if wv is None else wv[job, cells]))
-        norm[first] = raw[: len(first)]
-        probes = (raw / norm[cube]).tolist()
+    def first_in(pos, n, last=False):
+        """The first (or last) of the ascending positions pos in each run of
+        lengths n laid end to end, the run's start if none; and whether found."""
+        lo, hi = np.cumsum(n) - n, np.cumsum(n)
+        if not len(pos):
+            return lo, np.zeros(len(n), dtype=bool)
+        j = np.clip(np.searchsorted(pos, hi) - 1 if last else np.searchsorted(pos, lo), 0, len(pos) - 1)
+        found = (pos[j] >= lo) & (pos[j] < hi)
+        return np.where(found, pos[j], lo), found
+
+    def by_length(p, terms, count):
+        """count arrays over the pieces p: terms(V, S, i) for the pieces p[i]
+        of each chain length, their levels the rows of V and S."""
+        out, n = np.empty((count, len(p))), p_n[p]
+        for length in np.unique(n).tolist():
+            i = np.flatnonzero(n == length)
+            idx = p_start[p[i], None] + np.arange(length)
+            out[:, i] = terms(store[0][idx], store[1][idx], i)
+        return out
+
+    def dot(S, T):
+        """Each row's s @ t (T may stack several rows per row of S) by one
+        matmul over rows of one length: each chain's own dot, whose float
+        padded rows would change."""
+        return np.matmul(S[:, None, :], T[..., None])[..., 0, 0]
+
+    def mean(V, S):
+        """q = 2: the minimiser of phi, the s-weighted mean of v, and sum(s)."""
+        total = S.sum(axis=1)
+        return dot(S, V) / total, total
+
+    def each(fn, p, *args):
+        """fn(v, s, q, *args) for each piece p, for q > 1 other than 2."""
+        return np.array([fn(store[0][i : i + n], store[1][i : i + n], q, *x) for i, n, *x in
+                         zip(p_start[p].tolist(), p_n[p].tolist(), *(y.tolist() for y in args))])
+
+    def level(p, ks, side):
+        """The end on the given side of {phi <= thr} holding c_star, of each
+        piece p, read for cube ks."""
+        if q == 2.0:
+            def terms(V, S, i):
+                centre, total = mean(V, S)
+                return centre, total, thr[ks[i]] - dot(S, np.abs(V - centre[:, None]) ** q)
+            centre, total, room = by_length(p, terms, 3)
+            return centre + side * np.sqrt(np.where(0.0 > room, 0.0, room) / total)
+        if q != 1.0:
+            return each(_level, p, thr[ks], c_star[ks], np.full(len(p), side))
+        idx, owner = spans(p_start[p], p_n[p])
+        k, found = first_in(np.flatnonzero(store[4][idx] <= thr[ks][owner]), p_n[p], last=side > 0)
+        k = idx[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = store[2][k] + (thr[ks] - store[4][k]) / store[5 if side < 0 else 6][k]
+        return np.where(found, x, c_star[ks])
+
+    def emit(ks, j, x, side):
+        slot[ks, j], slot_side[ks, j], ask[ks, j] = x, side, True
+
+    def plateau(ks):
+        """Start the plateau search: the end of {phi <= thr} of every piece
+        read so far bounds each edge from outside; keep the innermost."""
+        lowest = np.fmin.reduce(log_v[ks], axis=1)
+        min_value[ks], thr[ks] = lowest, lowest + tol
+        r, col = np.nonzero(log_p[ks] >= 0)  # the pieces of the bracket search, in order
+        sc, sp = ks[r], log_p[ks[r], col].astype(np.intp)
+        for j, side in enumerate(_SIDES):
+            x = level(sp, sc, side)
+            best = np.full(K, side * math.inf)
+            (np.maximum if side < 0 else np.minimum).at(best, sc, x)
+            hit = np.flatnonzero(x == best[sc])
+            first = hit[np.unique(sc[hit], return_index=True)[1]]  # the first piece on ties
+            bound[j, sc[first]], bound_piece[j, sc[first]], active[j, sc[first]] = x[first], sp[first], True
+
+    def resolve(ks):
+        """A bound on its own piece is the edge; ask for the others. Cubes
+        asking nothing have both edges."""
+        for j, side in enumerate(_SIDES):
+            p, x = bound_piece[j, ks], bound[j, ks]
+            own = active[j, ks] & (p_lo[p] <= x) & (x <= p_hi[p])
+            ends[j, ks[own]], edge[j, ks[own]], active[j, ks[own]] = x[own], p[own], False
+            far = ks[active[j, ks]]
+            emit(far, j, bound[j, far], -side)
+        done = ks[~ask[ks, :2].any(axis=1)]
+        phase[ks] = _PLATEAU
+        phase[done] = _DONE
+        if q == 1.0 and len(done):
+            breakpoints(done)
+            interpolate(done[phase[done] == _DONE])
+
+    def breakpoints(ks):
+        """q = 1: F is linear between the breakpoints around each edge, the
+        values and roots of its piece nearest to it on either side; none
+        lies between them inside the piece. Probe those not probed yet."""
+        p, x, side = edge[:, ks].ravel(), ends[:, ks].ravel(), np.repeat(_SIDES, len(ks))
+        iv, ov = spans(p_start[p], p_n[p])
+        ir, orr = spans(r_start[p], r_n[p])
+        cand, own = np.concatenate([store[0][iv], store[7][ir]]), np.concatenate([ov, orr])
+        below = (cand < x[own]) | ((side[own] > 0) & (cand == x[own]))
+        top, bottom = np.full(len(p), -math.inf), np.full(len(p), math.inf)
+        np.maximum.at(top, own[below], cand[below])
+        np.minimum.at(bottom, own[~below], cand[~below])
+        pair = np.where(side < 0, [top, bottom], [bottom, top])
+        pair[:, (top == -math.inf) | (bottom == math.inf)] = math.nan
+        seg[:, :, ks] = pair.reshape(2, 2, len(ks)).transpose(1, 0, 2)
+        fresh = seg[:, :, ks].reshape(4, len(ks)).T.copy()
+        fresh[(fresh[:, :, None] == log_c[ks][:, None, :]).any(axis=2)] = math.nan
+        fresh.sort(axis=1)
+        fresh[:, 1:][fresh[:, 1:] == fresh[:, :-1]] = math.nan
+        fresh.sort(axis=1)
+        slot[ks], slot_side[ks], ask[ks] = fresh, 0.0, ~np.isnan(fresh)
+        phase[ks] = np.where(ask[ks].any(axis=1), _FRESH, _DONE)
+
+    def interpolate(ks):
+        """q = 1: each edge on the linear segment around it, from F at both
+        ends; the inner ends may end a flat bottom, so rounding can put them
+        below the minimum found before."""
+        lowest = np.fmin.reduce(log_v[ks], axis=1)
+        min_value[ks], t = lowest, lowest + tol
+        for j in range(2):
+            x0, x1 = seg[j][:, ks]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                outer, inner = (log_v[ks, (log_c[ks] == x[:, None]).argmax(axis=1)] for x in (x0, x1))
+                on = ~np.isnan(x0) & (outer > t) & (t >= inner)
+                ends[j, ks[on]] = (x0 + (t - outer) / (inner - outer) * (x1 - x0))[on]
+        phase[ks] = _DONE
+
+    first = True
+    while ask.any():
+        kk, jj = np.nonzero(ask)
+        centre, side = slot[kk, jj], slot_side[kk, jj]
+        cuts = np.searchsorted(kk, offsets)
+        got, pid, levels = np.full((K, 4), math.nan), np.full((K, 4), -1), []
+        for g, (frames, which) in enumerate(groups):
+            if cuts[g] < cuts[g + 1]:
+                probes = slice(cuts[g], cuts[g + 1])
+                # the first round integrates w (or 1) on every cube first
+                mine = np.arange(offsets[g], offsets[g + 1] if first else offsets[g])
+                zeros = np.zeros(len(mine))
+                raw, part = _probe_integrals(
+                    f, w, q, frames, which[np.concatenate([mine, kk[probes]]) - offsets[g]],
+                    np.concatenate([zeros, centre[probes]]), np.concatenate([zeros, side[probes]]), len(mine))
+                norm[mine] = raw[: len(mine)]
+                got[kk[probes], jj[probes]] = raw[len(mine) :] / norm[kk[probes]]
+                levels += [(job - len(mine) + probes.start, *rest) for job, *rest in part]
+        first = False
         if levels:
             job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
             sided = np.flatnonzero(side)
-            bounds = np.searchsorted(job, np.append(sided, len(cube)))
+            bounds = np.searchsorted(job, np.append(sided, len(kk)))
             below = np.append(H[1:], 0.0)
             below[bounds[1:] - 1] = 0.0
-            s = (H - below) / norm[cube[job]] * wt
-            a = wt if q == 1.0 else wt ** (1.0 / q)
-            lo, hi, roots = _piece_bounds(v, a, bounds, centre[sided])
-            b = bounds.tolist()
-            for t, (j, start, end) in enumerate(zip(sided.tolist(), lo.tolist(), hi.tolist())):
-                lv = slice(b[t], b[t + 1])
-                probes[j] = _Piece(probes[j], v[lv], s[lv], start, end, roots[t], q)
-        pos = len(first)
-        for k in order:
-            gen, cs = pending[k]
-            advance(k, gen, probes[pos : pos + len(cs)])
-            pos += len(cs)
-    return results
+            s = (H - below) / norm[kk[job]] * wt
+            lo, hi, roots, rb = _piece_bounds(v, wt if q == 1.0 else wt ** (1.0 / q), bounds, centre[sided])
+            pid[kk[sided], jj[sided]] = len(p_lo) + np.arange(len(sided))
+            p_start, p_n, r_start, r_n = (np.concatenate([old, new]) for old, new in (
+                (p_start, len(store[0]) + bounds[:-1]), (p_n, np.diff(bounds)),
+                (r_start, len(store[7]) + rb[:-1]), (r_n, np.diff(rb))))
+            p_lo, p_hi = np.concatenate([p_lo, lo]), np.concatenate([p_hi, hi])
+            p_value = np.concatenate([p_value, got[kk[sided], jj[sided]]])
+            new = [v, s, *_kinks(v, s, bounds), roots] if q == 1.0 else [v, s]
+            store[: len(new)] = [np.concatenate([old, part]) for old, part in zip(store, new)]
+        asked, probed, was = ask.copy(), slot.copy(), phase.copy()
+        log_c = np.concatenate([log_c, np.where(asked, slot, math.nan)], axis=1)
+        log_s, log_v, log_p = (np.concatenate([old, new], axis=1) for old, new in
+                               ((log_s, slot_side), (log_v, got), (log_p, pid)))
+        ask[:] = False
+        starting = [np.flatnonzero(was == _CENTRE)]
 
+        # the bracket search: a minimiser lies in [a, b]; cut it at the
+        # piece's end by the slope there, unless the piece holds a minimum
+        ks = np.flatnonzero(was == _BRACKET)
+        if len(ks):
+            p = pid[ks, 0]
+            A, B, x0 = a[ks], b[ks], c[ks]
+            lo = np.where(A > p_lo[p], A, p_lo[p])
+            hi = np.where(B < p_hi[p], B, p_hi[p])
+            if q == 1.0:
+                # phi's slopes from the prefix sums at its kinks, and its
+                # minimum at the first kink where the right slope is >= 0
+                idx, owner = spans(p_start[p], p_n[p])
+                kv, total = store[2][idx], store[3][p_start[p] + p_n[p] - 1]
 
-class _Piece:
-    """phi(x) = sum_k s_k * |v_k - x|**q read from a one-sided probe at c.
-
-    value is F(c); v holds f at each level's cell, thresholds ascending,
-    and s the weights (H_k - H_{k+1}) * w_k / w(Q). phi equals F on
-    [lo, hi], which holds c, and lies below F elsewhere; roots are the
-    crossings of adjacent levels.
-    """
-
-    def __init__(self, value: float, v: np.ndarray, s: np.ndarray, lo: float, hi: float,
-                 roots: np.ndarray, q: float):
-        self.value, self.v, self.s, self.lo, self.hi, self.roots = value, v, s, lo, hi, roots
-        self.q, self._kinks = q, None
-
-    def kinks(self):
-        """q = 1: sorted kinks, prefix sums of their weights, phi at each and
-        the slopes of phi left and right of each."""
-        if self._kinks is None:
-            order = np.argsort(self.v, kind="stable")
-            v, s = self.v[order], self.s[order]
-            upto = np.cumsum(s)
-            total = upto[-1]
-            weighted = np.cumsum(s * v)
-            right = 2.0 * upto - total
-            phi = v * right + weighted[-1] - 2.0 * weighted
-            self._kinks = v, upto, phi, right - 2.0 * s, right
-        return self._kinks
-
-    def at(self, x: float) -> float:
-        dist = np.abs(self.v - x)
-        return float(self.s @ (dist if self.q == 1.0 else dist**self.q))
-
-    def slope(self, x: float, side: float) -> float:
-        """The derivative of phi at x from the given side (+1 or -1)."""
-        if self.q == 1.0:
-            v, upto = self.kinks()[:2]
-            k = int(np.searchsorted(v, x, "right" if side > 0 else "left"))
-            return 2.0 * (float(upto[k - 1]) if k else 0.0) - float(upto[-1])
-        dv = x - self.v
-        return float(self.q * (self.s @ (np.abs(dv) ** (self.q - 1.0) * np.sign(dv))))
-
-    def argmin(self) -> float:
-        """A minimiser of phi on the real line."""
-        if self.q == 1.0:
-            v, _, _, _, right = self.kinks()
-            return float(v[np.argmax(right >= 0)])
-        if self.q == 2.0:
-            return float(self.s @ self.v / self.s.sum())
-        return self._bisect(float(self.v.min()), float(self.v.max()),
-                            lambda x: self.slope(x, 1.0) < 0)[0]
-
-    def level(self, thr: float, inner: float, side: float) -> float:
-        """The end on the given side of the interval {phi <= thr} holding inner."""
-        if self.q == 1.0:
-            v, _, phi, left, right = self.kinks()
-            ok = np.flatnonzero(phi <= thr)
-            if not ok.size:
-                return inner
-            k = ok[0] if side < 0 else ok[-1]
-            return float(v[k] + (thr - phi[k]) / (left[k] if side < 0 else right[k]))
-        if self.q == 2.0:
-            mean = self.argmin()
-            room = max(thr - self.at(mean), 0.0)
-            return float(mean + side * math.sqrt(room / self.s.sum()))
-        step = max(float(self.v.max() - self.v.min()), 1.0)
-        out = inner + side * step
-        while self.at(out) <= thr:
-            step *= 2.0
-            out = inner + side * step
-        if side < 0:
-            return self._bisect(out, inner, lambda x: self.at(x) > thr)[1]
-        return self._bisect(inner, out, lambda x: self.at(x) <= thr)[0]
-
-    def segment(self, x: float, side: float):
-        """q = 1: the breakpoints (outer, inner) around the plateau edge x on
-        the given side of the minimiser, or None beyond the outermost one.
-
-        The breakpoints are the cell values and the crossings of this
-        chain's adjacent levels; no other lies between two neighbours
-        inside the piece, so F is linear between them.
-        """
-        cands = np.unique(np.concatenate([self.v, self.roots]))
-        if side < 0:
-            k = int(np.searchsorted(cands, x, "left"))
-            return (cands[k - 1], cands[k]) if 0 < k < len(cands) else None
-        k = int(np.searchsorted(cands, x, "right")) - 1
-        return (cands[k + 1], cands[k]) if 0 <= k < len(cands) - 1 else None
-
-    @staticmethod
-    def _bisect(lo: float, hi: float, go_right) -> tuple[float, float]:
-        """Halve [lo, hi] toward the side go_right picks until no float lies between."""
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return lo, hi
-            if go_right(mid):
-                lo = mid
+                def slope(below):
+                    k = np.bincount(owner[below], minlength=len(p))
+                    return 2.0 * np.where(k > 0, store[3][p_start[p] + k - 1], 0.0) - total
+                left, right = slope(kv < hi[owner]), slope(kv <= lo[owner])
+                peak = store[2][idx[first_in(np.flatnonzero(store[6][idx] >= 0), p_n[p])[0]]]
             else:
-                hi = mid
-
-
-def _piecewise_gamma(vals: np.ndarray, wts: np.ndarray, q: float, tol: float):
-    """Exact minimum and plateau of the convex F for q >= 1."""
-    F: dict[tuple[float, float], float] = {}  # F at each (centre, side) probed
-
-    # F is non-increasing below min f and non-decreasing above max f, so a
-    # minimiser lies in [a, b]. tangent[-1] and tangent[1] are lines below F
-    # that touch it at a and b: (point, value, slope).
-    a, b = float(vals.min()), float(vals.max())
-    c = float(np.median(vals)) if q == 1.0 else float(wts @ vals / wts.sum())
-    c = min(max(c, a), b)
-    seen, tangent, widths = [], {}, [b - a]
-    while True:
-        piece = (yield [(c, 1.0)])[0]
-        F[c, 1.0] = piece.value
-        seen.append(piece)
-        lo, hi = max(piece.lo, a), min(piece.hi, b)
-        slope = piece.slope(hi, -1.0)
-        if slope < 0:
-            a, tangent[-1] = hi, (hi, piece.at(hi), slope)
-        elif (slope := piece.slope(lo, 1.0)) > 0:
-            b, tangent[1] = lo, (lo, piece.at(lo), slope)
-        else:
+                # phi's slope at hi, lo and the centre, phi at hi and lo, and
+                # for q = 2 its minimiser, in one pass over each chain length
+                def terms(V, S, i):
+                    d = np.stack([hi[i], lo[i], x0[i]])[:, :, None] - V
+                    return [*q * dot(S, np.abs(d) ** (q - 1.0) * np.sign(d)), *dot(S, np.abs(d[:2]) ** q),
+                            mean(V, S)[0] if q == 2.0 else np.full(len(i), math.nan)]
+                left, right, flat, phi_hi, phi_lo, peak = by_length(p, terms, 6)
+            cut = np.stack([left < 0, ~(left < 0) & (right > 0)])
+            touch, any_cut = np.where(cut[0], hi, lo), cut[0] | cut[1]
+            if q == 1.0:
+                value = np.full(len(p), math.nan)
+                at = touch[any_cut]
+                value[any_cut] = by_length(p[any_cut], lambda V, S, i: dot(S, np.abs(V - at[i, None])), 1)[0]
+            else:
+                value = np.where(cut[0], phi_hi, phi_lo)
+            for j in range(2):
+                tangent[j][:, ks[cut[j]]] = np.stack([touch, value, (left, right)[j]])[:, cut[j]]
+            a[ks[cut[0]]], b[ks[cut[1]]] = hi[cut[0]], lo[cut[1]]
+            stop = ~cut[0] & ~cut[1]
+            A, B = a[ks], b[ks]
+            go = ~stop & (A != B)
+            both = ~np.isnan(tangent[:, 0, ks]).any(axis=0)
+            need = go & ~both if q == 1.0 else go
+            if q not in (1.0, 2.0):
+                peak[stop | need] = each(_argmin, p[stop | need])
             # phi, so F, has its minimum on [lo, hi]; for q = 1 at a breakpoint
-            inside = q != 1.0 and piece.slope(c, -1.0) <= 0 <= piece.slope(c, 1.0)
-            c_star = c if inside else min(max(piece.argmin(), lo), hi)
-            break
-        if a == b:
-            c_star = a
-            break
-        widths.append(b - a)
-        # the minimiser of this piece's sum (Newton-like for q > 1), else the
-        # crossing of the two tangents, else bisection
-        m = piece.argmin() if q != 1.0 or len(tangent) < 2 else math.nan
-        if not a < m < b and len(tangent) == 2:
-            (xa, fa, sa), (xb, fb, sb) = tangent[-1], tangent[1]
-            m = (fb - fa + sa * xa - sb * xb) / (sa - sb)
-        if not a < m < b or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
-            m = 0.5 * (a + b)
-        if not a < m < b:
-            c_star = c if c in (a, b) else a  # no float lies between a and b
-            break
-        c = m
-    if not any(key[0] == c_star for key in F):
-        F[c_star, 0.0] = (yield [(c_star, 0.0)])[0]
-    min_value = min(F.values())
-    thr = min_value + tol
+            best = np.where(lo > peak, lo, peak)
+            best = np.where(hi < best, hi, best)
+            if q != 1.0:
+                best = np.where(flat == 0, x0, best)
+            best = np.where(stop, best, np.where(A == B, A, math.nan))
+            widths[:, ks[go]] = np.stack([widths[1, ks[go]], widths[2, ks[go]], (B - A)[go]])
+            steps[ks[go]] += 1
+            # the next centre: the minimiser of this piece's sum (Newton-like
+            # for q > 1), else the crossing of the two tangents, else bisection
+            m = np.where(need, peak, math.nan)
+            cross = go & both & ~((A < m) & (m < B))
+            (xa, fa, sa), (xb, fb, sb) = tangent[:, :, ks[cross]]
+            m[cross] = (fb - fa + sa * xa - sb * xb) / (sa - sb)
+            halve = go & (~((A < m) & (m < B)) | (steps[ks] > 2) & (widths[2, ks] > 0.5 * widths[0, ks]))
+            m[halve] = 0.5 * (A[halve] + B[halve])
+            stuck = go & ~((A < m) & (m < B))  # no float lies between a and b
+            best[stuck] = np.where((x0 == A) | (x0 == B), x0, A)[stuck]
+            c[ks[go & ~stuck]] = m[go & ~stuck]
+            emit(ks[go & ~stuck], 0, m[go & ~stuck], 1.0)
+            c_star[ks[~go | stuck]] = best[~go | stuck]
+            ks = ks[~go | stuck]
+            probe = ~(log_c[ks] == c_star[ks, None]).any(axis=1)
+            emit(ks[probe], 0, c_star[ks[probe]], 0.0)
+            phase[ks[probe]] = _CENTRE
+            starting.append(ks[~probe])
 
-    # Both plateau edges, from outside in: every sum phi lies below F, so
-    # the end of {phi <= thr} bounds the edge from outside, and is the edge
-    # once it lies on phi's own piece.
-    ends, edge, bound = {}, {}, {}
-    for side in (-1.0, 1.0):
-        for piece in seen:
-            x = piece.level(thr, c_star, side)
-            if side not in bound or (x - bound[side][0]) * side < 0:
-                bound[side] = (x, piece)
-    while bound:
-        asks = {}
-        for side, (x, piece) in bound.items():
-            if piece.lo <= x <= piece.hi:
-                ends[side], edge[side] = x, piece
-            else:
-                asks[side] = x
-        bound = {}
-        if asks:
-            got = yield [(x, -side) for side, x in asks.items()]
-            for (side, x), piece in zip(asks.items(), got):
-                F[x, -side] = piece.value
-                nxt = piece.level(thr, c_star, side)
-                if piece.value <= thr or (nxt - x) * side >= 0:
-                    # inside the plateau, or no inward step left above rounding
-                    ends[side], edge[side] = x, piece
-                else:
-                    bound[side] = (nxt, piece)
-    if q == 1.0:
-        # F is linear between the breakpoints around each edge: interpolate
-        # the integrals there, as the scan over all breakpoints does
-        segs = {side: piece.segment(ends[side], side) for side, piece in edge.items()}
-        values = {c: v for (c, _), v in F.items()}
-        fresh = sorted({float(x) for seg in segs.values() if seg for x in seg} - set(values))
-        if fresh:
-            for x, v in zip(fresh, (yield [(x, 0.0) for x in fresh])):
-                F[x, 0.0] = values[x] = v
-        # the inner breakpoints may end a flat bottom; rounding can put
-        # them below the minimum found so far
-        min_value = min(values.values())
-        thr = min_value + tol
-        for side, seg in segs.items():
-            if seg is not None:
-                outer, inner = values[float(seg[0])], values[float(seg[1])]
-                if outer > thr >= inner:
-                    frac = (thr - outer) / (inner - outer)
-                    ends[side] = float(seg[0] + frac * (seg[1] - seg[0]))
-    return GammaInterval(
-        lo=ends[-1.0], hi=ends[1.0], min_value=min_value, tol=tol,
-        evaluations=len(F) + 1,
-    )
+        # the plateau edges, from outside in: every sum phi lies below F, so
+        # the end of {phi <= thr} bounds the edge from outside, and is the
+        # edge once it lies on phi's own piece
+        ks = np.flatnonzero(was == _PLATEAU)
+        for j, side in enumerate(_SIDES):
+            k = ks[asked[ks, j]]
+            p, x = pid[k, j], probed[k, j]
+            nxt = level(p, k, side)
+            # inside the plateau, or no inward step left above rounding
+            done = (p_value[p] <= thr[k]) | ((nxt - x) * side >= 0)
+            ends[j, k[done]], edge[j, k[done]] = x[done], p[done]
+            bound[j, k], bound_piece[j, k], active[j, k] = nxt, p, ~done
+        starting = np.concatenate(starting)
+        if len(starting):
+            plateau(starting)
+        if len(starting) or len(ks):
+            resolve(np.sort(np.concatenate([starting, ks])))
+        if (was == _FRESH).any():
+            interpolate(np.flatnonzero(was == _FRESH))
+    # evaluations: the distinct (centre, side) probes, and the normaliser
+    order = np.lexsort((log_s, log_c))
+    log_c, log_s = np.take_along_axis(log_c, order, 1), np.take_along_axis(log_s, order, 1)
+    repeats = (log_c[:, 1:] == log_c[:, :-1]) & (log_s[:, 1:] == log_s[:, :-1])
+    evaluations = (~np.isnan(log_c)).sum(axis=1) - repeats.sum(axis=1) + 1
+    return [GammaInterval(lo=lo, hi=hi, min_value=m, tol=tol, evaluations=e) for lo, hi, m, e in
+            zip(ends[0].tolist(), ends[1].tolist(), min_value.tolist(), evaluations.tolist())]
 
 
 def _distinct_pairs(fv: np.ndarray, inside: np.ndarray, wv: np.ndarray | None, width: int):
@@ -637,14 +762,15 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
     """The minimiser plateau of F on every cube of a family.
 
     Per frame-depth group, constant cubes and the scans are array
-    operations; the piecewise searches run in lockstep.
+    operations; the piecewise searches of all groups run together.
     """
     q = float(q)
     half = tol ** (1.0 / q)
     family = CubeFamily.of(cubes)
     out = [None] * len(family)
+    groups, searched, starts = [], [], []
     for positions, frames in cube_frames(f.grid, family, params):
-        scans, search, gens = [], [], []
+        scans, search = [], []
         for sl, fv, inside, wv in _chunk_rows(frames, f, w, len(positions)):
             lo, hi = _extent(fv, inside)
             flat = lo == hi
@@ -662,11 +788,23 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
             elif q < 1.0 and rest.any():  # no search: every other cube scans
                 scans.append((sl.start + np.flatnonzero(rest), _midpoints(fv[rest], inside[rest])))
                 continue
-            for k in np.flatnonzero(rest).tolist():
-                vals = fv[k][inside[k]]
-                wts = np.ones(vals.size) if wv is None else wv[k][inside[k]]
+            # F is non-increasing below min f and non-decreasing above max
+            # f, so a minimiser lies between them. The first centre is the
+            # median (q = 1) or the weighted mean; row-wise over cubes of one
+            # size, they are each cube's own floats.
+            size = inside.sum(axis=1)
+            for n in np.unique(size[rest]).tolist():
+                k = np.flatnonzero(rest & (size == n))
+                vals = fv[k][inside[k]].reshape(len(k), n)
+                a, b = vals.min(axis=1), vals.max(axis=1)
+                if q == 1.0:
+                    c = np.median(vals, axis=1)
+                else:
+                    wts = np.ones(vals.shape) if wv is None else wv[k][inside[k]].reshape(len(k), n)
+                    c = np.matmul(wts[:, None, :], vals[:, :, None])[:, 0, 0] / wts.sum(axis=1)
+                c = np.where(a > c, a, c)
                 search.append(sl.start + k)
-                gens.append(_piecewise_gamma(vals, wts, q, tol))
+                starts.append([a, b, np.where(b < c, b, c)])
         if scans:
             which = np.concatenate([k for k, _ in scans])
             width = max(c.shape[1] for _, c in scans)
@@ -674,9 +812,12 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
                                     for _, c in scans])
             for k, gi in zip(which.tolist(), _scan(frames, f, w, q, which, cands, tol)):
                 out[positions[k]] = gi
-        if gens:
-            for k, gi in zip(search, _lockstep(f, w, q, frames, np.array(search), gens)):
-                out[positions[k]] = gi
+        if search:
+            groups.append((frames, np.concatenate(search)))
+            searched.append(positions[groups[-1][1]])
+    if groups:
+        for k, gi in zip(np.concatenate(searched).tolist(), _search(f, w, q, groups, np.hstack(starts), tol)):
+            out[k] = gi
     return out
 
 

@@ -86,8 +86,13 @@ def load_grid(obj: dict) -> Grid:
                       origin=read_field(obj, "origin", list_of(float, n), (0.0,) * n))
 
 
+def _floats(value) -> np.ndarray:
+    """A JSON number array, of any nesting, as floats."""
+    return np.asarray(value, dtype=float)
+
+
 def load_function(obj: dict, grid: Grid) -> StepFunction:
-    values = np.asarray(obj["values"], dtype=float)
+    values = read_field(obj, "values", _floats, where="function")
     if values.shape == grid.shape:
         values = values.ravel()
     if values.shape != (grid.num_cells,):
@@ -98,10 +103,12 @@ def load_function(obj: dict, grid: Grid) -> StepFunction:
 
 
 def load_set(obj: dict, grid: Grid) -> DyadicSet:
+    obj = obj if isinstance(obj, dict) else {}
     if "cells" in obj:
-        return set_from_cells(grid, [tuple(int(c) for c in cell) for cell in obj["cells"]])
+        cells = read_field(obj, "cells", list_of(list_of(int)), where="set file")
+        return set_from_cells(grid, [tuple(cell) for cell in cells])
     if "indicator" in obj:
-        vals = np.asarray(obj["indicator"], dtype=float).ravel()
+        vals = read_field(obj, "indicator", _floats, where="set file").ravel()
         if vals.shape != (grid.num_cells,):
             raise ValueError("indicator length does not match the grid")
         return DyadicSet(grid, vals != 0)

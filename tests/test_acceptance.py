@@ -9,6 +9,7 @@ ceiling is asserted with a monotonic clock.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -16,8 +17,10 @@ import time
 import numpy as np
 import pytest
 
+import capbmo.oscillation
 from capbmo import (
     ContentParams,
+    CubeFamilyPolicy,
     CubeSpec,
     DyadicSet,
     a1_constant,
@@ -223,6 +226,65 @@ def test_level_set_outputs_keep_their_pinned_bits(tmp_path, capsys):
             "usage": "0x1.000000044b831p-1",
         },
     }
+
+
+def _seminorm_bits(rep):
+    """A seminorm's value as float.hex and the sha256 of its centres' hex."""
+    centres = " ".join(x.hex() for x in rep.centers.tolist())
+    return [rep.value.hex(), hashlib.sha256(centres.encode()).hexdigest()]
+
+
+PINNED_CENTRE_SEARCH = {
+    "gamma_1.0_unweighted_0,0:8": ["0x1.7fffffbb47d00p-2", "0x1.800000225c180p-2", "0x1.5400000000000p+0", 5],
+    "gamma_1.0_unweighted_2,1:4": ["0x1.7fffffbb47d00p-2", "0x1.000000225c180p-1", "0x1.2400000000000p+0", 14],
+    "gamma_1.0_unweighted_4,4:4": ["0x1.3fffffdda3e80p-2", "0x1.c00000225c180p-2", "0x1.3000000000000p+0", 9],
+    "seminorm_1.0_unweighted_dyadic": ["0x1.5400000000000p+0", "bdda511bb7aae1bb279936a5ecddde5edaa3c10f5313e3473f6d3839d078fb52"],
+    "seminorm_1.0_unweighted_lattice": ["0x1.5400000000000p+0", "f6e0a3e42ceae3d97b4ddc2f1b8136ba68b2e2336ef5fb7d6e1abff728ea8f4a"],
+    "gamma_1.0_weighted_0,0:8": ["0x1.6c4ec4a24d563p-2", "0x1.c00000502c380p-2", "0x1.216db6db6db6ep+0", 16],
+    "gamma_1.0_weighted_2,1:4": ["0x1.11745c4b4302fp-1", "0x1.11745d449bc67p-1", "0x1.06b4cad716c86p+0", 13],
+    "gamma_1.0_weighted_4,4:4": ["0x1.bffffc93d39c0p-2", "0x1.c000002e1d48ap-2", "0x1.1828282828283p+0", 12],
+    "seminorm_1.0_weighted_dyadic": ["0x1.21f9add3c0ca5p+0", "8544d5e621d5de06a4db26d1104406c406ad5d72f446a12990a87ca6defb1541"],
+    "seminorm_1.0_weighted_lattice": ["0x1.21f9add3c0ca5p+0", "0e30f6fa75be837947c2c2739c723eecc427807bc14fab40b7f2c58e196ef200"],
+    "gamma_0.5_unweighted_0,0:8": ["0x1.7fffffd6862cfp-2", "0x1.800000112e0c0p-2", "0x1.6000000000000p+0", 6],
+    "gamma_0.5_unweighted_2,1:4": ["0x1.ffffffc55820fp-2", "0x1.00000014bce98p-1", "0x1.4b504f333f9dep+0", 6],
+    "gamma_0.5_unweighted_4,4:4": ["0x1.ffffffdda3e80p-3", "0x1.0000000897060p-1", "0x1.5000000000000p+0", 8],
+    "seminorm_0.5_unweighted_dyadic": ["0x1.6000000000000p+0", "6bb17285b4be8b2b3f28fa5bfd01ca167ff9e84a379db63e6cbb2248192d86a4"],
+    "seminorm_0.5_unweighted_lattice": ["0x1.6000000000000p+0", "4d283d42bc818d34904010ae9c115ab0b9fefe15e60ae5ee63f26625580eeaf6"],
+    "gamma_0.5_weighted_0,0:8": ["0x1.6d097b0c5ededp-2", "0x1.6d097b8800fddp-2", "0x1.3a8f5e7ff5459p+0", 16],
+    "gamma_0.5_weighted_2,1:4": ["0x1.1e79e77a5237ap-1", "0x1.1e79e7c63f294p-1", "0x1.0ef8b376ebf75p+0", 9],
+    "gamma_0.5_weighted_4,4:4": ["0x1.2c4ec4a0acf1cp-1", "0x1.2c4ec50982cedp-1", "0x1.360af93af257bp+0", 12],
+    "seminorm_0.5_weighted_dyadic": ["0x1.3a8f5e7ff5459p+0", "8475fb2605c8d7fc828d7f644270fa9bd5e237c9faa6f684e7b1591d977f13a6"],
+    "seminorm_0.5_weighted_lattice": ["0x1.3b6713d759871p+0", "06e4abca251c0d85f3a35029c85e37e6bc15adb9851f356dacddfa4c75ee62b1"],
+    "searched_1.0_weighted_lattice": ["0x1.21f9add3c0ca5p+0", "34d8d65af169c483c3fa80e6d73cc4d7b3e7664100aac67d97fa6672ccdaccd3"],
+}
+
+
+def test_centre_search_outputs_keep_their_pinned_bits(monkeypatch):
+    """The q = 1 centre searches' plateaus (lo, hi, min_value and
+    evaluations) of three cubes, and seminorm values and centres over the
+    dyadic and lattice families, for delta 1 and 0.5, weighted and
+    unweighted, pinned as recorded. Inputs are dyadic rationals, so no
+    libm function enters the values. The last case switches the breakpoint
+    scan off, so that small cubes search as well."""
+    cells = np.arange(64)
+    g = build_grid(2, 3, 2.0)
+    f = step_function(g, ((cells * 37) % 23) * 0.125 - 1.0)
+    w = step_function(g, 1.0 + ((cells * 13) % 7) / 8.0)
+    lattice = CubeFamilyPolicy("lattice")
+    got = {}
+    for delta, weight in itertools.product((1.0, 0.5), (None, w)):
+        P, name = ContentParams(delta=delta), f"{delta}_{'unweighted' if weight is None else 'weighted'}"
+        for Q in (CubeSpec((0, 0), 8), CubeSpec((2, 1), 4), CubeSpec((4, 4), 4)):
+            gi = gamma_interval(f, weight, 1.0, Q, P)
+            got[f"gamma_{name}_{Q.cube_id()}"] = [*(x.hex() for x in (gi.lo, gi.hi, gi.min_value)), gi.evaluations]
+        for policy in (CubeFamilyPolicy(), lattice):
+            rep = (bmo_seminorm(f, P, policy) if weight is None
+                   else weighted_bmo_seminorm(f, weight, 1.0, P, policy))
+            got[f"seminorm_{name}_{policy.kind}"] = _seminorm_bits(rep)
+    monkeypatch.setattr(capbmo.oscillation, "_SCAN_PAIRS", 0)
+    got["searched_1.0_weighted_lattice"] = _seminorm_bits(
+        weighted_bmo_seminorm(f, w, 1.0, ContentParams(delta=1.0), lattice))
+    assert got == PINNED_CENTRE_SEARCH
 
 
 def test_choquet_calculus_battery_zero_violations(rng):

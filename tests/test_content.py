@@ -219,7 +219,7 @@ def test_content_equals_exhaustive_cover_search_random_grids(path):
 
 def _lockstep_rows(rng, jobs, cells):
     """Values, masks and keys shaped like the one-sided probes of
-    oscillation._lockstep: |f - c| ranked by -side / (f - c), ties by w."""
+    oscillation._probe_integrals: |f - c| ranked by -side / (f - c), ties by w."""
     f = rng.integers(0, 5, size=(jobs, cells)) * 0.5
     w = rng.choice([0.5, 1.0, 2.0], size=(jobs, cells))
     dev = f - rng.integers(0, 5, size=(jobs, 1)) * 0.5
@@ -254,6 +254,28 @@ def test_sparse_and_dense_reductions_agree_bit_for_bit(data):
             chains[path] = layer_cake(values, masks, n, depth, caps, keys)
     assert chains["dense"].contents.tobytes() == chains["sparse"].contents.tobytes()
     assert np.array_equal(chains["dense"].bounds, chains["sparse"].bounds)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_keyless_chains_equal_zero_keyed_chains_of_positive_cells(data):
+    """Without keys, a chain is the chain of the same rows keyed by zeros
+    with the mask restricted to positive values, array for array."""
+    n = data.draw(st.sampled_from([1, 2, 3]), label="n")
+    depth = data.draw(st.integers(0, {1: 6, 2: 3, 3: 2}[n]), label="depth")
+    jobs = data.draw(st.integers(1, 5), label="jobs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cells = 1 << (n * depth)
+    # repeated levels, zeros of both signs and negatives, which form no level
+    values = rng.integers(-2, 5, size=(jobs, cells)) * 0.75
+    values[rng.random((jobs, cells)) < 0.1] = -0.0
+    masks = rng.random((jobs, cells)) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="density")
+    caps = level_caps(build_grid(n, depth, 2.0), depth, 0.5 * n)
+    keyless = layer_cake(values, masks, n, depth, caps)
+    keyed = layer_cake(values, masks & (values > 0), n, depth, caps, np.zeros(values.shape))
+    for name in ("thresholds", "contents", "cells", "bounds"):
+        a, b = getattr(keyless, name), getattr(keyed, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_dyadic_content_agrees_with_bulk_path(rng):

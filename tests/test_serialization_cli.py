@@ -446,6 +446,23 @@ def test_cli_verify_malformed_fixture_types_exit_2(capsys, tmp_path, check, chan
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,flag,obj,field", [
+    pytest.param("choquet", "--fn", [1.0, 2.0, 3.0, 4.0], "'values'", id="function-list"),
+    pytest.param("choquet", "--fn", {"values": {"a": 1.0}}, "'values'", id="values-object"),
+    pytest.param("content", "--set", {"cells": 5}, "'cells'", id="cells-number"),
+    pytest.param("content", "--set", {"cells": [[0], 5]}, "'cells'", id="cell-number"),
+    pytest.param("content", "--set", {"indicator": {"a": 1}}, "'indicator'", id="indicator-object"),
+    pytest.param("content", "--set", 7, "'cells'", id="set-number"),
+])
+def test_cli_malformed_function_and_set_files_exit_2(files, capsys, command, flag, obj, field):
+    """The point commands' function and set files: a field of the wrong
+    JSON type is a usage error naming the field (exit 2), not a traceback."""
+    path = write_json(files["dir"] / "bad.json", obj)
+    code, out, err = run_cli(capsys, [command, "--grid", files["grid"], flag, path])
+    assert (code, out) == (2, "")
+    assert field in err and "Traceback" not in err
+
+
 def test_cli_verify_failure_exit_code(files, capsys, tmp_path, monkeypatch):
     fx = write_json(
         tmp_path / "fx.json",
