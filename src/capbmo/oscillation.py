@@ -479,7 +479,8 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         phase[done] = _DONE
         if q == 1.0 and len(done):
             breakpoints(done)
-            interpolate(done[phase[done] == _DONE])
+            if (phase[done] == _DONE).any():
+                interpolate(done[phase[done] == _DONE])
 
     def breakpoints(ks):
         """q = 1: F is linear between the breakpoints around each edge, the
@@ -638,6 +639,8 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         ks = np.flatnonzero(was == _PLATEAU)
         for j, side in enumerate(_SIDES):
             k = ks[asked[ks, j]]
+            if not len(k):
+                continue
             p, x = pid[k, j], probed[k, j]
             nxt = level(p, k, side)
             # inside the plateau, or no inward step left above rounding
