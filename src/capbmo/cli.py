@@ -106,6 +106,8 @@ def _cmd_avg(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
+    if args.kind in ("bmo", "bmo-signed") and args.q != 1.0:
+        raise ValueError(f"seminorm --kind {args.kind} is the q = 1 seminorm and takes no other --q")
     grid = load_grid(_read_json(args.grid))
     f = load_function(_read_json(args.fn), grid)
     params = _params(args)

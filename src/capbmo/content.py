@@ -24,7 +24,13 @@ costing one sort of the occupied cells, whose parents it builds in
 closed form, and then 2**n lookups per entry on each level above, at
 most one entry per occupied cell. Both add the same
 children in the same order, so every H_k is the same float either way
-and the choice changes only the time. The result is each job's chain
+and the choice changes only the time. The weighted level sets of a cube
+are nested masks of one weight row, so ``superlevel_integrals`` ranks
+each chunk's weight rows once (``rank_rows``: the table of distinct
+positive weights and each cell's index in it) and passes the rank rows
+and the table; such a call finds its levels by one sort of the integer
+(job, rank, cell) keys of its masked cells instead of a float sort of
+every row, with the same thresholds, cells and sets. The result is each job's chain
 (``Chains``): its thresholds, the content H_k of each superlevel set and
 one cell per threshold. The integral is the chain's layer-cake
 sum of (t_k - t_{k-1}) * H_k, rounded once: ``math.fsum``, or one IEEE
@@ -201,7 +207,7 @@ def _fsum(terms: list) -> float:
 
 def layer_cake(
     values: np.ndarray, masks: np.ndarray, ndim: int, depth: int, caps: np.ndarray,
-    keys: np.ndarray | None = None,
+    keys: np.ndarray | None = None, table: np.ndarray | None = None,
 ) -> Chains:
     """The chain of each row of values over the same row of masks.
 
@@ -210,28 +216,50 @@ def layer_cake(
     form levels, one per distinct value. With keys every masked cell does,
     ranked by (value, key): cells of equal value and different keys get
     nested levels of the same threshold, which add zero terms to the sum.
+    With a table, the distinct positive values ascending (``rank_rows``),
+    values hold each cell's index in it instead, -1 for no level: one sort
+    of integer keys replaces the float sort of every row, and the chain is
+    the one the tabled values give.
     """
     jobs, cells = values.shape
-    by_job = np.arange(jobs)[:, None]
-    if keys is None:
-        masks = masks & (values > 0)
-    levels = np.where(masks, values, -1.0)
-    order = np.argsort(levels, axis=1, kind="stable") if keys is None else np.lexsort((keys, levels))
-    levels = levels[by_job, order]
-    step = levels[:, 1:] != levels[:, :-1]
-    if keys is not None:
-        ranked = keys[by_job, order]
-        step |= ranked[:, 1:] != ranked[:, :-1]
-    distinct = levels >= 0
-    distinct[:, 1:] &= step
-    # rank[j, x]: index of cell x's level in job j's chain (-1 when it has
-    # none), so level k of job j occupies {x: rank[j, x] >= k}.
-    sorted_rank = np.cumsum(distinct, axis=1, dtype=np.int32) - 1
-    rank = np.empty_like(sorted_rank)
-    rank[by_job, order] = sorted_rank
-    job, col = np.nonzero(distinct)
-    level = sorted_rank[job, col]
-    if _sparse_cheaper(len(job), cells, int(np.count_nonzero(rank >= 0)), ndim, depth):
+    if table is not None:
+        # level k of job j is {x: rank[j, x] >= k} as below, k now a table
+        # index; both reductions only compare ranks, so gaps are fine
+        rank = np.where(masks, values, -1)
+        flat = np.flatnonzero(rank >= 0)
+        # one sort of the distinct (job, rank, cell) keys, each below
+        # jobs * len(table) * cells: a (job, rank) run starts at its lowest
+        # cell, the cell a stable sort of the values finds first
+        shift = ndim * depth  # cells == 1 << shift
+        key = np.sort(((flat >> shift) * len(table) + rank.ravel()[flat]) << shift | flat & (cells - 1))
+        run = key >> shift
+        first = np.ones(len(run), dtype=bool)
+        first[1:] = run[1:] != run[:-1]
+        job, level = np.divmod(run[first], len(table))
+        thresholds, cell, occupied = table[level], key[first] & (cells - 1), len(flat)
+    else:
+        by_job = np.arange(jobs)[:, None]
+        if keys is None:
+            masks = masks & (values > 0)
+        levels = np.where(masks, values, -1.0)
+        order = np.argsort(levels, axis=1, kind="stable") if keys is None else np.lexsort((keys, levels))
+        levels = levels[by_job, order]
+        step = levels[:, 1:] != levels[:, :-1]
+        if keys is not None:
+            ranked = keys[by_job, order]
+            step |= ranked[:, 1:] != ranked[:, :-1]
+        distinct = levels >= 0
+        distinct[:, 1:] &= step
+        # rank[j, x]: index of cell x's level in job j's chain (-1 when it
+        # has none), so level k of job j occupies {x: rank[j, x] >= k}.
+        sorted_rank = np.cumsum(distinct, axis=1, dtype=np.int32) - 1
+        rank = np.empty_like(sorted_rank)
+        rank[by_job, order] = sorted_rank
+        job, col = np.nonzero(distinct)
+        level = sorted_rank[job, col]
+        thresholds, cell = levels[job, col], order[job, col]
+        occupied = int(np.count_nonzero(rank >= 0))
+    if _sparse_cheaper(len(job), cells, occupied, ndim, depth):
         contents = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
     else:
         contents = np.empty(len(job))
@@ -242,11 +270,22 @@ def layer_cake(
             leaf *= caps[depth]
             contents[s : s + step] = kernels.reduce_tree(leaf, ndim, depth, caps)
     return Chains(
-        thresholds=levels[job, col],
+        thresholds=thresholds,
         contents=contents,
-        cells=order[job, col],
+        cells=cell,
         bounds=np.searchsorted(job, np.arange(jobs + 1)),
     )
+
+
+def rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, ranks) of value rows for ``layer_cake``: the distinct
+    positive values ascending, and each cell's index in the table, -1 for
+    a cell of no level (value <= 0 or NaN)."""
+    positive = rows > 0
+    table, inverse = np.unique(rows[positive], return_inverse=True)
+    ranks = np.full(rows.shape, -1, dtype=np.int32)
+    ranks[positive] = inverse
+    return table, ranks
 
 
 @lru_cache(maxsize=64)
@@ -299,11 +338,11 @@ class CubeFrames:
             out &= (x >= self._lo[which, a, None]) & (x <= self._hi[which, a, None])
         return out
 
-    def chains(self, values: np.ndarray, masks: np.ndarray, keys=None) -> Chains:
-        return layer_cake(values, masks, self.ndim, self.depth, self.caps, keys)
+    def chains(self, values: np.ndarray, masks: np.ndarray, keys=None, table=None) -> Chains:
+        return layer_cake(values, masks, self.ndim, self.depth, self.caps, keys, table)
 
-    def integrate(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        return self.chains(values, masks).integrals()
+    def integrate(self, values: np.ndarray, masks: np.ndarray, table=None) -> np.ndarray:
+        return self.chains(values, masks, table=table).integrals()
 
 
 def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
@@ -401,8 +440,9 @@ def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
     masks once. Plain contents take a cube's sets from one chain of the
     deviations keyed by zeros, so that every distinct deviation, zero
     included, is a level; weighted sets are masks of the same deviation
-    rows, one layer-cake job per set. A value is its set's float in Q_i's
-    frame either way.
+    rows, one layer-cake job per set, over the chunk's weight rows ranked
+    once (``rank_rows``). A value is its set's float in Q_i's frame either
+    way.
     """
     centers = np.asarray(centers, dtype=np.float64)
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # (levels, values, cube) per chunk
@@ -419,9 +459,10 @@ def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
                 rows, count = row_unique(dev)
                 d = rows[~np.isnan(rows)]
                 local = np.repeat(np.arange(len(which)), count)
-                wrows, out = frames.rows(weights, which), np.empty(len(d))
+                table, ranks = rank_rows(frames.rows(weights, which))
+                out = np.empty(len(d))
                 for s in job_chunks(len(d), frames.cells):
-                    out[s] = frames.integrate(wrows[local[s]], dev[local[s]] >= d[s, None])
+                    out[s] = frames.integrate(ranks[local[s]], dev[local[s]] >= d[s, None], table)
             parts.append((d, out, np.repeat(positions[which], count)))
     levels, vals, owner = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(owner, kind="stable")  # family order, each cube's levels ascending

@@ -106,6 +106,9 @@ def load_set(obj: dict, grid: Grid) -> DyadicSet:
     obj = obj if isinstance(obj, dict) else {}
     if "cells" in obj:
         cells = read_field(obj, "cells", list_of(list_of(int)), where="set file")
+        for cell in cells:
+            if not all(0 <= c < grid.cells_per_axis for c in cell):
+                raise ValueError(f"set file cell {cell} lies outside the grid")
         return set_from_cells(grid, [tuple(cell) for cell in cells])
     if "indicator" in obj:
         vals = read_field(obj, "indicator", _floats, where="set file").ravel()

@@ -16,6 +16,7 @@ from capbmo.content import (
     level_caps,
     masked_integral,
     masked_integral_many,
+    rank_rows,
     weighted_content,
 )
 from capbmo.grid import (
@@ -275,6 +276,31 @@ def test_keyless_chains_equal_zero_keyed_chains_of_positive_cells(data):
     keyed = layer_cake(values, masks & (values > 0), n, depth, caps, np.zeros(values.shape))
     for name in ("thresholds", "contents", "cells", "bounds"):
         a, b = getattr(keyless, name), getattr(keyed, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_ranked_chains_equal_float_sorted_chains(data):
+    """A call on the rows' ranks and their table gives the chain of a call
+    on the float rows, array for array, whichever reduction runs."""
+    n = data.draw(st.sampled_from([1, 2, 3]), label="n")
+    depth = data.draw(st.integers(0, {1: 6, 2: 3, 3: 2}[n]), label="depth")
+    jobs = data.draw(st.integers(1, 5), label="jobs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cells = 1 << (n * depth)
+    # repeated levels, zeros of both signs, negatives and NaN form no level
+    values = rng.integers(-2, data.draw(st.integers(1, 9), label="levels"), size=(jobs, cells)) * 0.75
+    values[rng.random((jobs, cells)) < 0.1] = -0.0
+    values[rng.random((jobs, cells)) < 0.05] = np.nan
+    masks = rng.random((jobs, cells)) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="density")
+    caps = level_caps(build_grid(n, depth, 2.0), depth, 0.5 * n)
+    table, ranks = rank_rows(values)
+    with forced_reduction(data.draw(st.sampled_from(["dense", "sparse"]), label="path")):
+        floated = layer_cake(values, masks, n, depth, caps)
+        ranked = layer_cake(ranks, masks, n, depth, caps, table=table)
+    for name in ("thresholds", "contents", "cells", "bounds"):
+        a, b = getattr(floated, name), getattr(ranked, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 

@@ -20,10 +20,12 @@ from capbmo import content, czd, oscillation
 from capbmo.choquet import signed_averages
 from capbmo.content import (
     ContentParams, cube_frames, cube_integrals, masked_integral_many, superlevel_integrals,
+    weighted_content,
 )
 from capbmo.fixtures import random_positive_weight
 from capbmo.grid import (
-    CubeFamily, CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, full_set, step_function,
+    CubeFamily, CubeFamilyPolicy, CubeSpec, DyadicSet, build_grid, enumerate_cubes, full_set,
+    step_function,
 )
 from capbmo.verify import (
     EnvelopeFit, SurvivalCurve, fit_envelope, survival_curves, verify_characterization,
@@ -325,6 +327,47 @@ def test_superlevel_integrals_match_per_level_reference(n, policy, weighted, pat
             # the whole-cube job keeps the reference in the cube's frame
             want = reference(grid, Q, [(wv, dev > x) for x in t] + [(wv, None)], params)[:-1]
             assert [v.hex() for v in vals.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def weighted_sets_match_one_set_at_a_time(grid, f, w, cubes, centers, params):
+    """Each weighted level set's value is the float weighted_content gives
+    for that set alone, by float.hex."""
+    family = CubeFamily.of(cubes)
+    sets = superlevel_integrals(cube_frames(grid, family, params), f.values, centers, w.values)
+    for i, (Q, c) in enumerate(zip(family, centers)):
+        part = slice(sets.bounds[i], sets.bounds[i + 1])
+        inside, dev = Q.mask(grid), np.abs(f.values - c)
+        want = [weighted_content(grid, w, DyadicSet(grid, inside & (dev >= d)), params)
+                for d in sets.levels[part].tolist()]
+        assert [v.hex() for v in sets.values[part].tolist()] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("weight", ["zeros", "vanishing", "equal", "spread"])
+@pytest.mark.parametrize("n,policy", CASES, ids=IDS)
+def test_ranked_weighted_level_sets_match_weighted_content(n, policy, weight):
+    """The ranked weighted path, with weights that vanish on some cells or
+    on all (an empty table), weights all equal and distinct weights, and a
+    one-cell cube (a depth-0 frame) after the family."""
+    grid, f, w, params = inputs(n, 31)
+    rng = np.random.default_rng(31)
+    values = {
+        "zeros": np.where(rng.random(grid.num_cells) < 0.3, 0.0, w.values),
+        "vanishing": np.zeros(grid.num_cells),
+        "equal": np.full(grid.num_cells, 0.75),
+        "spread": w.values,
+    }[weight]
+    cubes = list(enumerate_cubes(grid, policy)) + [CubeSpec((1,) * n, 1)]
+    centers = [float(f.values[Q.mask(grid)][0]) + 0.25 * (k % 3) for k, Q in enumerate(cubes)]
+    weighted_sets_match_one_set_at_a_time(grid, f, step_function(grid, values), cubes, centers, params)
+
+
+def test_ranked_weighted_level_sets_past_65535_distinct_weights():
+    """65,536 distinct weights on one root cube: more ranks than 16 bits hold."""
+    grid = build_grid(1, 16, 1.0)
+    rng = np.random.default_rng(5)
+    w = step_function(grid, rng.permutation(grid.num_cells) * 0.5 + 0.5)
+    f = step_function(grid, rng.integers(0, 3, size=grid.num_cells) * 1.0)
+    weighted_sets_match_one_set_at_a_time(grid, f, w, [CubeSpec.root(grid)], [0.0], ContentParams(0.5))
 
 
 def test_superlevel_integrals_integrate_each_set_once(monkeypatch):

@@ -316,6 +316,19 @@ def test_cli_seminorm_bad_q_exits_2(files, capsys, kind, q):
     assert "q must be positive and finite" in err
 
 
+@pytest.mark.parametrize("q", ["-1", "0", "nan", "2"])
+@pytest.mark.parametrize("kind", ["bmo", "bmo-signed"])
+def test_cli_seminorm_bmo_kinds_reject_q_exits_2(files, capsys, kind, q):
+    """The bmo kinds are q = 1 seminorms: another --q used to be written
+    into the hashed report body with exit 0. --q 1 is the default."""
+    argv = ["seminorm", "--grid", files["grid"], "--fn", files["fn"], "--kind", kind]
+    code, out, err = run_cli(capsys, argv + [f"--q={q}"])
+    assert (code, out) == (2, "")
+    assert "--q" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, argv + ["--q=1"])
+    assert code == 0 and json.loads(out) == json.loads(run_cli(capsys, argv)[1])
+
+
 @pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
 def test_cli_weight_bad_p_exits_2(files, capsys, p):
     """p = inf used to report an A_p constant of 1.0."""
@@ -461,6 +474,16 @@ def test_cli_malformed_function_and_set_files_exit_2(files, capsys, command, fla
     code, out, err = run_cli(capsys, [command, "--grid", files["grid"], flag, path])
     assert (code, out) == (2, "")
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", [9, -1, 4])
+def test_cli_set_cell_outside_the_grid_exits_2(files, capsys, cell):
+    """A set file cell past either end of the 4-cell grid used to end in
+    an IndexError traceback with exit 1."""
+    path = write_json(files["dir"] / "outside.json", {"cells": [[0], [cell]]})
+    code, out, err = run_cli(capsys, ["content", "--grid", files["grid"], "--set", path])
+    assert (code, out) == (2, "")
+    assert f"cell [{cell}] lies outside the grid" in err and "Traceback" not in err
 
 
 def test_cli_verify_failure_exit_code(files, capsys, tmp_path, monkeypatch):
