@@ -287,6 +287,54 @@ def test_centre_search_outputs_keep_their_pinned_bits(monkeypatch):
     assert got == PINNED_CENTRE_SEARCH
 
 
+PINNED_Q2_SEARCH = {
+    "gamma_1.0_unweighted_0,0:8": ["0x1.7fffffe310c36p-2", "0x1.8000000d689f4p-2", "0x1.c480000000000p+0", 5],
+    "gamma_1.0_unweighted_2,1:4": ["0x1.eff7b5d4cff12p-2", "0x1.f0084a2b300eep-2", "0x1.5370000000000p+0", 3],
+    "gamma_1.0_unweighted_4,4:4": ["0x1.7ff7b5d4cff12p-2", "0x1.80084a2b300eep-2", "0x1.6e00000000000p+0", 7],
+    "seminorm_1.0_unweighted_dyadic": ["0x1.545a4e5c29de4p+0", "33c47672102b71046cc5e125210be75082c70483264da8dd9426c2fa2455f111"],
+    "seminorm_1.0_unweighted_lattice": ["0x1.545a4e5c29de4p+0", "3fc1cd6d4f80f16d525f6c385c2f760a825508e8e7c95c147460912d08d91ea2"],
+    "gamma_1.0_weighted_0,0:8": ["0x1.9c9b679356f3dp-2", "0x1.9c9b6b1c57651p-2", "0x1.6eb7a07a5a63fp+0", 12],
+    "gamma_1.0_weighted_2,1:4": ["0x1.eaa790863942cp-2", "0x1.eaa7916d5145cp-2", "0x1.29de3e716331dp+0", 6],
+    "gamma_1.0_weighted_4,4:4": ["0x1.a35edaa585acfp-2", "0x1.a3701fe818481p-2", "0x1.51adc38d1540ep+0", 8],
+    "seminorm_1.0_weighted_dyadic": ["0x1.33ac782eb914dp+0", "2ae149c808851b01480296d3526adc032224ec91f23d49bb2efba267cd29b4fd"],
+    "seminorm_1.0_weighted_lattice": ["0x1.33ac782eb914dp+0", "d490ebd17c1f930a13b013e9b9618ded2fe08822a6580074307de9f6f72b5c32"],
+    "gamma_0.5_unweighted_0,0:8": ["0x1.7ffffff0eaf90p-2", "0x1.800000063f4a4p-2", "0x1.e400000000000p+0", 7],
+    "gamma_0.5_unweighted_2,1:4": ["0x1.ffffffe55115fp-2", "0x1.00000007a48ffp-1", "0x1.adb2cfe686fe8p+0", 7],
+    "gamma_0.5_unweighted_4,4:4": ["0x1.3ff7b5d4cff12p-2", "0x1.40084a2b300eep-2", "0x1.b900000000000p+0", 5],
+    "seminorm_0.5_unweighted_dyadic": ["0x1.6000000000000p+0", "baa1463fc5d3d44080cc2030e0e3e93d9930a021bc28d645059b652e5f84a120"],
+    "seminorm_0.5_unweighted_lattice": ["0x1.6000000000000p+0", "600a19a381d879f94b6521f14aa5ae190984578d9c4784b88f426b11b4a314bd"],
+    "gamma_0.5_weighted_0,0:8": ["0x1.7fffffe4041a6p-2", "0x1.8000001a5b8d5p-2", "0x1.9bb392c772efap+0", 10],
+    "gamma_0.5_weighted_2,1:4": ["0x1.156331c9c7380p-1", "0x1.156331ed44ec2p-1", "0x1.35ce815b05d52p+0", 8],
+    "gamma_0.5_weighted_4,4:4": ["0x1.e13f28b675ce2p-2", "0x1.e15033727ff48p-2", "0x1.9b60e67b8e7f9p+0", 3],
+    "seminorm_0.5_weighted_dyadic": ["0x1.44a59792744eep+0", "26dc84d854d66688ea35ea394f10fa4fe86e51acdab0980de63bb8b7588087fe"],
+    "seminorm_0.5_weighted_lattice": ["0x1.44a59792744eep+0", "c7d1427c2b016e233148d9accd2abe220d634b575347fc48c6a00360f0e2cd9a"],
+}
+
+
+def test_q2_centre_search_outputs_keep_their_pinned_bits():
+    """The q = 2 centre searches on the grid of the q = 1 pins above: the
+    plateaus (lo, hi, min_value and evaluations) of three cubes, and
+    seminorm values and centres over the dyadic and lattice families, for
+    delta 1 and 0.5, weighted and with a unit weight. Inside the search
+    q = 2 takes only squares, square roots and matmuls, so no libm power
+    enters the plateaus."""
+    cells = np.arange(64)
+    g = build_grid(2, 3, 2.0)
+    f = step_function(g, ((cells * 37) % 23) * 0.125 - 1.0)
+    w = step_function(g, 1.0 + ((cells * 13) % 7) / 8.0)
+    unit = step_function(g, np.ones(64))
+    got = {}
+    for delta, weight in itertools.product((1.0, 0.5), (None, w)):
+        P, name = ContentParams(delta=delta), f"{delta}_{'unweighted' if weight is None else 'weighted'}"
+        for Q in (CubeSpec((0, 0), 8), CubeSpec((2, 1), 4), CubeSpec((4, 4), 4)):
+            gi = gamma_interval(f, weight, 2.0, Q, P)
+            got[f"gamma_{name}_{Q.cube_id()}"] = [*(x.hex() for x in (gi.lo, gi.hi, gi.min_value)), gi.evaluations]
+        for policy in (CubeFamilyPolicy(), CubeFamilyPolicy("lattice")):
+            rep = weighted_bmo_seminorm(f, unit if weight is None else weight, 2.0, P, policy)
+            got[f"seminorm_{name}_{policy.kind}"] = _seminorm_bits(rep)
+    assert got == PINNED_Q2_SEARCH
+
+
 def test_choquet_calculus_battery_zero_violations(rng):
     started = time.monotonic()
     violations = []
