@@ -37,17 +37,19 @@ so its chain still holds on that side. For q < 1 a dense scan over the
 cell values and their midpoints is used, marked as a fallback
 (``GammaInterval.used_fallback``).
 
-Searches whose centres are known up front are array operations over each
-frame-depth group of ``cube_frames``: constant cubes need no integral,
-and ``_objective`` gives F on a NaN-padded (cubes x centres) matrix, the
-normalisers w(Q) in the first rows of the same layer-cake calls, for one
-given centre per cube (``_values_at``) and for ``_scan``: the q = 1
-breakpoints of small cubes and the q < 1 dense scan. The piecewise
-searches of all groups run together in ``_search``, in rounds of array
-operations. Each round integrates every pending (centre, side) probe,
-side 0 for a plain value, a group's probes in its own layer-cake calls
-(split only at the integrator's cell budget) and the normalisers in the
-first round; reads the pieces of all one-sided probes in one pass
+Every integral of F runs through ``_probe_integrals``: (cube, centre,
+side) probes of one frame-depth group of ``cube_frames`` become rows
+|f - c|**q * w, the normalisers w(Q) first, in layer-cake calls split
+only at the integrator's cell budget; side 0 is a plain value, and side
++1 or -1 also returns the probe's levels. Searches whose centres are
+known up front are array operations over each group: constant cubes
+need no integral, and ``_objective`` gives F on a NaN-padded (cubes x
+centres) matrix of plain probes, for one given centre per cube
+(``_values_at``) and for ``_scan``: the q = 1 breakpoints of small
+cubes and the q < 1 dense scan. The piecewise searches of all groups
+run together in ``_search``, in rounds of array operations. Each round
+integrates every pending probe and, in the first round, the normalisers;
+reads the pieces of all one-sided probes in one pass
 (``_piece_bounds``); and moves every cube on by masked operations. For
 q = 1 each piece's kinks come from cumsums over a padded array
 (``_kinks``), which add in the order of a 1-D cumsum. Dots and sums of
@@ -122,10 +124,12 @@ class SeminormReport:
 _SCAN_PAIRS = 10
 
 
-def _check(q: float, w: StepFunction | None = None) -> None:
+def _check(q: float, f: StepFunction, w: StepFunction | None = None) -> None:
     """The q and weight checks of the public entry points."""
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")
+    if w is not None and w.grid != f.grid:
+        raise ValueError("weight lives on a different grid")
     if w is not None and np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive")
 
@@ -139,32 +143,6 @@ def _chunk_rows(frames, f: StepFunction, w: StepFunction | None, count: int):
                None if w is None else frames.rows(w.values, which))
 
 
-def _extent(fv: np.ndarray, inside: np.ndarray):
-    """Each row's minimum and maximum over its masked cells."""
-    return np.where(inside, fv, np.inf).min(axis=1), np.where(inside, fv, -np.inf).max(axis=1)
-
-
-def _probe_rows(frames, f, w, q: float, which: np.ndarray, centre: np.ndarray, norms: int):
-    """Plain probe rows |f - centre[j]|**q * w on cube which[j], except the
-    first `norms` rows, which hold w (or 1) for the normalisers w(Q).
-
-    Returns the f rows, f - centre, the w rows (None without w) and the rows.
-    """
-    fv = frames.rows(f.values, which)
-    dev = fv - centre[:, None]
-    vals = np.abs(dev)
-    if q != 1.0:
-        vals = vals**q
-    wv = None
-    if w is None:
-        vals[:norms] = 1.0
-    else:
-        wv = frames.rows(w.values, which)
-        vals = vals * wv
-        vals[:norms] = wv[:norms]
-    return fv, dev, wv, vals
-
-
 def _objective(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """F on cube which[r] at each centre cands[r, j], +inf where cands is NaN.
 
@@ -174,10 +152,7 @@ def _objective(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray) -> 
     per, count = valid.sum(axis=1), len(which)
     cube = np.concatenate([which, np.repeat(which, per)])
     centre = np.concatenate([np.zeros(count), cands[valid]])
-    raw = np.empty(len(cube))
-    for sl in job_chunks(len(cube), frames.cells):
-        vals = _probe_rows(frames, f, w, q, cube[sl], centre[sl], max(0, count - sl.start))[3]
-        raw[sl] = frames.integrate(vals, frames.masks(cube[sl]))
+    raw = _probe_integrals(f, w, q, frames, cube, centre, np.zeros(len(cube)), count)[0]
     F = np.full(cands.shape, math.inf)
     F[valid] = raw[count:] / np.repeat(raw[:count], per)
     return F
@@ -194,7 +169,8 @@ def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: Conten
     for positions, frames in cube_frames(f.grid, family, params):
         lo, hi = np.empty(len(positions)), np.empty(len(positions))
         for sl, fv, inside, _ in _chunk_rows(frames, f, None, len(positions)):
-            lo[sl], hi[sl] = _extent(fv, inside)
+            lo[sl] = np.where(inside, fv, np.inf).min(axis=1)
+            hi[sl] = np.where(inside, fv, -np.inf).max(axis=1)
         if centres is None:
             at[positions] = lo
         c = at[positions]
@@ -212,7 +188,9 @@ def oscillation_objective(
     c: float,
 ) -> float:
     """F(c) = (1/w(Q)) * integral over Q of |f - c|**q * w d(content)."""
-    _check(q, w)
+    _check(q, f, w)
+    if not math.isfinite(c):
+        raise ValueError("the centre c must be finite")
     return _values_at(f, w, float(q), params, [Q], [float(c)])[0][0]
 
 
@@ -299,10 +277,10 @@ def _level(v: np.ndarray, s: np.ndarray, q: float, thr: float, inner: float, sid
 
 def _kinks(v: np.ndarray, s: np.ndarray, bounds: np.ndarray):
     """q = 1: the levels of each chain bounds[t]:bounds[t + 1] sorted by v
-    (stably), flat in chain order: v, the prefix sums of the weights s,
-    phi at each level and the slopes of phi left and right of it. The
-    prefix sums run down the columns of a padded (levels x chains) array,
-    adding in the order of each chain's own cumsum."""
+    (stably), flat in chain order: v, phi at each level and the slopes of
+    phi left and right of it. The prefix sums of s and s * v behind them
+    run down the columns of a padded (levels x chains) array, adding in
+    the order of each chain's own cumsum."""
     n = np.diff(bounds)
     chain = np.repeat(np.arange(len(n)), n)
     at, last = (np.arange(len(v)) - bounds[chain], chain), (n - 1, np.arange(len(n)))
@@ -317,20 +295,25 @@ def _kinks(v: np.ndarray, s: np.ndarray, bounds: np.ndarray):
     weighted = np.cumsum(rows, axis=0)
     right = 2.0 * upto[at] - upto[last][chain]
     phi = v * right + weighted[last][chain] - 2.0 * weighted[at]
-    return v, upto[at], phi, right - 2.0 * s, right
+    return v, phi, right - 2.0 * s, right
 
 
 def _probe_integrals(f, w, q: float, frames, which: np.ndarray, centre: np.ndarray,
                      side: np.ndarray, norms: int):
     """F's integrals at the probes (centre[j], side[j]) on the group's cubes
-    which[j], the first `norms` of them the normalisers w(Q), and (probe,
-    H, v, w) of each level of the one-sided probes. Side +1 or -1 breaks
-    ties between cells of equal |f - c|**q * w by their order just beyond
-    c on that side and includes the cells where f = c."""
+    which[j], the first `norms` of them the normalisers w(Q) (rows of w,
+    or 1), and (probe, H, v, w) of each level of the one-sided probes.
+    Side 0 integrates without keys. Side +1 or -1 breaks ties between
+    cells of equal |f - c|**q * w by their order just beyond c on that
+    side and includes the cells where f = c."""
     raw, levels = np.empty(len(which)), []
     for sl in job_chunks(len(which), frames.cells):
-        rows = which[sl]
-        fv, dev, wv, vals = _probe_rows(frames, f, w, q, rows, centre[sl], max(0, norms - sl.start))
+        rows, n = which[sl], max(0, norms - sl.start)
+        fv = frames.rows(f.values, rows)
+        wv = np.ones(fv.shape) if w is None else frames.rows(w.values, rows)
+        dev = fv - centre[sl, None]
+        vals = (np.abs(dev) if q == 1.0 else np.abs(dev) ** q) * wv
+        vals[:n] = wv[:n]
         sided = side[sl] != 0
         keys = None
         if sided.any():
@@ -338,15 +321,14 @@ def _probe_integrals(f, w, q: float, frames, which: np.ndarray, centre: np.ndarr
             # -d / (f - c), and the cells where f = c by their weight.
             # Keyed plain rows gain only zero-width levels.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                keys = np.where(dev == 0, 1.0 if wv is None else wv, -side[sl, None] / dev)
+                keys = np.where(dev == 0, wv, -side[sl, None] / dev)
         chains = frames.chains(vals, frames.masks(rows), keys)
         raw[sl] = chains.integrals()
         if keys is not None:
             job = np.repeat(np.arange(len(rows)), np.diff(chains.bounds))
             pick = sided[job]
             job, cells = job[pick], chains.cells[pick]
-            levels.append((job + sl.start, chains.contents[pick], fv[job, cells],
-                           np.ones(len(cells)) if wv is None else wv[job, cells]))
+            levels.append((job + sl.start, chains.contents[pick], fv[job, cells], wv[job, cells]))
     return raw, levels
 
 
@@ -375,16 +357,17 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
     c_star, thr, min_value, norm = np.full((4, K), math.nan)
     tangent = np.full((2, 3, K), math.nan)  # lines below F touching it at a and b: (point, value, slope)
     widths = np.full((3, K), math.nan)  # the bracket's last three widths, latest last
-    widths[2], steps = b - a, np.ones(K, dtype=np.intp)
-    # per side: the bound on the edge from outside and its piece, the edge
-    # and its piece, and the (outer, inner) breakpoints around the edge
+    widths[2] = b - a
+    # per side: the bound on the edge from outside (NaN once the edge is
+    # found) and its piece, the edge and its piece, and the (outer, inner)
+    # breakpoints around the edge
     bound, ends = np.full((2, 2, K), math.nan)
     bound_piece, edge = np.zeros((2, 2, K), dtype=np.intp)
-    active, seg = np.zeros((2, K), dtype=bool), np.full((2, 2, K), math.nan)
+    seg = np.full((2, 2, K), math.nan)
     slot, slot_side, ask = np.full((K, 4), math.nan), np.zeros((K, 4)), np.zeros((K, 4), dtype=bool)
     slot[:, 0], slot_side[:, 0], ask[:, 0] = c, 1.0, True
     log_c, log_s, log_v, log_p = np.empty((4, K, 0))
-    store = [np.empty(0)] * 8  # v, s, the five _kinks arrays and the roots of every piece
+    store = [np.empty(0)] * 7  # v, s, the four _kinks arrays and the roots of every piece
     p_lo, p_hi, p_value = np.empty((3, 0))
     p_start, p_n, r_start, r_n = np.empty((4, 0), dtype=np.intp)
 
@@ -441,10 +424,10 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         if q != 1.0:
             return each(_level, p, thr[ks], c_star[ks], np.full(len(p), side))
         idx, owner = spans(p_start[p], p_n[p])
-        k, found = first_in(np.flatnonzero(store[4][idx] <= thr[ks][owner]), p_n[p], last=side > 0)
+        k, found = first_in(np.flatnonzero(store[3][idx] <= thr[ks][owner]), p_n[p], last=side > 0)
         k = idx[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = store[2][k] + (thr[ks] - store[4][k]) / store[5 if side < 0 else 6][k]
+            x = store[2][k] + (thr[ks] - store[3][k]) / store[4 if side < 0 else 5][k]
         return np.where(found, x, c_star[ks])
 
     def emit(ks, j, x, side):
@@ -463,16 +446,16 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
             (np.maximum if side < 0 else np.minimum).at(best, sc, x)
             hit = np.flatnonzero(x == best[sc])
             first = hit[np.unique(sc[hit], return_index=True)[1]]  # the first piece on ties
-            bound[j, sc[first]], bound_piece[j, sc[first]], active[j, sc[first]] = x[first], sp[first], True
+            bound[j, sc[first]], bound_piece[j, sc[first]] = x[first], sp[first]
 
     def resolve(ks):
         """A bound on its own piece is the edge; ask for the others. Cubes
         asking nothing have both edges."""
         for j, side in enumerate(_SIDES):
             p, x = bound_piece[j, ks], bound[j, ks]
-            own = active[j, ks] & (p_lo[p] <= x) & (x <= p_hi[p])
-            ends[j, ks[own]], edge[j, ks[own]], active[j, ks[own]] = x[own], p[own], False
-            far = ks[active[j, ks]]
+            own = (p_lo[p] <= x) & (x <= p_hi[p])
+            ends[j, ks[own]], edge[j, ks[own]], bound[j, ks[own]] = x[own], p[own], math.nan
+            far = ks[~np.isnan(bound[j, ks])]
             emit(far, j, bound[j, far], -side)
         done = ks[~ask[ks, :2].any(axis=1)]
         phase[ks] = _PLATEAU
@@ -489,7 +472,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         p, x, side = edge[:, ks].ravel(), ends[:, ks].ravel(), np.repeat(_SIDES, len(ks))
         iv, ov = spans(p_start[p], p_n[p])
         ir, orr = spans(r_start[p], r_n[p])
-        cand, own = np.concatenate([store[0][iv], store[7][ir]]), np.concatenate([ov, orr])
+        cand, own = np.concatenate([store[0][iv], store[6][ir]]), np.concatenate([ov, orr])
         below = (cand < x[own]) | ((side[own] > 0) & (cand == x[own]))
         top, bottom = np.full(len(p), -math.inf), np.full(len(p), math.inf)
         np.maximum.at(top, own[below], cand[below])
@@ -519,7 +502,6 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
                 ends[j, ks[on]] = (x0 + (t - outer) / (inner - outer) * (x1 - x0))[on]
         phase[ks] = _DONE
 
-    first = True
     while ask.any():
         kk, jj = np.nonzero(ask)
         centre, side = slot[kk, jj], slot_side[kk, jj]
@@ -529,7 +511,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
             if cuts[g] < cuts[g + 1]:
                 probes = slice(cuts[g], cuts[g + 1])
                 # the first round integrates w (or 1) on every cube first
-                mine = np.arange(offsets[g], offsets[g + 1] if first else offsets[g])
+                mine = np.arange(offsets[g], offsets[g + 1])[np.isnan(norm[offsets[g] : offsets[g + 1]])]
                 zeros = np.zeros(len(mine))
                 raw, part = _probe_integrals(
                     f, w, q, frames, which[np.concatenate([mine, kk[probes]]) - offsets[g]],
@@ -537,7 +519,6 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
                 norm[mine] = raw[: len(mine)]
                 got[kk[probes], jj[probes]] = raw[len(mine) :] / norm[kk[probes]]
                 levels += [(job - len(mine) + probes.start, *rest) for job, *rest in part]
-        first = False
         if levels:
             job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
             sided = np.flatnonzero(side)
@@ -549,7 +530,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
             pid[kk[sided], jj[sided]] = len(p_lo) + np.arange(len(sided))
             p_start, p_n, r_start, r_n = (np.concatenate([old, new]) for old, new in (
                 (p_start, len(store[0]) + bounds[:-1]), (p_n, np.diff(bounds)),
-                (r_start, len(store[7]) + rb[:-1]), (r_n, np.diff(rb))))
+                (r_start, len(store[6]) + rb[:-1]), (r_n, np.diff(rb))))
             p_lo, p_hi = np.concatenate([p_lo, lo]), np.concatenate([p_hi, hi])
             p_value = np.concatenate([p_value, got[kk[sided], jj[sided]]])
             new = [v, s, *_kinks(v, s, bounds), roots] if q == 1.0 else [v, s]
@@ -570,16 +551,17 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
             lo = np.where(A > p_lo[p], A, p_lo[p])
             hi = np.where(B < p_hi[p], B, p_hi[p])
             if q == 1.0:
-                # phi's slopes from the prefix sums at its kinks, and its
-                # minimum at the first kink where the right slope is >= 0
+                # phi's slope past the kinks below a point: the right slope
+                # of the last of them, or -total; its minimum at the first
+                # kink where the right slope is >= 0
                 idx, owner = spans(p_start[p], p_n[p])
-                kv, total = store[2][idx], store[3][p_start[p] + p_n[p] - 1]
+                kv, total = store[2][idx], store[5][p_start[p] + p_n[p] - 1]
 
                 def slope(below):
                     k = np.bincount(owner[below], minlength=len(p))
-                    return 2.0 * np.where(k > 0, store[3][p_start[p] + k - 1], 0.0) - total
+                    return np.where(k > 0, store[5][p_start[p] + k - 1], -total)
                 left, right = slope(kv < hi[owner]), slope(kv <= lo[owner])
-                peak = store[2][idx[first_in(np.flatnonzero(store[6][idx] >= 0), p_n[p])[0]]]
+                peak = store[2][idx[first_in(np.flatnonzero(store[5][idx] >= 0), p_n[p])[0]]]
             else:
                 # phi's slope at hi, lo and the centre, phi at hi and lo, and
                 # for q = 2 its minimiser, in one pass over each chain length
@@ -613,14 +595,14 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
                 best = np.where(flat == 0, x0, best)
             best = np.where(stop, best, np.where(A == B, A, math.nan))
             widths[:, ks[go]] = np.stack([widths[1, ks[go]], widths[2, ks[go]], (B - A)[go]])
-            steps[ks[go]] += 1
             # the next centre: the minimiser of this piece's sum (Newton-like
             # for q > 1), else the crossing of the two tangents, else bisection
             m = np.where(need, peak, math.nan)
             cross = go & both & ~((A < m) & (m < B))
             (xa, fa, sa), (xb, fb, sb) = tangent[:, :, ks[cross]]
             m[cross] = (fb - fa + sa * xa - sb * xb) / (sa - sb)
-            halve = go & (~((A < m) & (m < B)) | (steps[ks] > 2) & (widths[2, ks] > 0.5 * widths[0, ks]))
+            # widths[0] is NaN, so compares False, until the bracket has had three widths
+            halve = go & (~((A < m) & (m < B)) | (widths[2, ks] > 0.5 * widths[0, ks]))
             m[halve] = 0.5 * (A[halve] + B[halve])
             stuck = go & ~((A < m) & (m < B))  # no float lies between a and b
             best[stuck] = np.where((x0 == A) | (x0 == B), x0, A)[stuck]
@@ -646,7 +628,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
             # inside the plateau, or no inward step left above rounding
             done = (p_value[p] <= thr[k]) | ((nxt - x) * side >= 0)
             ends[j, k[done]], edge[j, k[done]] = x[done], p[done]
-            bound[j, k], bound_piece[j, k], active[j, k] = nxt, p, ~done
+            bound[j, k], bound_piece[j, k] = np.where(done, math.nan, nxt), p
         starting = np.concatenate(starting)
         if len(starting):
             plateau(starting)
@@ -775,9 +757,8 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
     for positions, frames in cube_frames(f.grid, family, params):
         scans, search = [], []
         for sl, fv, inside, wv in _chunk_rows(frames, f, w, len(positions)):
-            lo, hi = _extent(fv, inside)
-            flat = lo == hi
             corner = fv[np.arange(len(fv)), inside.argmax(axis=1)]  # f at the cube's first cell
+            flat = ((fv == corner[:, None]) | ~inside).all(axis=1)
             for k, a in zip(np.flatnonzero(flat).tolist(), corner[flat].tolist()):
                 out[positions[sl.start + k]] = GammaInterval(
                     lo=a - half, hi=a + half, min_value=0.0, tol=tol)
@@ -833,9 +814,9 @@ def gamma_interval(
     tol: float = 1e-9,
 ) -> GammaInterval:
     """Global minimum of F and the plateau {F <= min + tol} around it."""
-    _check(q, w)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check(q, f, w)
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     return _gamma_intervals(f, w, q, [Q], params, tol)[0]
 
 
@@ -897,7 +878,7 @@ def blo_seminorm(
     q: float = 1.0,
 ) -> SeminormReport:
     """Supremum of the q-mean of f - esinf_Q f; centers are the esinfs."""
-    _check(q)
+    _check(q, f)
     cubes = enumerate_cubes(f.grid, policy)
     return _report(cubes, *blo_values(f, cubes, params, q), policy)
 
@@ -910,5 +891,5 @@ def weighted_bmo_seminorm(
     policy: CubeFamilyPolicy = CubeFamilyPolicy(),
 ) -> SeminormReport:
     """sup over cubes of (inf_c F(c))**(1/q) for the weighted objective."""
-    _check(q, w)
+    _check(q, f, w)
     return _search_report(f, w, q, enumerate_cubes(f.grid, policy), params, policy)

@@ -343,6 +343,33 @@ def test_validation_errors(grid_1d):
         weighted_bmo_seminorm(f, bad_w, 1.0, params)
     with pytest.raises(ValueError):
         blo_seminorm(f, params, q=-1.0)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            gamma_interval(f, None, 1.0, root, params, tol=tol)
+
+
+@pytest.mark.parametrize("cells", [64, 4])
+def test_weight_on_another_grid_is_rejected(cells):
+    """A weight on a grid of another size is neither read at f's flat
+    indices nor left to fail on an index."""
+    g = build_grid(2, 2, 1.0)
+    f = step_function(g, np.arange(16, dtype=float))
+    other = build_grid(2, 3 if cells == 64 else 1, 1.0)
+    w = step_function(other, np.ones(cells))
+    P, root = ContentParams(delta=1.0), CubeSpec((0, 0), 4)
+    for call in (lambda: weighted_bmo_seminorm(f, w, 1.0, P),
+                 lambda: gamma_interval(f, w, 2.0, root, P),
+                 lambda: oscillation_objective(f, w, 1.0, root, P, 3.0)):
+        with pytest.raises(ValueError, match="weight lives on a different grid"):
+            call()
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_objective_rejects_a_non_finite_centre(c):
+    g = build_grid(2, 2, 1.0)
+    f = step_function(g, np.arange(16, dtype=float))
+    with pytest.raises(ValueError, match="centre"):
+        oscillation_objective(f, None, 1.0, CubeSpec((0, 0), 4), ContentParams(delta=1.0), c)
 
 
 def test_sub_half_q_uses_dense_fallback(grid_1d):
