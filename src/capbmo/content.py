@@ -27,10 +27,11 @@ children in the same order, so every H_k is the same float either way
 and the choice changes only the time. The weighted level sets of a cube
 are nested masks of one weight row, so ``superlevel_integrals`` ranks
 each chunk's weight rows once (``rank_rows``: the table of distinct
-positive weights and each cell's index in it) and passes the rank rows
-and the table; such a call finds its levels by one sort of the integer
-(job, rank, cell) keys of its masked cells instead of a float sort of
-every row, with the same thresholds, cells and sets. The result is each job's chain
+positive weights and each cell's index in it) and passes one rank row
+and one nest row per cube (a cell's nest is the index of its deviation
+among the cube's: the k-th set is {nest >= k}). One sort of the integer
+(row, rank, cell) keys of the occupied cells gives every set's levels,
+with no float sort of a row. The result is each job's chain
 (``Chains``): its thresholds, the content H_k of each superlevel set and
 one cell per threshold. The integral is the chain's layer-cake
 sum of (t_k - t_{k-1}) * H_k, rounded once: ``math.fsum``, or one IEEE
@@ -148,9 +149,10 @@ def _sparse_cheaper(thresholds: int, cells: int, occupied: int, ndim: int, depth
     The sparse one sorts the occupied leaves once, builds their parents in
     closed form and then looks up 2**ndim children for each of at most
     occupied entries per level above; it is priced as occupied * depth *
-    2**ndim units of _SPARSE_COST dense leaf cells. That estimate reads 0
-    at depth 0, where the sparse reduction still has its fixed cost, so
-    one-cell frames stay dense. Both give the same floats, so the choice
+    2**ndim units of _SPARSE_COST dense leaf cells (with nest rows, the
+    leaf copies: at most one per set and sibling). That estimate reads 0 at
+    depth 0, where the sparse reduction still has its fixed cost, so one-cell
+    frames stay dense. Both give the same floats, so the choice
     changes only the time.
     """
     return depth > 0 and thresholds * cells > _SPARSE_COST * occupied * depth * (1 << ndim)
@@ -207,7 +209,7 @@ def _fsum(terms: list) -> float:
 
 def layer_cake(
     values: np.ndarray, masks: np.ndarray, ndim: int, depth: int, caps: np.ndarray,
-    keys: np.ndarray | None = None, table: np.ndarray | None = None,
+    keys: np.ndarray | None = None, table: np.ndarray | None = None, nest: np.ndarray | None = None,
 ) -> Chains:
     """The chain of each row of values over the same row of masks.
 
@@ -219,24 +221,37 @@ def layer_cake(
     With a table, the distinct positive values ascending (``rank_rows``),
     values hold each cell's index in it instead, -1 for no level: one sort
     of integer keys replaces the float sort of every row, and the chain is
-    the one the tabled values give.
+    the one the tabled values give. A nest row (int, -1 outside every set)
+    then makes row j the jobs (j, k) for k = 0 .. max(nest[j]), in that
+    order: the chains of the same values over {nest[j] >= k}.
     """
     jobs, cells = values.shape
     if table is not None:
-        # level k of job j is {x: rank[j, x] >= k} as below, k now a table
-        # index; both reductions only compare ranks, so gaps are fine
         rank = np.where(masks, values, -1)
-        flat = np.flatnonzero(rank >= 0)
-        # one sort of the distinct (job, rank, cell) keys, each below
-        # jobs * len(table) * cells: a (job, rank) run starts at its lowest
-        # cell, the cell a stable sort of the values finds first
+        nested = np.where(masks, 0, -1) if nest is None else nest
+        sets = np.ones(jobs, dtype=np.int64) if nest is None else nest.max(axis=1) + 1
+        # one sort of the (row, rank, cell) keys: in a (row, rank) run each
+        # cell is the lowest one of the jobs (row, k), k in (below, nest]
         shift = ndim * depth  # cells == 1 << shift
-        key = np.sort(((flat >> shift) * len(table) + rank.ravel()[flat]) << shift | flat & (cells - 1))
-        run = key >> shift
-        first = np.ones(len(run), dtype=bool)
+        row, x = np.nonzero((rank >= 0) & (nested >= 0))
+        key = np.sort((row * len(table) + rank[row, x]) << shift | x)
+        run, x = key >> shift, key & (cells - 1)
+        row, level = np.divmod(run, len(table))
+        v, first = nested[row, x], np.ones(len(key), dtype=bool)
         first[1:] = run[1:] != run[:-1]
-        job, level = np.divmod(run[first], len(table))
-        thresholds, cell, occupied = table[level], key[first] & (cells - 1), len(flat)
+        lift = np.cumsum(first) * (int(v.max(initial=0)) + 2)  # each run above the last
+        below = np.empty_like(v)
+        below[1:] = (np.maximum.accumulate(v + lift) - lift)[:-1]
+        below[first] = -1
+        count = np.maximum(v - below, 0)
+        occupied = min(int(v.sum()) + len(v), len(v) << ndim)  # leaf copies: one per set, sibling
+        pick = np.repeat(np.arange(len(v)), count)
+        least = np.arange(len(pick)) - (np.cumsum(count) - count - below - 1)[pick]
+        owner = ((np.cumsum(sets) - sets)[row[pick]] + least) * len(table) + level[pick]
+        order = np.argsort(owner)
+        pick, least, jobs = pick[order], least[order], int(sets.sum())
+        job, owner, level, cell = row[pick], owner[order] // len(table), level[pick], x[pick]
+        thresholds = table[level]
     else:
         by_job = np.arange(jobs)[:, None]
         if keys is None:
@@ -257,15 +272,17 @@ def layer_cake(
         rank[by_job, order] = sorted_rank
         job, col = np.nonzero(distinct)
         level = sorted_rank[job, col]
-        thresholds, cell = levels[job, col], order[job, col]
+        thresholds, cell, owner, least = levels[job, col], order[job, col], job, None
         occupied = int(np.count_nonzero(rank >= 0))
     if _sparse_cheaper(len(job), cells, occupied, ndim, depth):
-        contents = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
+        contents = kernels.reduce_ranks(rank, job, level, ndim, depth, caps, nest, least)
     else:
         contents = np.empty(len(job))
         step = max(1, _ROW_CELLS // cells)
         for s in range(0, len(job), step):
             occ = rank[job[s : s + step]] >= level[s : s + step, None]
+            if nest is not None:
+                occ &= nest[job[s : s + step]] >= least[s : s + step, None]
             leaf = occ.astype(np.float64)
             leaf *= caps[depth]
             contents[s : s + step] = kernels.reduce_tree(leaf, ndim, depth, caps)
@@ -273,7 +290,7 @@ def layer_cake(
         thresholds=thresholds,
         contents=contents,
         cells=cell,
-        bounds=np.searchsorted(job, np.arange(jobs + 1)),
+        bounds=np.searchsorted(owner, np.arange(jobs + 1)),
     )
 
 
@@ -338,11 +355,8 @@ class CubeFrames:
             out &= (x >= self._lo[which, a, None]) & (x <= self._hi[which, a, None])
         return out
 
-    def chains(self, values: np.ndarray, masks: np.ndarray, keys=None, table=None) -> Chains:
-        return layer_cake(values, masks, self.ndim, self.depth, self.caps, keys, table)
-
-    def integrate(self, values: np.ndarray, masks: np.ndarray, table=None) -> np.ndarray:
-        return self.chains(values, masks, table=table).integrals()
+    def chains(self, values: np.ndarray, masks: np.ndarray, keys=None, table=None, nest=None) -> Chains:
+        return layer_cake(values, masks, self.ndim, self.depth, self.caps, keys, table, nest)
 
 
 def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
@@ -401,7 +415,7 @@ def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray
                 values.append(frames.rows(v, which[run]))
                 if m is not None:
                     inside[run] &= frames.rows(m, which[run])
-            out[positions[which], job] = frames.integrate(np.concatenate(values), inside)
+            out[positions[which], job] = frames.chains(np.concatenate(values), inside).integrals()
     return out
 
 
@@ -439,10 +453,10 @@ def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
     Each chunk of cubes builds its rows of the deviations and its cube
     masks once. Plain contents take a cube's sets from one chain of the
     deviations keyed by zeros, so that every distinct deviation, zero
-    included, is a level; weighted sets are masks of the same deviation
-    rows, one layer-cake job per set, over the chunk's weight rows ranked
-    once (``rank_rows``). A value is its set's float in Q_i's frame either
-    way.
+    included, is a level; weighted sets come from one layer-cake call per
+    chunk, one row per cube: the weight rows ranked once (``rank_rows``)
+    and each cell's nest, the index of its deviation among the cube's. A
+    value is its set's float in Q_i's frame either way.
     """
     centers = np.asarray(centers, dtype=np.float64)
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # (levels, values, cube) per chunk
@@ -455,14 +469,19 @@ def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
                 chains = frames.chains(dev, inside, np.zeros(dev.shape))
                 d, out, count = chains.thresholds, chains.contents, np.diff(chains.bounds)
             else:
-                dev[~inside] = np.nan  # NaN >= d is False: the masks below stay in the cube
-                rows, count = row_unique(dev)
-                d = rows[~np.isnan(rows)]
-                local = np.repeat(np.arange(len(which)), count)
+                # nest[i, x]: the index of cell x's deviation among cube i's
+                # distinct ones, so that its k-th set is {nest[i] >= k}
+                dev[~inside] = np.nan  # sorts last
+                order, by_row = np.argsort(dev, axis=1), np.arange(len(which))[:, None]
+                dev = dev[by_row, order]
+                new = ~np.isnan(dev)
+                new[:, 1:] &= dev[:, 1:] != dev[:, :-1]
+                nest = np.empty(dev.shape, dtype=np.int64)
+                nest[by_row, order] = np.cumsum(new, axis=1) - 1
+                nest[~inside] = -1
+                d, count = dev[new], new.sum(axis=1)
                 table, ranks = rank_rows(frames.rows(weights, which))
-                out = np.empty(len(d))
-                for s in job_chunks(len(d), frames.cells):
-                    out[s] = frames.integrate(ranks[local[s]], dev[local[s]] >= d[s, None], table)
+                out = frames.chains(ranks, inside, table=table, nest=nest).integrals()
             parts.append((d, out, np.repeat(positions[which], count)))
     levels, vals, owner = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(owner, kind="stable")  # family order, each cube's levels ascending

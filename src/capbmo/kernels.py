@@ -13,17 +13,20 @@ binary adds. The exhaustive cover-search tests rely on that order: it is
 the order in which their oracles sum a cover's cubes, bit for bit.
 
 ``reduce_ranks`` computes the contents of a whole chain of nested sets
-{rank >= k} at once, at a cost that follows the E occupied cells, not
-one dense row of every cell per k. Each tree node keeps one entry per
+{rank >= r} at once, at a cost that follows the E occupied cells, not
+one dense row of every cell per r. Each tree node keeps one entry per
 rank at which its cost changes. The parents of the leaves come in closed
 form from one sort of the occupied leaves: every leaf costs the leaf cap
 up to its rank, so a parent's cost at a rank depends only on how many of
 its children reach that rank. Above them a parent evaluates its children
 at the union of their ranks (one lookup per child, at most E entries per
 level), adds them in the same order, zeros included, and clips at its
-cap. Every content is therefore the float ``reduce_tree`` gives for the
-row of {rank >= k}, and ``content.layer_cake`` picks either reduction per
-call by cost alone.
+cap. With a nest row it gives the sets {nest >= k, rank >= r}, a cube's
+weighted level sets, keeping one chain per node and nest value in its
+subtree, not one per set; one stable sort merges the child chains copied
+to their parents' chains. Every content is the float ``reduce_tree``
+gives for the row of its set, and ``content.layer_cake`` picks either
+reduction per call by cost alone.
 """
 
 import itertools
@@ -87,65 +90,116 @@ def _morton(ndim, depth):
     return code
 
 
-def reduce_ranks(rank, job, level, ndim, depth, level_caps):
-    """Contents of the sets {x: rank[job[i], x] >= level[i]}.
+def reduce_ranks(rank, job, level, ndim, depth, level_caps, nest=None, least=None):
+    """Contents of the sets {x: rank[job[i], x] >= level[i]}, with a nest
+    row of the sets {x: nest[job[i], x] >= least[i], rank[job[i], x] >=
+    level[i]}.
 
-    rank: int array (rows, 2**(ndim*depth)), -1 on cells in no set.
-    job, level: equal-length int arrays naming the queried (row, k) pairs.
+    rank, nest: int arrays (rows, 2**(ndim*depth)), -1 on cells in no set.
+    job, level, least: equal-length int arrays naming the queried sets;
+        level and least are non-negative.
     level_caps: as for reduce_tree.
 
     Returns a float64 array of len(job), equal bit for bit to reduce_tree
-    on the leaf rows level_caps[depth] * (rank[job[i]] >= level[i]), and
-    zeros where no cell is occupied. The leaf parents cost one sort of the
-    occupied leaves; each level above, 2**ndim lookups per entry.
+    on the leaf rows level_caps[depth] * (rank[job[i]] >= level[i]) (and
+    nest[job[i]] >= least[i]), and zeros where no cell is occupied.
     """
     job = np.asarray(job, dtype=np.int64)
     if depth == 0:  # a one-cell frame: the root is the leaf
-        return np.where(rank[job, 0] >= level, float(level_caps[0]), 0.0)
-    row, cell = np.nonzero(rank >= 0)
+        hit = (rank[job, 0] >= level) & (True if nest is None else nest[job, 0] >= least)
+        return np.where(hit, float(level_caps[0]), 0.0)
+    row, cell = np.nonzero(rank >= 0 if nest is None else (rank >= 0) & (nest >= 0))
     if len(job) == 0 or len(row) == 0:
         return np.zeros(len(job))
-    # An entry is the int64 key node << bits | rank, nodes numbered
-    # row-major by row and in Z-order within a row, and the node's cost
-    # at every rank from its previous entry (exclusive) up to rank. Keys
-    # fit while rows * cells * 2**bits < 2**63, far beyond any rank array
-    # that fits in memory.
-    bits = int(max(rank.max(), np.max(level))).bit_length()
-    low = (1 << bits) - 1
-    # The leaf parents in closed form: a leaf costs caps[depth] up to its
-    # rank, so a leaf parent's cost at rank r is min(caps[depth - 1], S[k])
-    # for its k children of rank >= r, S[k] the left-associated sum of k
-    # leaf caps (the empty children add +0.0). One sort of the occupied
-    # leaves' (parent, rank) keys gives each rank's k as its parent's end
-    # minus the start of the rank's run.
-    parent = row * (rank.shape[1] >> ndim) + (_morton(ndim, depth)[cell] >> ndim)
-    key = np.sort(parent << bits | rank[row, cell])
+    # An entry is the int64 key (node << nbits | k) << rbits | r, nodes
+    # numbered row-major by row and in Z-order within a row, and the
+    # node's cost for {nest >= k, rank >= r} at every r after the previous
+    # entry of the chain (node, k) up to r; nbits is 0 without nests. Keys
+    # fit while rows * cells * 2**(nbits + rbits) < 2**63.
+    rbits = int(max(rank.max(), np.max(level))).bit_length()
+    nbits = 0 if nest is None else int(max(nest.max(), np.max(least))).bit_length()
+    node = row * rank.shape[1] + _morton(ndim, depth)[cell]
+    if nbits:  # each leaf goes to the chains of its parent it stands in
+        key = np.append(np.sort((node << nbits | nest[row, cell]) << rbits | rank[row, cell]), _END)
+        key = _copies(key, ndim, nbits, rbits)[0]
+    else:
+        key = node >> ndim << rbits | rank[row, cell]
+    # the leaf parents in closed form: a chain's cost at r is min(cap, S[k])
+    # for its k leaves of rank >= r (the chain's end minus the start of the
+    # run of r), S[k] the left-associated sum of k leaf caps
+    key = np.sort(key)
     ends = np.flatnonzero(_run_ends(key))
-    starts = np.append(0, ends[:-1] + 1)
     key = key[ends]
-    last = _run_ends(key >> bits)
-    count = (ends[last] + 1)[np.cumsum(last) - last] - starts
-    leaf_sums = np.cumsum(np.append(0.0, np.full(1 << ndim, float(level_caps[depth]))))
-    key, val = _compress(key, np.minimum(leaf_sums[count], float(level_caps[depth - 1])), last)
-    # the levels above: each child's cost at the union of the children's ranks
-    slots = np.arange(1 << ndim, dtype=np.int64)[:, None]
-    for lvl in range(depth - 1, 0, -1):
-        # the parent keys: the union of the children's ranks per parent
-        union = key[:-1] >> (bits + ndim) << bits | key[:-1] & low
-        union.sort(kind="stable")  # merges the children's sorted runs
-        union = union[_run_ends(union)]
-        # each child's cost at each union rank, children in offset order
-        parent = union >> bits
-        child = (parent << ndim) + slots
-        idx = np.searchsorted(key, child << bits | union & low)
-        cost = np.where(key[idx] >> bits == child, val[idx], 0.0)
-        acc = cost[0]
-        for part in cost[1:]:
-            acc += part
-        np.minimum(acc, float(level_caps[lvl - 1]), out=acc)
-        key, val = _compress(union, acc, _run_ends(parent))
-    idx = np.searchsorted(key, job << bits | level)
-    return np.where(key[idx] >> bits == job, val[idx], 0.0)
+    last = _run_ends(key >> rbits)
+    count = (ends[last] + 1)[np.cumsum(last) - last] - np.append(0, ends[:-1] + 1)
+    sums = np.cumsum(np.append(0.0, np.full(1 << ndim, float(level_caps[depth]))))
+    key, val = _compress(key, np.minimum(sums[count], float(level_caps[depth - 1])), last)
+    for lvl in range(depth - 2, -1, -1):
+        # each child's cost at each key of the union, children in offset order
+        key, cost = (_nested_parents if nbits else _parents)(key, val, ndim, nbits, rbits)
+        val = None
+        for part in cost:
+            val = part if val is None else np.add(val, part, out=val)
+        key, val = _compress(key, np.minimum(val, float(level_caps[lvl]), out=val), _run_ends(key >> rbits))
+    if nbits:  # each query's chain: the row's least nest value >= least[i], -1 for none
+        chain = key >> rbits
+        heads = chain[_run_ends(chain)]
+        head = heads[np.searchsorted(heads, job << nbits | least)]
+        job = np.where(head >> nbits == job, head, -1)
+    idx = np.searchsorted(key, job << rbits | level)
+    return np.where(key[idx] >> rbits == job, val[idx], 0.0)
+
+
+def _parents(key, val, ndim, nbits, rbits):
+    """(union, cost) of one level without nests: the union of the
+    children's ranks per parent, and each child's cost there."""
+    low = (1 << rbits) - 1
+    union = key[:-1] >> (rbits + ndim) << rbits | key[:-1] & low
+    union.sort(kind="stable")  # merges the children's sorted runs
+    union = union[_run_ends(union)]
+    child = (union >> rbits << ndim) + np.arange(1 << ndim, dtype=np.int64)[:, None]
+    idx = np.searchsorted(key, child << rbits | union & low)
+    return union, np.where(key[idx] >> rbits == child, val[idx], 0.0)
+
+
+def _copies(key, ndim, nbits, rbits):
+    """(copies, src, chain): the entries' keys re-keyed to the parent
+    chains (one per nest value of the children) that they stand for, the
+    chains k' in (k0, k] of a child's chain k after its chain k0."""
+    chain = key[:-1] >> rbits
+    ends = _run_ends(chain)
+    head = chain[ends]
+    own = np.cumsum(ends) - ends  # each entry's chain
+    base = head >> (nbits + ndim) << nbits  # its parent, shifted to the chain key
+    pk = base | head & ((1 << nbits) - 1)
+    nests = np.sort(pk)
+    nests = nests[_run_ends(nests)]
+    below = base.copy()
+    same = head[1:] >> nbits == head[:-1] >> nbits
+    below[1:][same] = pk[:-1][same] + 1
+    lo = np.searchsorted(nests, below)
+    reps = (np.searchsorted(nests, pk) - lo + 1)[own]
+    src = np.repeat(np.arange(len(chain)), reps)
+    target = np.repeat(lo[own] - np.cumsum(reps) + reps, reps) + np.arange(len(src))
+    return nests[target] << rbits | key[src] & ((1 << rbits) - 1), src, chain
+
+
+def _nested_parents(key, val, ndim, nbits, rbits):
+    """(union, cost) of one level of nested chains, cost one row per child
+    made when read: a stable sort merges the ``_copies`` (children in
+    offset order), and a child's next copy at or after a key is its cost."""
+    merged, src, chain = _copies(key, ndim, nbits, rbits)
+    order = np.argsort(merged, kind="stable")
+    merged, src, m = merged[order], src[order], len(order)
+    starts = np.flatnonzero(_run_ends(merged[::-1])[::-1])
+    ends = np.flatnonzero(_run_ends(merged >> rbits))
+    # nxt[s, u]: the first copy of slot s at or after union key u (m for
+    # none), a running minimum over the copies taken from the end
+    nxt = np.full((1 << ndim, m), m, dtype=np.int32)
+    nxt[chain[src[::-1]] >> nbits & ((1 << ndim) - 1), np.arange(m)] = np.arange(m - 1, -1, -1)
+    nxt = np.take(np.minimum.accumulate(nxt, axis=1, out=nxt), m - 1 - starts, axis=1)
+    cost, close = np.append(val[src], 0.0), ends[np.searchsorted(ends, starts)]  # the key's chain
+    return merged[starts], (np.where(n <= close, cost[n], 0.0) for n in nxt)
 
 
 def _compress(key, val, keep):

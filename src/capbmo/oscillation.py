@@ -124,14 +124,22 @@ class SeminormReport:
 _SCAN_PAIRS = 10
 
 
-def _check(q: float, f: StepFunction, w: StepFunction | None = None) -> None:
-    """The q and weight checks of the public entry points."""
+def _check(q: float, f: StepFunction, w: StepFunction | None = None, c: float | None = None) -> None:
+    """The q, weight and centre checks of the public entry points, and that
+    |f - c|**q * max w is finite for every c in [min f, max f] (and c)."""
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")
     if w is not None and w.grid != f.grid:
         raise ValueError("weight lives on a different grid")
     if w is not None and np.any(w.values <= 0):
         raise ValueError("weight must be strictly positive")
+    if c is not None and not math.isfinite(c):
+        raise ValueError("the centre c must be finite")
+    ends = [float(f.values.min()), float(f.values.max())] + ([] if c is None else [c])
+    with np.errstate(over="ignore"):
+        top = np.float64(max(ends) - min(ends)) ** q * (1.0 if w is None else w.values.max())
+    if not top < math.inf:
+        raise ValueError(f"q = {q} is too large: |f - c|**q * w overflows on this f")
 
 
 def _chunk_rows(frames, f: StepFunction, w: StepFunction | None, count: int):
@@ -188,9 +196,7 @@ def oscillation_objective(
     c: float,
 ) -> float:
     """F(c) = (1/w(Q)) * integral over Q of |f - c|**q * w d(content)."""
-    _check(q, f, w)
-    if not math.isfinite(c):
-        raise ValueError("the centre c must be finite")
+    _check(q, f, w, float(c))
     return _values_at(f, w, float(q), params, [Q], [float(c)])[0][0]
 
 

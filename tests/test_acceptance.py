@@ -31,6 +31,7 @@ from capbmo import (
     cz_verify,
     dyadic_content,
     dyadic_cubes,
+    enumerate_cubes,
     full_set,
     gamma_interval,
     jensen_sides,
@@ -49,6 +50,7 @@ from capbmo import (
 )
 from capbmo.choquet import weighted_choquet
 from capbmo.cli import main
+from capbmo.verify import survival_curves
 from capbmo.content import masked_integral_many
 from capbmo.fixtures import (
     JN_DEPTH_TRANSFER_FACTOR,
@@ -333,6 +335,92 @@ def test_q2_centre_search_outputs_keep_their_pinned_bits():
             rep = weighted_bmo_seminorm(f, unit if weight is None else weight, 2.0, P, policy)
             got[f"seminorm_{name}_{policy.kind}"] = _seminorm_bits(rep)
     assert got == PINNED_Q2_SEARCH
+
+
+def _hex_sha256(*arrays):
+    """sha256 of the float.hex of every entry of the arrays, in order."""
+    text = " ".join(x.hex() for a in arrays for x in np.asarray(a, dtype=float).ravel().tolist())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _weighted_level_set_bits():
+    """The outputs read from weighted level sets: weighted_choquet, both
+    sides of weighted_l1_comparison and the weighted survival curves of a
+    family, every float as float.hex (curves as one sha256)."""
+    cells = np.arange(64)
+    g = build_grid(2, 3, 2.0)
+    f = step_function(g, ((cells * 37) % 23) * 0.125 - 1.0)
+    weights = {
+        "ties": 1.0 + ((cells * 13) % 7) / 8.0,
+        "zeros": np.where(cells % 5 == 0, 0.0, 1.0 + ((cells * 13) % 7) / 8.0),
+        "distinct": 0.5 + ((cells * 29) % 64) / 64.0,
+    }
+    region = DyadicSet(g, cells % 3 != 0)
+    absf = step_function(g, np.abs(f.values))
+    got = {}
+    for delta, (name, wv) in itertools.product((1.0, 0.5), weights.items()):
+        P, w, key = ContentParams(delta=delta), step_function(g, wv), f"{delta}_{name}"
+        got[f"choquet_{key}"] = weighted_choquet(absf, region, w, P).hex()
+        if name != "zeros":
+            got[f"l1_{key}"] = [x.hex() for x in weighted_l1_comparison(f, w, P)]
+        for policy in (CubeFamilyPolicy(), CubeFamilyPolicy("lattice")):
+            cubes = enumerate_cubes(g, policy)
+            centers = [float(f.values[Q.mask(g)][0]) + 0.125 * (k % 3) for k, Q in enumerate(cubes)]
+            curves = survival_curves(f, centers, cubes, w, P, t_grid=(0.0, 0.25, 1.0))
+            got[f"survival_{key}_{policy.kind}"] = _hex_sha256(curves.samples, curves.survival,
+                                                               curves.normalizers)
+    # the shape of the benchmark's weighted L1 task: 32 deviation and 256 weight levels
+    cells = np.arange(4096)
+    g = build_grid(2, 6, 1.0)
+    f = step_function(g, ((cells * 37) % 32 + 1) * 0.125)
+    w = step_function(g, ((cells * 101) % 256 + 1) / 64.0)
+    for delta in (1.0, 0.5):
+        P = ContentParams(delta=delta)
+        got[f"l1_{delta}_64x64"] = [x.hex() for x in weighted_l1_comparison(f, w, P)]
+        curves = survival_curves(f, [1.5], [root_cube(g)], w, P, t_grid=(0.0, 0.5, 2.0))
+        got[f"survival_{delta}_64x64"] = _hex_sha256(curves.samples, curves.survival, curves.normalizers)
+    return got
+
+
+PINNED_WEIGHTED_LEVEL_SETS = {
+    "choquet_0.5_distinct": "0x1.a2b829ee78caap+1",
+    "choquet_0.5_ties": "0x1.f158ea9ba0006p+1",
+    "choquet_0.5_zeros": "0x1.f158ea9ba0006p+1",
+    "choquet_1.0_distinct": "0x1.e4d0000000000p+1",
+    "choquet_1.0_ties": "0x1.2ac0000000000p+2",
+    "choquet_1.0_zeros": "0x1.2a40000000000p+2",
+    "l1_0.5_64x64": ["0x1.0000000000000p+4", "0x1.0000000000000p+4"],
+    "l1_0.5_distinct": ["0x1.750856db106eap+1", "0x1.a9d647a1b0a5dp+1"],
+    "l1_0.5_ties": ["0x1.df3c10ceb10e2p+1", "0x1.0673abc10bbccp+2"],
+    "l1_1.0_64x64": ["0x1.e538000000000p+3", "0x1.f8b4000000000p+3"],
+    "l1_1.0_distinct": ["0x1.cac0000000000p+1", "0x1.0700000000000p+2"],
+    "l1_1.0_ties": ["0x1.2a00000000000p+2", "0x1.4e80000000000p+2"],
+    "survival_0.5_64x64": "3a2bcfde9b14d24e2c903c8f1f69f5b33fc60e13e3ca9bbf36cdf2f299f5d858",
+    "survival_0.5_distinct_dyadic": "a1d274c8be83509f64932ee9fdd0d698231f6e57d65a7eec0e0310db02ef6659",
+    "survival_0.5_distinct_lattice": "3804a6a4aadd412bc8b88c3caa7669e9eb453f0a9dbe14a82088a73a817ae383",
+    "survival_0.5_ties_dyadic": "4e05f1aa3ef2237c3e95a7bac30ce6c0fb606150a60490a35e27c03f664c5218",
+    "survival_0.5_ties_lattice": "c0ba1c9247e01f4bb17ad1651c4cd22eb3e5b96e5aaf150fb126a065d1dbbcf8",
+    "survival_0.5_zeros_dyadic": "b9df0449448c9d6de712f3fd91c9cb2f4472575de61d5dd7592929d3bbae541e",
+    "survival_0.5_zeros_lattice": "899de575db352ed8eb1f0feddedf7fffba6aa817097cefb184d9dfdfbc6b37ef",
+    "survival_1.0_64x64": "f92d69ffdb1f986e238a2816afcfa3d6c4fcd4bae5b9602afbd90aab77130b4a",
+    "survival_1.0_distinct_dyadic": "286bca748b52ba3e79bc10c9496a825eaf8b85fd54db09d016300df441175b72",
+    "survival_1.0_distinct_lattice": "882dd0ead14940d238905b0c456ee21a3d17939e02711ac02c38a69383b5117c",
+    "survival_1.0_ties_dyadic": "f9494c2ca751cf890b18f196b52cb7551f312e36670fb76e0db2260ab361a6f4",
+    "survival_1.0_ties_lattice": "9b132b89573318923a22dcf347c8827e3cd09317d36eab1613ea8011065dafe0",
+    "survival_1.0_zeros_dyadic": "8a9f42ea2fa3833f9b6996fb001ee04b9621c5a789bd9340eed4dd21f3337500",
+    "survival_1.0_zeros_lattice": "376ed795445a8560ab6fce1a5db08ca4ca49cc906e31c7ae36cf11193d522058",
+}
+
+
+def test_weighted_level_set_outputs_keep_their_pinned_bits():
+    """The outputs read from the w-contents of weighted level sets, pinned
+    as recorded, on the grid of the q = 1 and q = 2 pins: weighted_choquet,
+    both sides of weighted_l1_comparison and the weighted survival curves
+    of the dyadic and lattice families, for delta 1 and 0.5 and weights
+    with ties, with zeros and with all values distinct; and a 64x64 root
+    with 32 deviation levels and 256 weight levels. Inputs are dyadic
+    rationals, so no libm function enters the values."""
+    assert _weighted_level_set_bits() == PINNED_WEIGHTED_LEVEL_SETS
 
 
 def test_choquet_calculus_battery_zero_violations(rng):

@@ -371,14 +371,16 @@ def test_ranked_weighted_level_sets_past_65535_distinct_weights():
 
 
 def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
-    """One layer-cake job per distinct non-empty set with weights, one per
-    cube without, and one for every level of the weak-type check."""
+    """With weights, one layer-cake row per cube, whose (cube, k) chains
+    match the distinct non-empty sets one for one; without, one job per
+    cube; and one job for every level of the weak-type check."""
     grid, f, w, params, cubes, centers, levels = superlevel_inputs(2, CubeFamilyPolicy("lattice"), 5)
-    real, jobs = content.layer_cake, []
+    real, jobs, chains = content.layer_cake, [], []
 
     def counted(values, *args):
         jobs.append(len(values))
-        return real(values, *args)
+        chains.append(real(values, *args))
+        return chains[-1]
 
     monkeypatch.setattr(content, "layer_cake", counted)
     groups = cube_frames(grid, CubeFamily.of(cubes), params)
@@ -387,7 +389,9 @@ def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
     for Q, c, t in zip(cubes, centers, levels):
         inside = np.abs(f.values[Q.mask(grid)] - c)
         sets += len({tuple(inside > x) for x in t} - {(False,) * len(inside)})
-    assert sum(jobs) == sets < sum(map(len, levels))
+    assert sum(jobs) == len(cubes)
+    assert sum(len(ch.bounds) - 1 for ch in chains) == sets < sum(map(len, levels))
+    assert all((np.diff(ch.bounds) > 0).all() for ch in chains)  # w > 0: no chain is empty
     jobs.clear()
     superlevel_integrals(groups, f.values, centers)
     assert sum(jobs) == len(cubes)

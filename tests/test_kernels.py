@@ -66,10 +66,12 @@ def test_reduce_ranks_matches_reference_reduction(rng, ndim, depth):
 @settings(max_examples=120)
 @given(data=st.data())
 def test_reduce_ranks_matches_reduce_tree_bit_for_bit(data):
-    """reduce_ranks against reduce_tree on the rows caps[depth] * (rank[job]
-    >= level), on caps of random delta (not dyadic, so the order of the adds
-    shows), with sibling ties, heavily clipped parents, ranks above 2**16
-    (longer keys) and rows in no set."""
+    """reduce_ranks against reduce_tree on the rows caps[depth] * ((nest[job]
+    >= k) & (rank[job] >= r)), without a nest row (every k 0) or with one
+    whose values have gaps, repeats and -1, on caps of random delta (not
+    dyadic, so the order of the adds shows), with sibling ties, heavily
+    clipped parents, ranks above 2**16 (longer keys) and rows in no set. A
+    k above a row's largest nest or an r above its largest rank reads 0."""
     ndim = data.draw(st.integers(1, 3), label="ndim")
     depth = data.draw(st.integers(0, {1: 6, 2: 4, 3: 2}[ndim]), label="depth")
     rows = data.draw(st.integers(1, 5), label="rows")
@@ -78,6 +80,11 @@ def test_reduce_ranks_matches_reduce_tree_bit_for_bit(data):
     top = data.draw(st.sampled_from([1, 2, 4, 40]), label="top")
     rank = data.draw(arrays(np.int64, (rows, cells), elements=st.integers(-1, top)), label="rank")
     rank[rank >= 0] += data.draw(st.sampled_from([0, 1 << 16, 1 << 40]), label="base")
+    nest = None
+    if data.draw(st.booleans(), label="nested"):
+        values = st.sampled_from(data.draw(st.sampled_from([[-1, 0], [-1, 0, 2, 3, 7], [0, 1, 5, 40]]),
+                                           label="nest values"))
+        nest = data.draw(arrays(np.int64, (rows, cells), elements=values), label="nest")
     for r in data.draw(st.sets(st.integers(0, rows - 1), max_size=rows), label="empty rows"):
         rank[r] = -1
     delta = data.draw(st.floats(0.05, float(ndim)), label="delta")
@@ -86,13 +93,22 @@ def test_reduce_ranks_matches_reduce_tree_bit_for_bit(data):
     # factors below 1 clip parents well below the sum of their children
     caps *= data.draw(arrays(np.float64, depth + 1, elements=st.sampled_from([0.1, 0.6, 1.0])),
                       label="clip")
-    # every distinct set of each row: its ranks, one past each, and level 0
-    levels = np.unique(np.concatenate([[0], rank[rank >= 0], rank[rank >= 0] + 1]))
-    job, level = (a.ravel() for a in np.meshgrid(np.arange(rows), levels, indexing="ij"))
-    got = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
-    leaf = (rank[job] >= level[:, None]) * caps[depth]
-    want = kernels.reduce_tree(leaf, ndim, depth, caps)
+    # every distinct set of each row: its ranks and nests, one past each, and 0
+    occupied = rank >= 0
+    levels = np.unique(np.concatenate([[0], rank[occupied], rank[occupied] + 1]))
+    ks = [0] if nest is None else np.unique(np.concatenate([[0], nest[nest >= 0], nest[nest >= 0] + 1]))
+    job, k, level = (a.ravel() for a in np.meshgrid(np.arange(rows), ks, levels, indexing="ij"))
+    leaf = rank[job] >= level[:, None]
+    if nest is None:
+        got = kernels.reduce_ranks(rank, job, level, ndim, depth, caps)
+    else:
+        got = kernels.reduce_ranks(rank, job, level, ndim, depth, caps, nest, k)
+        leaf &= nest[job] >= k[:, None]
+        occupied &= nest >= 0
+    want = kernels.reduce_tree(leaf * caps[depth], ndim, depth, caps)
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    past = (level > np.max(rank[job], axis=1)) | (k > (0 if nest is None else np.max(nest[job], axis=1)))
+    assert not got[past | ~occupied[job].any(axis=1)].any()
 
 
 def test_reduce_ranks_with_no_occupied_cell_gives_zeros():

@@ -372,6 +372,29 @@ def test_objective_rejects_a_non_finite_centre(c):
         oscillation_objective(f, None, 1.0, CubeSpec((0, 0), 4), ContentParams(delta=1.0), c)
 
 
+def test_a_q_for_which_f_overflows_is_rejected():
+    """|f - c|**q * max w overflows for q = 300 on f = 0..15 (15**300 >
+    1.8e308), so the entry points raise instead of searching on inf and
+    NaN; at q = 200 they keep the bits they gave before the check, and an
+    objective centre far outside [min f, max f] counts too."""
+    g = build_grid(2, 2, 1.0)
+    f, w = step_function(g, np.arange(16, dtype=float)), step_function(g, np.ones(16))
+    P, root = ContentParams(delta=1.0), CubeSpec((0, 0), 4)
+    for call in (lambda q: gamma_interval(f, w, q, root, P),
+                 lambda q: weighted_bmo_seminorm(f, w, q, P),
+                 lambda q: blo_seminorm(f, P, q=q)):
+        with pytest.raises(ValueError, match="q = 300.0 is too large"):
+            call(300.0)
+    gi = gamma_interval(f, w, 200.0, root, P)
+    assert [gi.lo.hex(), gi.hi.hex(), gi.min_value.hex(), gi.evaluations] == [
+        "0x1.dfffffffefd38p+2", "0x1.e0000000102c8p+2", "0x1.4cb59fd87aabep+580", 3]
+    assert weighted_bmo_seminorm(f, w, 200.0, P).value.hex() == "0x1.de56de143c9d1p+2"
+    assert blo_seminorm(f, P, q=200.0).value.hex() == "0x1.dcaf34da8e038p+3"
+    assert oscillation_objective(f, w, 20.0, root, P, 1e10) > 0
+    with pytest.raises(ValueError, match="too large"):
+        oscillation_objective(f, w, 40.0, root, P, 1e10)
+
+
 def test_sub_half_q_uses_dense_fallback(grid_1d):
     f = step_function(grid_1d, np.arange(grid_1d.num_cells, dtype=float))
     gi = gamma_interval(f, None, 0.5, CubeSpec((0,), grid_1d.shape[0]), ContentParams(delta=1.0))

@@ -316,6 +316,17 @@ def test_cli_seminorm_bad_q_exits_2(files, capsys, kind, q):
     assert "q must be positive and finite" in err
 
 
+@pytest.mark.parametrize("kind", ["weighted", "blo"])
+def test_cli_seminorm_overflowing_q_exits_2(files, capsys, kind):
+    """8**400 overflows: a q for which F overflows ends in exit 2, not in
+    a value computed from inf and NaN."""
+    argv = ["seminorm", "--grid", files["grid"], "--fn", files["fn"], "--kind", kind,
+            "--wt", files["wt"], "--q=400"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "q = 400.0 is too large" in err
+
+
 @pytest.mark.parametrize("q", ["-1", "0", "nan", "2"])
 @pytest.mark.parametrize("kind", ["bmo", "bmo-signed"])
 def test_cli_seminorm_bmo_kinds_reject_q_exits_2(files, capsys, kind, q):
