@@ -22,21 +22,18 @@ threshold through ``kernels.reduce_tree`` in blocks of at most
 whole chain at once from the rank array through ``kernels.reduce_ranks``,
 costing one sort of the occupied cells, whose parents it builds in
 closed form, and then 2**n lookups per entry on each level above, at
-most one entry per occupied cell. Both add the same
-children in the same order, so every H_k is the same float either way
-and the choice changes only the time. The weighted level sets of a cube
-are nested masks of one weight row, so ``superlevel_integrals`` ranks
-each chunk's weight rows once (``rank_rows``: the table of distinct
-positive weights and each cell's index in it) and passes one rank row
-and one nest row per cube (a cell's nest is the index of its deviation
-among the cube's: the k-th set is {nest >= k}). One sort of the integer
-(row, rank, cell) keys of the occupied cells gives every set's levels,
-with no float sort of a row. The result is each job's chain
-(``Chains``): its thresholds, the content H_k of each superlevel set and
-one cell per threshold. The integral is the chain's layer-cake
-sum of (t_k - t_{k-1}) * H_k, rounded once: ``math.fsum``, or one IEEE
-add for jobs of at most two terms, which is the same float; the centre
-searches of ``oscillation`` read the chain itself.
+most one entry per occupied cell. Both add the same children in the
+same order, so every H_k is the same float either way and the choice
+changes only the time. A cube's weighted level sets are nested masks of
+one weight row: ``superlevel_integrals`` passes its row ranked by
+``rank_rows`` and its nest row (each cell's deviation's index among the
+cube's, so the k-th set is {nest >= k}), and one sort of integer keys
+gives every set's levels. The result is each job's chain (``Chains``):
+its thresholds, the content H_k of each superlevel set and one cell per
+threshold. The integral is the chain's layer-cake sum of (t_k - t_{k-1})
+* H_k, rounded once: ``math.fsum``, or one IEEE add for jobs of at most
+two terms, which is the same float; the centre searches of
+``oscillation`` read the chain itself.
 
 Every integral rides on a cube family, a ``CubeFamily`` of corner and
 side arrays: ``cube_frames`` checks it against the grid, finds every
@@ -65,7 +62,7 @@ from .grid import CubeFamily, CubeSpec, DyadicSet, Grid, StepFunction
 
 __all__ = ["ContentParams", "dyadic_content", "weighted_content", "cube_content"]
 
-# Leaf cells per tree reduction: bounds the float64 threshold-row workspace.
+# Leaf cells per tree reduction, dense rows or a nested one's sets: bounds its workspace.
 _ROW_CELLS = 1 << 17
 # Cost of one sparse entry per tree level and child, in dense leaf cells
 # (see _sparse_cheaper): the break-even of timing both reductions on
@@ -149,12 +146,10 @@ def _sparse_cheaper(thresholds: int, cells: int, occupied: int, ndim: int, depth
     The sparse one sorts the occupied leaves once, builds their parents in
     closed form and then looks up 2**ndim children for each of at most
     occupied entries per level above; it is priced as occupied * depth *
-    2**ndim units of _SPARSE_COST dense leaf cells (with nest rows, the
-    leaf copies: at most one per set and sibling). That estimate reads 0 at
-    depth 0, where the sparse reduction still has its fixed cost, so one-cell
-    frames stay dense. Both give the same floats, so the choice
-    changes only the time.
-    """
+    2**ndim units of _SPARSE_COST dense leaf cells (with nest rows, the leaf
+    copies: at most one per set and sibling). That estimate reads 0 at depth
+    0, where the sparse reduction still has its fixed cost, so one-cell
+    frames stay dense. Both give the same floats."""
     return depth > 0 and thresholds * cells > _SPARSE_COST * occupied * depth * (1 << ndim)
 
 
@@ -221,28 +216,22 @@ def layer_cake(
     With a table, the distinct positive values ascending (``rank_rows``),
     values hold each cell's index in it instead, -1 for no level: one sort
     of integer keys replaces the float sort of every row, and the chain is
-    the one the tabled values give. A nest row (int, -1 outside every set)
-    then makes row j the jobs (j, k) for k = 0 .. max(nest[j]), in that
-    order: the chains of the same values over {nest[j] >= k}.
-    """
+    the one the tabled values give. A table comes with a nest row (int, -1
+    outside every set): row j gives the jobs (j, k), k = 0 .. max(nest[j]),
+    the chains of its values over the masked cells of {nest[j] >= k}."""
     jobs, cells = values.shape
     if table is not None:
-        rank = np.where(masks, values, -1)
-        nested = np.where(masks, 0, -1) if nest is None else nest
-        sets = np.ones(jobs, dtype=np.int64) if nest is None else nest.max(axis=1) + 1
+        rank, sets = np.where(masks, values, -1), nest.max(axis=1) + 1
         # one sort of the (row, rank, cell) keys: in a (row, rank) run each
         # cell is the lowest one of the jobs (row, k), k in (below, nest]
         shift = ndim * depth  # cells == 1 << shift
-        row, x = np.nonzero((rank >= 0) & (nested >= 0))
+        row, x = np.nonzero((rank >= 0) & (nest >= 0))
         key = np.sort((row * len(table) + rank[row, x]) << shift | x)
         run, x = key >> shift, key & (cells - 1)
         row, level = np.divmod(run, len(table))
-        v, first = nested[row, x], np.ones(len(key), dtype=bool)
-        first[1:] = run[1:] != run[:-1]
+        v, first = nest[row, x], np.append(True, run[1:] != run[:-1])
         lift = np.cumsum(first) * (int(v.max(initial=0)) + 2)  # each run above the last
-        below = np.empty_like(v)
-        below[1:] = (np.maximum.accumulate(v + lift) - lift)[:-1]
-        below[first] = -1
+        below = np.where(first, -1, np.append(-1, (np.maximum.accumulate(v + lift) - lift)[:-1]))
         count = np.maximum(v - below, 0)
         occupied = min(int(v.sum()) + len(v), len(v) << ndim)  # leaf copies: one per set, sibling
         pick = np.repeat(np.arange(len(v)), count)
@@ -453,10 +442,9 @@ def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
     Each chunk of cubes builds its rows of the deviations and its cube
     masks once. Plain contents take a cube's sets from one chain of the
     deviations keyed by zeros, so that every distinct deviation, zero
-    included, is a level; weighted sets come from one layer-cake call per
-    chunk, one row per cube: the weight rows ranked once (``rank_rows``)
-    and each cell's nest, the index of its deviation among the cube's. A
-    value is its set's float in Q_i's frame either way.
+    included, is a level; weighted ones from rows of the weights ranked
+    once (``rank_rows``) and a nest row, one per cube or per run of its sets
+    (``_set_blocks``). A value is its set's float in Q_i's frame either way.
     """
     centers = np.asarray(centers, dtype=np.float64)
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # (levels, values, cube) per chunk
@@ -477,16 +465,35 @@ def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
                 new = ~np.isnan(dev)
                 new[:, 1:] &= dev[:, 1:] != dev[:, :-1]
                 nest = np.empty(dev.shape, dtype=np.int64)
-                nest[by_row, order] = np.cumsum(new, axis=1) - 1
-                nest[~inside] = -1
+                nest[by_row, order] = np.where(np.isnan(dev), -1, np.cumsum(new, axis=1) - 1)
                 d, count = dev[new], new.sum(axis=1)
                 table, ranks = rank_rows(frames.rows(weights, which))
-                out = frames.chains(ranks, inside, table=table, nest=nest).integrals()
+                out = np.concatenate([frames.chains(ranks[rows], inside[rows], table=table, nest=sub).integrals()
+                                      for rows, sub in _set_blocks(nest, new, count)])
             parts.append((d, out, np.repeat(positions[which], count)))
     levels, vals, owner = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(owner, kind="stable")  # family order, each cube's levels ascending
     bounds = np.append(0, np.cumsum(np.bincount(owner, minlength=len(centers))))
     return LevelSets(levels[order], vals[order], bounds)
+
+
+def _set_blocks(nest, new, count):
+    """(rows, nest) of each layer-cake call of a chunk's sets {nest[i] >= k}:
+    row-major runs of at most _ROW_CELLS cells of sets (or one set), which
+    bounds every level of a nested reduction, each row's nest cut to its
+    run. new marks each set's first sorted cell, count each row's sets."""
+    if (nest + 1).sum() <= _ROW_CELLS:  # every set of the chunk in one call
+        yield slice(None), nest
+        return
+    row, col = np.nonzero(new)  # set j: its cube row[j] and first sorted cell col[j]
+    size = np.count_nonzero(nest >= 0, axis=1)[row] - col
+    end, start, a = np.cumsum(size), np.cumsum(count) - count, 0
+    last = np.where(nest >= 0, start[:, None] + nest, -1)  # each cell's last set j
+    while a < len(row):  # the sets a .. b - 1
+        b = max(a + 1, int(np.searchsorted(end, end[a] - size[a] + _ROW_CELLS, side="right")))
+        rows = slice(row[a], row[b - 1] + 1)
+        yield rows, np.maximum(np.minimum(last[rows], b - 1) - np.maximum(start[rows], a)[:, None], -1)
+        a = b
 
 
 def masked_integral_many(

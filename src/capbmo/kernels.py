@@ -21,16 +21,15 @@ up to its rank, so a parent's cost at a rank depends only on how many of
 its children reach that rank. Above them a parent evaluates its children
 at the union of their ranks (one lookup per child, at most E entries per
 level), adds them in the same order, zeros included, and clips at its
-cap. With a nest row it gives the sets {nest >= k, rank >= r}, a cube's
-weighted level sets, keeping one chain per node and nest value in its
-subtree, not one per set; one stable sort merges the child chains copied
+cap. With a nest row it gives a cube's weighted level sets {nest >= k,
+rank >= r} with one chain per node and nest value in its subtree, not
+one per set, a level being one stable sort of the child chains copied
 to their parents' chains. Every content is the float ``reduce_tree``
-gives for the row of its set, and ``content.layer_cake`` picks either
-reduction per call by cost alone.
+gives for its set's row; ``content.layer_cake`` picks either by cost.
 """
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -92,12 +91,10 @@ def _morton(ndim, depth):
 
 def reduce_ranks(rank, job, level, ndim, depth, level_caps, nest=None, least=None):
     """Contents of the sets {x: rank[job[i], x] >= level[i]}, with a nest
-    row of the sets {x: nest[job[i], x] >= least[i], rank[job[i], x] >=
-    level[i]}.
+    row {x: nest[job[i], x] >= least[i], rank[job[i], x] >= level[i]}.
 
     rank, nest: int arrays (rows, 2**(ndim*depth)), -1 on cells in no set.
-    job, level, least: equal-length int arrays naming the queried sets;
-        level and least are non-negative.
+    job, level, least: equal-length int arrays (level, least >= 0) naming the sets.
     level_caps: as for reduce_tree.
 
     Returns a float64 array of len(job), equal bit for bit to reduce_tree
@@ -111,11 +108,10 @@ def reduce_ranks(rank, job, level, ndim, depth, level_caps, nest=None, least=Non
     row, cell = np.nonzero(rank >= 0 if nest is None else (rank >= 0) & (nest >= 0))
     if len(job) == 0 or len(row) == 0:
         return np.zeros(len(job))
-    # An entry is the int64 key (node << nbits | k) << rbits | r, nodes
-    # numbered row-major by row and in Z-order within a row, and the
-    # node's cost for {nest >= k, rank >= r} at every r after the previous
-    # entry of the chain (node, k) up to r; nbits is 0 without nests. Keys
-    # fit while rows * cells * 2**(nbits + rbits) < 2**63.
+    # An entry is the int64 key (node << nbits | k) << rbits | r (nbits 0
+    # without nests), nodes row-major by row and in Z-order within a row: the
+    # cost of {nest >= k, rank >= r} at every r after the chain's previous
+    # entry up to r. Keys fit while rows * cells * 2**(nbits + rbits) < 2**63.
     rbits = int(max(rank.max(), np.max(level))).bit_length()
     nbits = 0 if nest is None else int(max(nest.max(), np.max(least))).bit_length()
     node = row * rank.shape[1] + _morton(ndim, depth)[cell]
@@ -137,9 +133,7 @@ def reduce_ranks(rank, job, level, ndim, depth, level_caps, nest=None, least=Non
     for lvl in range(depth - 2, -1, -1):
         # each child's cost at each key of the union, children in offset order
         key, cost = (_nested_parents if nbits else _parents)(key, val, ndim, nbits, rbits)
-        val = None
-        for part in cost:
-            val = part if val is None else np.add(val, part, out=val)
+        val = reduce(lambda acc, part: np.add(acc, part, out=acc), cost)
         key, val = _compress(key, np.minimum(val, float(level_caps[lvl]), out=val), _run_ends(key >> rbits))
     if nbits:  # each query's chain: the row's least nest value >= least[i], -1 for none
         chain = key >> rbits
@@ -174,9 +168,8 @@ def _copies(key, ndim, nbits, rbits):
     pk = base | head & ((1 << nbits) - 1)
     nests = np.sort(pk)
     nests = nests[_run_ends(nests)]
-    below = base.copy()
-    same = head[1:] >> nbits == head[:-1] >> nbits
-    below[1:][same] = pk[:-1][same] + 1
+    same = np.append(False, head[1:] >> nbits == head[:-1] >> nbits)  # after a sibling chain
+    below = np.where(same, np.append(0, pk[:-1] + 1), base)
     lo = np.searchsorted(nests, below)
     reps = (np.searchsorted(nests, pk) - lo + 1)[own]
     src = np.repeat(np.arange(len(chain)), reps)

@@ -125,8 +125,8 @@ _SCAN_PAIRS = 10
 
 
 def _check(q: float, f: StepFunction, w: StepFunction | None = None, c: float | None = None) -> None:
-    """The q, weight and centre checks of the public entry points, and that
-    |f - c|**q * max w is finite for every c in [min f, max f] (and c)."""
+    """The q, weight and centre checks of the public entry points: q keeps
+    |f - x|**q * max w finite for every x a search probes (``_level``), or c."""
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")
     if w is not None and w.grid != f.grid:
@@ -135,9 +135,10 @@ def _check(q: float, f: StepFunction, w: StepFunction | None = None, c: float | 
         raise ValueError("weight must be strictly positive")
     if c is not None and not math.isfinite(c):
         raise ValueError("the centre c must be finite")
-    ends = [float(f.values.min()), float(f.values.max())] + ([] if c is None else [c])
+    lo, hi = float(f.values.min()), float(f.values.max())
+    reach = max(2 * (hi - lo), hi - lo + 1) if c is None else max(hi, c) - min(lo, c)
     with np.errstate(over="ignore"):
-        top = np.float64(max(ends) - min(ends)) ** q * (1.0 if w is None else w.values.max())
+        top = np.float64(reach) ** q * (1.0 if w is None else w.values.max())
     if not top < math.inf:
         raise ValueError(f"q = {q} is too large: |f - c|**q * w overflows on this f")
 

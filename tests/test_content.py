@@ -298,7 +298,7 @@ def test_ranked_chains_equal_float_sorted_chains(data):
     table, ranks = rank_rows(values)
     with forced_reduction(data.draw(st.sampled_from(["dense", "sparse"]), label="path")):
         floated = layer_cake(values, masks, n, depth, caps)
-        ranked = layer_cake(ranks, masks, n, depth, caps, table=table)
+        ranked = layer_cake(ranks, masks, n, depth, caps, table=table, nest=np.zeros(values.shape, dtype=np.int64))
     for name in ("thresholds", "contents", "cells", "bounds"):
         a, b = getattr(floated, name), getattr(ranked, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -371,9 +371,10 @@ def test_ranked_weighted_level_sets_past_65535_distinct_weights():
 
 
 def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
-    """With weights, one layer-cake row per cube, whose (cube, k) chains
-    match the distinct non-empty sets one for one; without, one job per
-    cube; and one job for every level of the weak-type check."""
+    """With weights, one layer-cake row per cube (each cube's sets hold
+    fewer than _ROW_CELLS cells), whose (cube, k) chains match the
+    distinct non-empty sets one for one; without, one job per cube; and
+    one job for every level of the weak-type check."""
     grid, f, w, params, cubes, centers, levels = superlevel_inputs(2, CubeFamilyPolicy("lattice"), 5)
     real, jobs, chains = content.layer_cake, [], []
 
@@ -407,6 +408,37 @@ def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
     monkeypatch.setattr(capbmo.verify, "superlevel_integrals", counted_levels)
     weak_restricted_strong_check(f, full_set(grid), 2.0, 1.0, params)
     assert weak_jobs == [1]
+
+
+def test_weighted_level_sets_ride_in_calls_of_bounded_set_cells(monkeypatch):
+    """With all-distinct f and w a cube's sets hold about cells**2 / 2
+    cells, so the weighted sets of a chunk go to layer-cake calls of at
+    most _ROW_CELLS set cells each (or one set). A run of (cube, k) sets
+    may start or end inside a cube's chain, and a call may hold several
+    cubes; the values keep the bits of one call per chunk."""
+    grid = build_grid(2, 3, 1.0)
+    rng = np.random.default_rng(7)
+    f, w = rng.permutation(64) / 8.0, rng.permutation(64) / 16.0 + 0.25
+    family = CubeFamily.of(enumerate_cubes(grid, CubeFamilyPolicy("lattice")))
+    groups = cube_frames(grid, family, ContentParams(1.0))
+    centers = rng.random(len(family)) * 8.0
+    whole = superlevel_integrals(groups, f, centers, w)
+    real, calls = content.layer_cake, []
+
+    def spied(values, masks, *args):
+        nest = args[-1]
+        calls.append((len(nest), int((nest + 1).sum()), int((nest.max(axis=1) + 1).sum())))
+        return real(values, masks, *args)
+
+    monkeypatch.setattr(content, "layer_cake", spied)
+    monkeypatch.setattr(content, "_ROW_CELLS", 50)
+    split = superlevel_integrals(groups, f, centers, w)
+    for name in ("levels", "values", "bounds"):
+        assert getattr(split, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert all(cells <= 50 or sets == 1 for _, cells, sets in calls)
+    assert sum(sets for _, _, sets in calls) == len(whole.values)
+    assert any(sets == 1 and cells > 50 for _, cells, sets in calls)  # the 64-cell root's first set
+    assert any(rows > 1 for rows, _, _ in calls)
 
 
 @pytest.mark.parametrize("n,policy", CASES, ids=IDS)

@@ -373,9 +373,10 @@ def test_objective_rejects_a_non_finite_centre(c):
 
 
 def test_a_q_for_which_f_overflows_is_rejected():
-    """|f - c|**q * max w overflows for q = 300 on f = 0..15 (15**300 >
-    1.8e308), so the entry points raise instead of searching on inf and
-    NaN; at q = 200 they keep the bits they gave before the check, and an
+    """A search on f = 0..15 probes up to twice its span from a value of
+    f, and 30**q * max w overflows for q = 250 and 300 (30**250 > 1.8e308),
+    so the entry points raise instead of searching on inf and NaN; at
+    q = 200 they keep the bits they gave before the check, and an
     objective centre far outside [min f, max f] counts too."""
     g = build_grid(2, 2, 1.0)
     f, w = step_function(g, np.arange(16, dtype=float)), step_function(g, np.ones(16))
@@ -383,8 +384,9 @@ def test_a_q_for_which_f_overflows_is_rejected():
     for call in (lambda q: gamma_interval(f, w, q, root, P),
                  lambda q: weighted_bmo_seminorm(f, w, q, P),
                  lambda q: blo_seminorm(f, P, q=q)):
-        with pytest.raises(ValueError, match="q = 300.0 is too large"):
-            call(300.0)
+        for q in (250.0, 300.0):
+            with pytest.raises(ValueError, match=f"q = {q} is too large"):
+                call(q)
     gi = gamma_interval(f, w, 200.0, root, P)
     assert [gi.lo.hex(), gi.hi.hex(), gi.min_value.hex(), gi.evaluations] == [
         "0x1.dfffffffefd38p+2", "0x1.e0000000102c8p+2", "0x1.4cb59fd87aabep+580", 3]
