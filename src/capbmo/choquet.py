@@ -136,28 +136,21 @@ def weighted_choquet(
 
 
 def signed_average(f: StepFunction, Q: CubeSpec, params: ContentParams) -> SignedAverage:
-    return signed_averages(f, [Q], params)[0]
+    value, parts = signed_averages(f, [Q], params)
+    return SignedAverage(value[0], *parts[0].tolist())
 
 
-def signed_averages(f: StepFunction, cubes, params: ContentParams) -> list[SignedAverage]:
-    """signed_average on every cube, four jobs per cube in one family call."""
+def signed_averages(f: StepFunction, cubes, params: ContentParams) -> tuple[np.ndarray, np.ndarray]:
+    """(values, parts): the signed average of f on every cube and its (N, 4)
+    positive and negative part integrals and contents, in SignedAverage's
+    field order; four jobs per cube in one family call."""
     pos, neg = f.values >= 0, f.values < 0
     ones = np.ones(f.grid.num_cells)
-    vals = cube_integrals(
+    parts = cube_integrals(
         f.grid, cubes, [(f.values, pos), (-f.values, neg), (ones, pos), (ones, neg)], params
     )
-    pos_int, neg_int, pos_cont, neg_cont = vals.T
-    value = (pos_int - neg_int) / (pos_cont + neg_cont)
-    return [
-        SignedAverage(
-            value=value[k],
-            pos_part_integral=float(pos_int[k]),
-            neg_part_integral=float(neg_int[k]),
-            pos_content=float(pos_cont[k]),
-            neg_content=float(neg_cont[k]),
-        )
-        for k in range(len(cubes))
-    ]
+    pos_int, neg_int, pos_cont, neg_cont = parts.T
+    return (pos_int - neg_int) / (pos_cont + neg_cont), parts
 
 
 def essential_bounds(f: StepFunction, Q: CubeSpec) -> EssentialBounds:

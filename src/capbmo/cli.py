@@ -135,6 +135,7 @@ def _cmd_seminorm(args) -> int:
             "seed": args.seed,
             "value": rep.value,
             "worst_cube": rep.worst_cube.cube_id() if rep.worst_cube else None,
+            "exact": rep.exact,
         },
     )
 

@@ -69,11 +69,11 @@ class Grid:
                 f"a grid of n={self.n}, depth={self.depth} has 2**{self.n * self.depth} cells;"
                 f" the limit is MAX_CELLS = {MAX_CELLS}"
             )
-        if not self.root_side > 0:
-            raise ValueError("root_side must be positive")
+        if not 0 < self.root_side < np.inf:
+            raise ValueError("root_side must be positive and finite")
         origin = tuple(float(x) for x in self.origin)
-        if len(origin) != self.n:
-            raise ValueError("origin must have one coordinate per axis")
+        if len(origin) != self.n or not np.isfinite(origin).all():
+            raise ValueError("origin must have one finite coordinate per axis")
         object.__setattr__(self, "root_side", float(self.root_side))
         object.__setattr__(self, "origin", origin)
 

@@ -34,8 +34,8 @@ and cubes with at most ``_SCAN_PAIRS`` distinct (value, weight) pairs
 evaluate every breakpoint in one step instead, which is cheaper there.
 A probe at a crossing breaks ties toward one side (``layer_cake`` keys),
 so its chain still holds on that side. For q < 1 a dense scan over the
-cell values and their midpoints is used, marked as a fallback
-(``GammaInterval.used_fallback``).
+cell values and their midpoints is used, which may miss the minimum
+(``GammaInterval.used_fallback``; a report is then not ``exact``).
 
 Every integral of F runs through ``_probe_integrals``: (cube, centre,
 side) probes of one frame-depth group of ``cube_frames`` become rows
@@ -51,12 +51,13 @@ run together in ``_search``, in rounds of array operations. Each round
 integrates every pending probe and, in the first round, the normalisers;
 reads the pieces of all one-sided probes in one pass
 (``_piece_bounds``); and moves every cube on by masked operations. For
-q = 1 each piece's kinks come from cumsums over a padded array
-(``_kinks``), which add in the order of a 1-D cumsum. Dots and sums of
-the levels, which a padded row would round differently, are matmuls and
-row sums over the chains of one length; the bisections of q other than
-1 and 2 run per chain. The one-cube entry points run the same code on a
-one-cube family.
+q = 1 each piece's kinks come from column cumsums, one array per
+power-of-two class of chain length (``_kinks``), which add in the order
+of a 1-D cumsum. Dots and sums of the levels, which a padded row would
+round differently, are matmuls and row sums over the chains of one
+length; the bisections of q other than 1 and 2 run per chain. A family's
+plateaus stay arrays; the one-cube entry points run the same code on a
+one-cube family and alone build a ``GammaInterval``.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _objective(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray) -> 
 
 
 def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: ContentParams,
-               cubes, centres=None) -> tuple[list, list]:
+               cubes, centres=None) -> tuple[np.ndarray, np.ndarray]:
     """(F, centres): F on each cube at centres[i], or at the cube's esinf
     (the minimum of f on it) when centres is None. F is 0 without an
     integral where f equals the centre on the whole cube."""
@@ -185,7 +186,7 @@ def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: Conten
         c = at[positions]
         probe = np.flatnonzero((lo != c) | (hi != c))
         values[positions[probe]] = _objective(frames, f, w, q, probe, c[probe, None])[:, 0]
-    return values.tolist(), at.tolist()
+    return values, at
 
 
 def oscillation_objective(
@@ -198,7 +199,7 @@ def oscillation_objective(
 ) -> float:
     """F(c) = (1/w(Q)) * integral over Q of |f - c|**q * w d(content)."""
     _check(q, f, w, float(c))
-    return _values_at(f, w, float(q), params, [Q], [float(c)])[0][0]
+    return float(_values_at(f, w, float(q), params, [Q], [float(c)])[0][0])
 
 
 def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.ndarray):
@@ -286,22 +287,24 @@ def _kinks(v: np.ndarray, s: np.ndarray, bounds: np.ndarray):
     """q = 1: the levels of each chain bounds[t]:bounds[t + 1] sorted by v
     (stably), flat in chain order: v, phi at each level and the slopes of
     phi left and right of it. The prefix sums of s and s * v behind them
-    run down the columns of a padded (levels x chains) array, adding in
-    the order of each chain's own cumsum."""
+    run down the columns of one end-padded (levels x chains) array per
+    power-of-two class of chain length, adding in the order of each
+    chain's own cumsum; the arrays hold at most twice the levels."""
     n = np.diff(bounds)
     chain = np.repeat(np.arange(len(n)), n)
-    at, last = (np.arange(len(v)) - bounds[chain], chain), (n - 1, np.arange(len(n)))
-    rows = np.full((len(n), n.max()), math.inf)
-    rows[chain, at[0]] = v
-    order = bounds[chain] + np.argsort(rows, axis=1, kind="stable")[chain, at[0]]
+    order = np.lexsort((v, chain))
     v, s = v[order], s[order]
-    rows = np.zeros((n.max(), len(n)))
-    rows[at] = s
-    upto = np.cumsum(rows, axis=0)
-    rows[at] = s * v
-    weighted = np.cumsum(rows, axis=0)
-    right = 2.0 * upto[at] - upto[last][chain]
-    phi = v * right + weighted[last][chain] - 2.0 * weighted[at]
+    at, size = np.arange(len(v)) - bounds[chain], np.frexp(n - 1)[1]  # n <= 2**size
+    right, phi = np.empty((2, len(v)))
+    for e in np.unique(size).tolist():
+        ts, lv = np.flatnonzero(size == e), np.flatnonzero(size[chain] == e)
+        col = np.searchsorted(ts, chain[lv])
+        sums = np.zeros((2, 1 << e, len(ts)))
+        sums[:, at[lv], col] = s[lv], s[lv] * v[lv]
+        np.cumsum(sums, axis=1, out=sums)
+        (upto, weighted), (total, wtotal) = sums[:, at[lv], col], sums[:, n[chain[lv]] - 1, col]
+        right[lv] = 2.0 * upto - total
+        phi[lv] = v[lv] * right[lv] + wtotal - 2.0 * weighted
     return v, phi, right - 2.0 * s, right
 
 
@@ -344,7 +347,7 @@ _SIDES = (-1.0, 1.0)
 
 
 def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
-            start: np.ndarray, tol: float) -> list[GammaInterval]:
+            start: np.ndarray, tol: float) -> tuple:
     """The exact minimum and plateau of the convex F for q >= 1 on every
     searched cube, in rounds of array operations over all of them.
 
@@ -648,8 +651,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
     log_c, log_s = np.take_along_axis(log_c, order, 1), np.take_along_axis(log_s, order, 1)
     repeats = (log_c[:, 1:] == log_c[:, :-1]) & (log_s[:, 1:] == log_s[:, :-1])
     evaluations = (~np.isnan(log_c)).sum(axis=1) - repeats.sum(axis=1) + 1
-    return [GammaInterval(lo=lo, hi=hi, min_value=m, tol=tol, evaluations=e) for lo, hi, m, e in
-            zip(ends[0].tolist(), ends[1].tolist(), min_value.tolist(), evaluations.tolist())]
+    return ends[0], ends[1], min_value, evaluations
 
 
 def _distinct_pairs(fv: np.ndarray, inside: np.ndarray, wv: np.ndarray | None, width: int):
@@ -709,8 +711,9 @@ def _midpoints(fv: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
 
 def _scan(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray,
-          tol: float) -> list[GammaInterval]:
-    """The plateau of F on cube which[r] from F at every candidate cands[r].
+          tol: float) -> tuple:
+    """(lo, hi, min_value, evaluations): the plateau of F on cube which[r]
+    from F at every candidate cands[r].
 
     For q = 1 the candidates are _breakpoints and the ends are interpolated
     on the linear segments around them. For q < 1, where F need not be
@@ -744,14 +747,12 @@ def _scan(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray,
             outer = np.where(slope <= 0, at(cands, last),
                              at(cands, last) + (thr - at(F, last)) / slope)
             hi = np.where(final == last, outer, between(np.minimum(final + 1, last), final))
-    return [
-        GammaInterval(lo=a, hi=b, min_value=m, tol=tol, used_fallback=q < 1.0, evaluations=e)
-        for a, b, m, e in zip(lo.tolist(), hi.tolist(), min_value.tolist(), (count + 1).tolist())
-    ]
+    return lo, hi, min_value, count + 1
 
 
-def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
-    """The minimiser plateau of F on every cube of a family.
+def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> np.ndarray:
+    """The minimiser plateau of F on every cube of a family: rows lo, hi,
+    min_value and evaluations, a column per cube in family order.
 
     Per frame-depth group, constant cubes and the scans are array
     operations; the piecewise searches of all groups run together.
@@ -759,16 +760,14 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
     q = float(q)
     half = tol ** (1.0 / q)
     family = CubeFamily.of(cubes)
-    out = [None] * len(family)
+    out = np.zeros((4, len(family)))  # a constant cube needs no evaluation
     groups, searched, starts = [], [], []
     for positions, frames in cube_frames(f.grid, family, params):
         scans, search = [], []
         for sl, fv, inside, wv in _chunk_rows(frames, f, w, len(positions)):
             corner = fv[np.arange(len(fv)), inside.argmax(axis=1)]  # f at the cube's first cell
             flat = ((fv == corner[:, None]) | ~inside).all(axis=1)
-            for k, a in zip(np.flatnonzero(flat).tolist(), corner[flat].tolist()):
-                out[positions[sl.start + k]] = GammaInterval(
-                    lo=a - half, hi=a + half, min_value=0.0, tol=tol)
+            out[:2, positions[sl.start + np.flatnonzero(flat)]] = corner[flat] - half, corner[flat] + half
             rest = ~flat
             if q == 1.0:
                 count, pairs = _distinct_pairs(fv, inside, wv, _SCAN_PAIRS)
@@ -801,14 +800,12 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> list[GammaInterval]:
             width = max(c.shape[1] for _, c in scans)
             cands = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=math.nan)
                                     for _, c in scans])
-            for k, gi in zip(which.tolist(), _scan(frames, f, w, q, which, cands, tol)):
-                out[positions[k]] = gi
+            out[:, positions[which]] = _scan(frames, f, w, q, which, cands, tol)
         if search:
             groups.append((frames, np.concatenate(search)))
             searched.append(positions[groups[-1][1]])
     if groups:
-        for k, gi in zip(np.concatenate(searched).tolist(), _search(f, w, q, groups, np.hstack(starts), tol)):
-            out[k] = gi
+        out[:, np.concatenate(searched)] = _search(f, w, q, groups, np.hstack(starts), tol)
     return out
 
 
@@ -824,26 +821,24 @@ def gamma_interval(
     _check(q, f, w)
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    return _gamma_intervals(f, w, q, [Q], params, tol)[0]
+    lo, hi, min_value, evaluations = _gamma_intervals(f, w, q, [Q], params, tol)[:, 0].tolist()
+    return GammaInterval(lo=lo, hi=hi, min_value=min_value, tol=tol,
+                         used_fallback=q < 1.0 and evaluations > 0, evaluations=int(evaluations))
 
 
-def _report(family, values, centers, policy, gis=()) -> SeminormReport:
+def _report(family, values, centers, policy, exact=True) -> SeminormReport:
     worst = int(np.argmax(values))
-    return SeminormReport(
-        value=values[worst],
-        worst_cube=family[worst],
-        family=family,
-        centers=np.asarray(centers, dtype=np.float64),
-        policy=policy,
-        exact=not any(gi.used_fallback for gi in gis),
-    )
+    return SeminormReport(value=float(values[worst]), worst_cube=family[worst], family=family,
+                          centers=np.asarray(centers, dtype=np.float64), policy=policy, exact=exact)
 
 
 def _search_report(f, w, q, family, params, policy) -> SeminormReport:
-    """The report of the centre searches: (min F)**(1/q), at the plateaus' midpoints."""
-    gis = _gamma_intervals(f, w, q, family, params)
-    return _report(family, [gi.min_value ** (1.0 / q) for gi in gis],
-                   [0.5 * (gi.lo + gi.hi) for gi in gis], policy, gis)
+    """The report of the centre searches: (min F)**(1/q), at the plateaus'
+    midpoints; exact unless some centre came from the q < 1 dense scan."""
+    lo, hi, min_value, evaluations = _gamma_intervals(f, w, q, family, params)
+    # a Python float power per cube: NumPy's array power may differ by an ulp
+    values = np.array([m ** (1.0 / q) for m in min_value.tolist()])
+    return _report(family, values, 0.5 * (lo + hi), policy, not (q < 1.0 and (evaluations > 0).any()))
 
 
 def bmo_seminorm(
@@ -862,8 +857,7 @@ def bmo_seminorm(
     cubes = enumerate_cubes(f.grid, policy)
     if centering == "inf_c":
         return _search_report(f, None, 1.0, cubes, params, policy)
-    return _signed_report(f, cubes, [avg.value for avg in signed_averages(f, cubes, params)],
-                          params, policy)
+    return _signed_report(f, cubes, signed_averages(f, cubes, params)[0], params, policy)
 
 
 def _signed_report(f, cubes, averages, params, policy) -> SeminormReport:
@@ -875,7 +869,7 @@ def blo_values(f: StepFunction, cubes, params: ContentParams, q: float = 1.0):
     """(values, centers) of the lower oscillation on each cube: the q-mean
     of f - esinf_Q f to the power 1/q, centred at the esinf."""
     F, centers = _values_at(f, None, float(q), params, cubes)
-    return [v ** (1.0 / q) for v in F], centers
+    return np.array([v ** (1.0 / q) for v in F.tolist()]), centers
 
 
 def blo_seminorm(

@@ -315,7 +315,7 @@ def _forward_characterization(kind, weight, p, params, policy):
     jobs = [(wv, None), (np.ones(grid.num_cells), None)] + ([] if dual is None else [(dual, None)])
     vals = cube_integrals(grid, family, jobs, params)
     int_w, content = vals[:, 0], vals[:, 1]
-    m = [avg.value for avg in signed_averages(lnw, family, params)]
+    m = signed_averages(lnw, family, params)[0].tolist()
     # (issue, ratio, failed) of each check on every cube; exp is math.exp
     # per cube, which NumPy's array exp may miss by an ulp
     jensen = [("exp bound", np.array([math.exp(x) for x in m]) * content / (2.0 * int_w))]
@@ -458,7 +458,8 @@ def verify_equivalences(
     signed-average seminorms with explicit constants 1 and 3, then records
     the ratios of the weighted q-seminorms (and unweighted lower-oscillation
     q-seminorms) to their q = 1 counterparts. Ratio intervals are recorded
-    and checked for positivity, not against pinned values.
+    and checked for positivity, not against pinned values; weighted_exact
+    records, per q, whether every centre of the weighted seminorm was exact.
     """
     bmo = bmo_seminorm(f, params, policy).value
     bmot = bmo_seminorm(f, params, policy, centering="f_Q_delta").value
@@ -475,9 +476,10 @@ def verify_equivalences(
         witnesses.append({"issue": "signed-average seminorm above 3x best-constant"})
 
     ratios_ok = True
-    q_ratios = {}
+    q_ratios, weighted_exact = {}, {}
     for q in q_list:
-        wq = weighted_bmo_seminorm(f, w, q, params, policy).value
+        weighted = weighted_bmo_seminorm(f, w, q, params, policy)
+        wq, weighted_exact[f"{q:g}"] = weighted.value, weighted.exact
         lq = blo if q == 1.0 else blo_seminorm(f, params, policy, q=q).value
         entry = {}
         if bmo > 0:
@@ -500,6 +502,7 @@ def verify_equivalences(
             "a2_constant": a2,
             "chain_usage": bmot / (3.0 * bmo) if bmo > 0 else 0.0,
             "q_ratios": q_ratios,
+            "weighted_exact": weighted_exact,
         },
         witnesses=witnesses,
     )
@@ -507,7 +510,7 @@ def verify_equivalences(
 
 def _chain_blo(f: StepFunction, chain, params: ContentParams) -> float:
     """Lower-oscillation seminorm restricted to a fixed chain of cubes."""
-    return max([0.0, *blo_values(f, chain, params)[0]])
+    return max([0.0, *blo_values(f, chain, params)[0].tolist()])
 
 
 def verify_inclusions(

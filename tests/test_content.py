@@ -415,6 +415,17 @@ def test_params_validation():
     ContentParams(delta=2.0).validate(g)
 
 
+@pytest.mark.parametrize("root_side,delta", [(1e-170, 2.0), (1e-300, 1.5), (1e200, 2.0), (1e300, 1.5)])
+def test_params_reject_a_delta_whose_side_powers_leave_float_range(root_side, delta):
+    """(cell side)**delta = 0 or (root side)**delta = inf used to give a NaN
+    seminorm, a zero content and a NaN A_p product; the check itself warns
+    of nothing, since RuntimeWarnings are errors here."""
+    g = build_grid(2, 2, root_side)
+    with pytest.raises(ValueError, match="float range"):
+        ContentParams(delta=delta).validate(g)
+    ContentParams(delta=0.5).validate(g)
+
+
 def per_job_integrals(grid, jobs, params):
     """The layer cake one job at a time, as a reference for the stacked
     integrator: np.unique thresholds, one dense occupancy block per job,

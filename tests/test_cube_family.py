@@ -103,14 +103,11 @@ def test_entry_points_read_a_family_as_its_cubes(kind):
     jobs = [(w, None), (np.abs(f.values), f.values > 0)]
 
     def results(cs):
-        averages = signed_averages(f, cs, params)
+        values, parts = signed_averages(f, cs, params)
         curves = survival_curves(f, centers, cs, None, params, (0.0, 0.5))
         return {
             "cube_integrals": hexes(cube_integrals(grid, cs, jobs, params)),
-            "signed_averages": [
-                hexes([a.value, a.pos_part_integral, a.neg_part_integral, a.pos_content, a.neg_content])
-                for a in averages
-            ],
+            "signed_averages": [hexes([v, *p]) for v, p in zip(values, parts)],
             "survival_curves": [
                 (c.cube, hexes(c.t_samples), hexes(c.survival), c.normalizer.hex()) for c in curves
             ],

@@ -40,6 +40,16 @@ def test_grid_validation():
         build_grid(2, 2, 0.0)
 
 
+@pytest.mark.parametrize("root_side,origin", [
+    (np.inf, (0.0, 0.0)), (np.nan, (0.0, 0.0)), (1.0, (np.inf, 0.0)), (1.0, (0.0, np.nan)),
+])
+def test_grid_geometry_must_be_finite(root_side, origin):
+    """A root_side of 1e400 reads as inf and used to give an inf content
+    and a NaN seminorm with exit 0; the origin places cell centres."""
+    with pytest.raises(ValueError, match="finite"):
+        build_grid(2, 2, root_side, origin)
+
+
 def test_step_function_requires_finite_values():
     g = build_grid(1, 1, 1.0)
     with pytest.raises(ValueError):

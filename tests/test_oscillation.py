@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import capbmo.content
 import capbmo.oscillation
+import capbmo.verify
 from capbmo.choquet import signed_average, signed_averages
 from capbmo.content import ContentParams, masked_integral_many
 from capbmo.fixtures import log_abs_function, two_cell_example
@@ -222,9 +224,9 @@ def test_bmo_search_uses_few_evaluations():
     its normaliser included."""
     f = log_abs_function(2, 5)
     cubes = enumerate_cubes(f.grid, CubeFamilyPolicy())
-    gis = _gamma_intervals(f, None, 1.0, cubes, ContentParams(delta=1.0))
-    assert max(gi.evaluations for gi in gis) <= 64
-    assert min(gi.evaluations for gi in gis) == 0  # constant cubes need none
+    evaluations = _gamma_intervals(f, None, 1.0, cubes, ContentParams(delta=1.0))[3]
+    assert evaluations.max() <= 64
+    assert evaluations.min() == 0  # constant cubes need none
 
 
 def test_seminorm_reports_whether_every_centre_is_exact(rng):
@@ -235,6 +237,46 @@ def test_seminorm_reports_whether_every_centre_is_exact(rng):
     assert not weighted_bmo_seminorm(f, w, 0.5, P).exact
     assert weighted_bmo_seminorm(f, w, 1.5, P).exact
     assert bmo_seminorm(f, P).exact and blo_seminorm(f, P).exact
+
+
+def test_family_paths_build_no_per_cube_objects(monkeypatch):
+    """A family's plateaus and signed averages stay arrays; only the
+    one-cube entry points gamma_interval and signed_average build result
+    objects."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family path built a per-cube result object")
+    monkeypatch.setattr(capbmo.oscillation, "GammaInterval", refuse)
+    monkeypatch.setattr(sys.modules["capbmo.choquet"], "SignedAverage", refuse)
+    f = log_abs_function(2, 3)
+    w = step_function(f.grid, np.exp(np.random.default_rng(3).normal(size=f.grid.num_cells)))
+    P = ContentParams(delta=1.0)
+    for policy in (CubeFamilyPolicy("dyadic"), CubeFamilyPolicy("lattice")):
+        for centering in ("inf_c", "f_Q_delta"):
+            bmo_seminorm(f, P, policy, centering)
+    blo_seminorm(f, P)
+    for q in (0.5, 1.0, 2.0):
+        weighted_bmo_seminorm(f, w, q, P)
+    capbmo.verify.verify_jn("bmo", f, params=P)
+
+
+def test_kinks_match_each_chain_alone():
+    """_kinks pads each power-of-two class of chain length on its own.
+    Every output must be the float of a stable sort and 1-D cumsums of its
+    chain alone; lengths 1 to 300 hold each 2**k up to 256 and its
+    neighbours, in shuffled order, and v has ties."""
+    rng = np.random.default_rng(7)
+    bounds = np.concatenate([[0], np.cumsum(rng.permutation(np.arange(1, 301)))])
+    v = rng.integers(-20, 21, size=bounds[-1]) * 0.25
+    s = rng.uniform(0.0, 1.0, size=bounds[-1])
+    want = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        order = np.argsort(v[lo:hi], kind="stable")
+        cv, cs = v[lo:hi][order], s[lo:hi][order]
+        upto, weighted = np.cumsum(cs), np.cumsum(cs * cv)
+        right = 2.0 * upto - upto[-1]
+        want.append([cv, cv * right + weighted[-1] - 2.0 * weighted, right - 2.0 * cs, right])
+    got = np.stack(capbmo.oscillation._kinks(v, s, bounds))
+    assert got.tobytes() == np.concatenate(want, axis=1).tobytes()
 
 
 def test_two_cell_objective_closed_form():
@@ -633,8 +675,8 @@ def test_array_searches_match_per_cube_oracle(n, policy, data):
     tol = 1e-9
 
     for weight, q in itertools.product((None, w), (1.0, 0.5)):
-        gis = _gamma_intervals(f, weight, q, cubes, P)
-        for Q, gi in zip(cubes, gis):
+        plateaus = _gamma_intervals(f, weight, q, cubes, P)
+        for Q, got in zip(cubes, plateaus.T.tolist()):
             vals = f.values[Q.mask(g)]
             wts = np.ones(vals.size) if weight is None else weight.values[Q.mask(g)]
             F_at = lambda c: objective_oracle(f, weight, q, Q, P, c)  # noqa: E731
@@ -647,12 +689,16 @@ def test_array_searches_match_per_cube_oracle(n, policy, data):
                 want = scan_oracle(vals, wts, F_at, tol)
             else:
                 continue  # the piecewise search: test_piecewise_search_matches_...
-            got = (gi.lo, gi.hi, gi.min_value, gi.evaluations)
             assert [float(x).hex() for x in got[:3]] == [float(x).hex() for x in want[:3]], Q
             assert got[3] == want[3], Q
-            assert gi.used_fallback == (q < 1.0 and vals.min() != vals.max()), Q
+        # the one-cube entry point reads the family's plateau and flags the dense scan
+        root = CubeSpec.root(g)
+        gi = gamma_interval(f, weight, q, root, P)
+        got = _gamma_intervals(f, weight, q, [root], P)[:, 0].tolist()
+        assert [gi.lo, gi.hi, gi.min_value, gi.evaluations] == got
+        assert gi.used_fallback == (q < 1.0 and f.values.min() != f.values.max())
 
-    centres = [avg.value for avg in signed_averages(f, cubes, P)]
+    centres = signed_averages(f, cubes, P)[0]
     want = values_oracle(f, cubes, P, centres)
     got = capbmo.oscillation._values_at(f, None, 1.0, P, cubes, centres)[0]
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -661,7 +707,7 @@ def test_array_searches_match_per_cube_oracle(n, policy, data):
     for q in (1.0, 2.0):
         values, esinf = blo_values(f, cubes, P, q)
         mins = [float(f.values[Q.mask(g)].min()) for Q in cubes]
-        assert esinf == mins
+        assert esinf.tolist() == mins
         want = [v ** (1.0 / q) for v in values_oracle(f, cubes, P, mins, q)]
         assert [x.hex() for x in values] == [x.hex() for x in want]
         assert blo_seminorm(f, P, policy, q=q).value.hex() == max(want).hex()

@@ -304,6 +304,40 @@ def test_cli_weight_and_czd(files, capsys):
     assert "root average" in err
 
 
+@pytest.mark.parametrize("command", ["content", "seminorm"])
+def test_cli_grid_side_read_as_inf_exits_2(files, capsys, tmp_path, command):
+    """JSON reads root_side 1e400 as inf: content used to print "inf" and
+    seminorm "nan", both with exit 0."""
+    grid = tmp_path / "huge_side.json"
+    grid.write_text('{"n": 1, "depth": 2, "root_side": 1e400}')
+    flag, path = ("--set", files["set"]) if command == "content" else ("--fn", files["fn"])
+    code, out, err = run_cli(capsys, [command, "--grid", str(grid), flag, path])
+    assert (code, out) == (2, "")
+    assert "root_side must be positive and finite" in err
+
+
+@pytest.mark.parametrize("command", ["content", "seminorm", "weight"])
+def test_cli_delta_underflowing_the_cell_side_exits_2(capsys, tmp_path, command):
+    """(1e-170 / 4)**2 is 0: seminorm used to print "nan" and content 0.0
+    (exit 0), and weight to fail its A_p invariant on a NaN product (exit 1)."""
+    grid = write_json(tmp_path / "tiny.json", {"n": 2, "depth": 2, "root_side": 1e-170})
+    values = write_json(tmp_path / "v.json", {"values": list(range(1, 17))})
+    cell = write_json(tmp_path / "cell.json", {"cells": [[0, 0]]})
+    args = {"content": ["--set", cell], "seminorm": ["--fn", values], "weight": ["--wt", values]}[command]
+    code, out, err = run_cli(capsys, [command, "--grid", grid, *args, "--delta", "2"])
+    assert (code, out) == (2, "")
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("q,exact", [("0.5", False), ("2", True)])
+def test_cli_seminorm_reports_whether_its_centres_are_exact(files, capsys, q, exact):
+    """The q < 1 dense scan may miss the minimum; the report says so."""
+    argv = ["seminorm", "--grid", files["grid"], "--fn", files["fn"], "--kind", "weighted",
+            "--wt", files["wt"], f"--q={q}"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["exact"] is exact
+
+
 @pytest.mark.parametrize("q", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("kind", ["weighted", "blo"])
 def test_cli_seminorm_bad_q_exits_2(files, capsys, kind, q):

@@ -411,6 +411,15 @@ def test_verify_equivalences(rng):
     assert rep.constants["bmo"] == 0.0
 
 
+def test_verify_equivalences_records_whether_each_weighted_seminorm_is_exact(rng):
+    g = build_grid(1, 3, 1.0)
+    f = step_function(g, rng.normal(size=g.num_cells))
+    w = random_positive_weight(g, rng)
+    rep = verify_equivalences(f, w, (0.5, 2.0), ContentParams(delta=0.7))
+    assert rep.constants["weighted_exact"] == {"0.5": False, "2": True}
+    assert set(rep.constants["q_ratios"]) == {"0.5", "2"}
+
+
 def test_verify_equivalences_reuses_blo_at_q_one(rng, monkeypatch):
     g = build_grid(2, 2, 4.0)
     f = step_function(g, rng.normal(size=g.num_cells))
