@@ -313,13 +313,11 @@ PINNED_Q2_SEARCH = {
 }
 
 
-def test_q2_centre_search_outputs_keep_their_pinned_bits():
-    """The q = 2 centre searches on the grid of the q = 1 pins above: the
+def _power_search_bits(q):
+    """The q centre searches on the grid of the q = 1 pins above: the
     plateaus (lo, hi, min_value and evaluations) of three cubes, and
     seminorm values and centres over the dyadic and lattice families, for
-    delta 1 and 0.5, weighted and with a unit weight. Inside the search
-    q = 2 takes only squares, square roots and matmuls, so no libm power
-    enters the plateaus."""
+    delta 1 and 0.5, weighted and with a unit weight."""
     cells = np.arange(64)
     g = build_grid(2, 3, 2.0)
     f = step_function(g, ((cells * 37) % 23) * 0.125 - 1.0)
@@ -329,12 +327,76 @@ def test_q2_centre_search_outputs_keep_their_pinned_bits():
     for delta, weight in itertools.product((1.0, 0.5), (None, w)):
         P, name = ContentParams(delta=delta), f"{delta}_{'unweighted' if weight is None else 'weighted'}"
         for Q in (CubeSpec((0, 0), 8), CubeSpec((2, 1), 4), CubeSpec((4, 4), 4)):
-            gi = gamma_interval(f, weight, 2.0, Q, P)
+            gi = gamma_interval(f, weight, q, Q, P)
             got[f"gamma_{name}_{Q.cube_id()}"] = [*(x.hex() for x in (gi.lo, gi.hi, gi.min_value)), gi.evaluations]
         for policy in (CubeFamilyPolicy(), CubeFamilyPolicy("lattice")):
-            rep = weighted_bmo_seminorm(f, unit if weight is None else weight, 2.0, P, policy)
+            rep = weighted_bmo_seminorm(f, unit if weight is None else weight, q, P, policy)
             got[f"seminorm_{name}_{policy.kind}"] = _seminorm_bits(rep)
-    assert got == PINNED_Q2_SEARCH
+    return got
+
+
+def test_q2_centre_search_outputs_keep_their_pinned_bits():
+    """The q = 2 centre searches (_power_search_bits), pinned as recorded.
+    Inside the search q = 2 takes only squares, square roots and matmuls,
+    so no libm power enters the plateaus."""
+    assert _power_search_bits(2.0) == PINNED_Q2_SEARCH
+
+
+PINNED_POWER_SEARCH = {
+    1.5: {
+        "gamma_1.0_unweighted_0,0:8": ["0x1.7fffffd5ffa3bp-2", "0x1.800000143dbfdp-2", "0x1.88230edb3b526p+0", 7],
+        "gamma_1.0_unweighted_2,1:4": ["0x1.f012af56b8b2bp-2", "0x1.f02e8f2665fc2p-2", "0x1.3a1cbd038854fp+0", 3],
+        "gamma_1.0_unweighted_4,4:4": ["0x1.83533a695b90ep-2", "0x1.836f6ab63c692p-2", "0x1.4cff9951d3015p+0", 8],
+        "seminorm_1.0_unweighted_dyadic": ["0x1.542d5af5d55b1p+0", "63d201efb2c494b2b359531db365d512390d5210272749ba3622249bb54e1987"],
+        "seminorm_1.0_unweighted_lattice": ["0x1.542d5af5d55b1p+0", "cd2ff694241147c715d7c489cff1b9a15eca3a7ee0da9d13a860d27b6937223e"],
+        "gamma_1.0_weighted_0,0:8": ["0x1.a054b39a402bep-2", "0x1.a073052c2d75ap-2", "0x1.44674beeeb6f3p+0", 8],
+        "gamma_1.0_weighted_2,1:4": ["0x1.ee4825dec7b9bp-2", "0x1.ee4826e3f407dp-2", "0x1.15db5bd96bd20p+0", 8],
+        "gamma_1.0_weighted_4,4:4": ["0x1.bffe8afe62426p-2", "0x1.c000001c57935p-2", "0x1.330c209954a25p+0", 9],
+        "seminorm_1.0_weighted_dyadic": ["0x1.2f8274784f3fap+0", "717af570b9317338b228c4324c87a6f0725fb9e435798d9194e3111a23d1e7ad"],
+        "seminorm_1.0_weighted_lattice": ["0x1.2f8274784f3fap+0", "3e39413a48101adde68f5803f62b1e1dde5c37cd9e4fdcc8dfd33663f33030cf"],
+        "gamma_0.5_unweighted_0,0:8": ["0x1.7fffffe86b64bp-2", "0x1.80000009c471dp-2", "0x1.9cc1afad3f725p+0", 7],
+        "gamma_0.5_unweighted_2,1:4": ["0x1.ffffffdad5b46p-2", "0x1.0000000bdf041p-1", "0x1.7936152f8d382p+0", 7],
+        "gamma_0.5_unweighted_4,4:4": ["0x1.3ff182b96427bp-2", "0x1.400e7d469a652p-2", "0x1.80efb52ebb80fp+0", 5],
+        "seminorm_0.5_unweighted_dyadic": ["0x1.6000000000000p+0", "fb6f8aed4a99ad38701c67431c6afc85ada2c8c8cf9b4dd4e7b00b2653e77da7"],
+        "seminorm_0.5_unweighted_lattice": ["0x1.6000000000000p+0", "0ce38dd870e8cfc9fb23b374830cd38f36b713ba1d38d9e6f968cf182421af3e"],
+        "gamma_0.5_weighted_0,0:8": ["0x1.753cadc21a3cbp-2", "0x1.753cae11f7abap-2", "0x1.66203ea14b6cep+0", 10],
+        "gamma_0.5_weighted_2,1:4": ["0x1.145374aaf2f07p-1", "0x1.145374d857e11p-1", "0x1.1db1efc69ef1bp+0", 9],
+        "gamma_0.5_weighted_4,4:4": ["0x1.1d92265afe7c3p-1", "0x1.1d9227374750ap-1", "0x1.64df27cd9af4ep+0", 8],
+        "seminorm_0.5_weighted_dyadic": ["0x1.4036318927076p+0", "7013202be672c06a82aae488c5d57f6fbb7e1d1c8fe400ebb3c49f3c1d35a158"],
+        "seminorm_0.5_weighted_lattice": ["0x1.4036318927076p+0", "15312029dae2ce633c816d69987efe554b77fe7e60a4e5fff8c896864debfc07"],
+    },
+    3.0: {
+        "gamma_1.0_unweighted_0,0:8": ["0x1.7fffffef9eb3ep-2", "0x1.80000006f6e62p-2", "0x1.2db8000000000p+1", 5],
+        "gamma_1.0_unweighted_2,1:4": ["0x1.ef53309cd904bp-2", "0x1.ef5c270f05736p-2", "0x1.9174a8542a150p+0", 3],
+        "gamma_1.0_unweighted_4,4:4": ["0x1.793ef9f69acd3p-2", "0x1.7947c2ab16c69p-2", "0x1.be75e50d79436p+0", 5],
+        "seminorm_1.0_unweighted_dyadic": ["0x1.54b2eba8601b7p+0", "fcfbd197f45f13f4e9745043cda704be5f4464ed3388843dd9e13cc224d47daf"],
+        "seminorm_1.0_unweighted_lattice": ["0x1.54b2eba8601b7p+0", "2321b290142f5bb01afe73172c7da4dfcfb2abdc981f9bbaeca466b937a43ded"],
+        "gamma_1.0_weighted_0,0:8": ["0x1.770a2afb3a04ep-2", "0x1.770a3451f890dp-2", "0x1.e30289fc37b11p+0", 12],
+        "gamma_1.0_weighted_2,1:4": ["0x1.f1c4a90a12fa6p-2", "0x1.f1c4a99ff26f6p-2", "0x1.5c283bff8624ep+0", 6],
+        "gamma_1.0_weighted_4,4:4": ["0x1.8fe0808a93966p-2", "0x1.8fe9a5ff32d2ap-2", "0x1.9c4c1c47fc1a6p+0", 6],
+        "seminorm_1.0_weighted_dyadic": ["0x1.3c5566eea1610p+0", "fecb1c2a59e3bd338c11833ec2f3327170c284629d7a36314dedfd7547a83de3"],
+        "seminorm_1.0_weighted_lattice": ["0x1.3c5566eea1610p+0", "c2134c74e5719fda263859c9ede26a5edab92ac5a7985f7c831833e5026c513d"],
+        "gamma_0.5_unweighted_0,0:8": ["0x1.7ffffff8affcbp-2", "0x1.800000030769dp-2", "0x1.4cc0000000000p+1", 6],
+        "gamma_0.5_unweighted_2,1:4": ["0x1.ffffffef3cd5ep-2", "0x1.00000003c06adp-1", "0x1.1741acce86825p+1", 5],
+        "gamma_0.5_unweighted_4,4:4": ["0x1.3ffbd286fc226p-2", "0x1.40042d7906102p-2", "0x1.2168000000000p+1", 5],
+        "seminorm_0.5_unweighted_dyadic": ["0x1.6000000000000p+0", "867c1ea2a690fcfde779700c79ba5dc90f87db8a460d3ec92a5c26134d1d7c0c"],
+        "seminorm_0.5_unweighted_lattice": ["0x1.6000000000000p+0", "3ce90ee5d68a1799b7d1da39cffad075ead42c4fb6ec6f3632d2d3b0ea55e31e"],
+        "gamma_0.5_weighted_0,0:8": ["0x1.75fdc1206550bp-2", "0x1.75fdc13a84152p-2", "0x1.144db662142dcp+1", 10],
+        "gamma_0.5_weighted_2,1:4": ["0x1.020f6662ac35bp-1", "0x1.020f667330eb9p-1", "0x1.8715c4e772c72p+0", 7],
+        "gamma_0.5_weighted_4,4:4": ["0x1.90ea6354f2103p-2", "0x1.90f301ee4016ap-2", "0x1.0ef23341cf88bp+1", 5],
+        "seminorm_0.5_weighted_dyadic": ["0x1.4ad9cb77ce579p+0", "32b739922fac85bfa1641c46e7286524185fefadab83bd514a8cf3640dd1b03f"],
+        "seminorm_0.5_weighted_lattice": ["0x1.4ad9cb77ce579p+0", "516c58aaf899d5698c6059c4efc975f5c157c7b080ff22bd72a33df5a4cd5f00"],
+    },
+}
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0])
+def test_power_centre_search_outputs_keep_their_pinned_bits(q):
+    """The q = 1.5 and q = 3 centre searches (_power_search_bits), which
+    bisect each chain's own sum, pinned as recorded. These values go
+    through libm pow (|v - x|**q in the slopes, sums and levels), so they
+    hold for the libm they were recorded with."""
+    assert _power_search_bits(q) == PINNED_POWER_SEARCH[q]
 
 
 def _hex_sha256(*arrays):
