@@ -50,8 +50,10 @@ cubes and the q < 1 dense scan. The piecewise searches of all groups
 run together in ``_search``, in rounds of array operations. Each round
 integrates every pending probe and, in the first round, the normalisers;
 reads the pieces of all one-sided probes in one pass
-(``_piece_bounds``); and moves every cube on by masked operations. For
-q = 1 each piece's kinks come from column cumsums, one array per
+(``_piece_bounds``); moves every cube on by masked operations; and
+drops every piece but the bracket pieces of cubes whose plateau has not
+started, so a search holds a piece only while its cube can still read
+it. For q = 1 each piece's kinks come from column cumsums, one array per
 power-of-two class of chain length (``_kinks``), which add in the order
 of a 1-D cumsum. Dots and sums of the levels, which a padded row would
 round differently, are matmuls and row sums over the chains of one
@@ -203,12 +205,12 @@ def oscillation_objective(
 
 
 def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.ndarray):
-    """(lo, hi, roots, root_bounds) of the piece of every chain in one pass.
+    """(lo, hi, roots) of the piece of every chain in one pass.
 
     Chain t holds the levels bounds[t]:bounds[t + 1] of v (f at each
     level's cell) and a (w**(1/q) there) and was read at centre[t]; its
-    piece is [lo[t], hi[t]] and roots[root_bounds[t]:root_bounds[t + 1]]
-    are the crossings of its adjacent levels.
+    piece is [lo[t], hi[t]]; roots[:, i] are the roots m and o (below) of
+    its levels i and i + 1, NaN where there is none.
     """
     chain = np.repeat(np.arange(len(centre)), np.diff(bounds))
     # Adjacent levels l < u keep their order where
@@ -221,9 +223,8 @@ def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.n
     vl, vu, al, au = v[p], v[p + 1], a[p], a[p + 1]
     at, c = chain[p], centre[chain[p]]
     m = (al * vl + au * vu) / (al + au)
-    k = al != au
     with np.errstate(divide="ignore", invalid="ignore"):
-        o = np.where(k, (al * vl - au * vu) / (al - au), math.nan)
+        o = np.where(al != au, (al * vl - au * vu) / (al - au), math.nan)
     up, inf = vl < vu, math.inf
     end = np.where(al > au, o, np.where(up, -inf, inf))
     lo, hi = np.where(up, end, m), np.where(up, m, end)
@@ -241,11 +242,9 @@ def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.n
     piece_hi = np.full(len(centre), inf)
     np.maximum.at(piece_lo, at, lo)
     np.minimum.at(piece_hi, at, hi)
-    # each chain's roots: its m in level order, then its o where a_l != a_u
-    owner = np.concatenate([at, at[k]])
-    order = np.argsort(owner, kind="stable")
-    return (piece_lo, piece_hi, np.concatenate([m, o[k]])[order],
-            np.searchsorted(owner[order], np.arange(len(centre) + 1)))
+    roots = np.full((2, len(v)), math.nan)
+    roots[:, p] = m, o
+    return piece_lo, piece_hi, roots
 
 
 def _bisect(lo: float, hi: float, go_right) -> tuple[float, float]:
@@ -343,7 +342,27 @@ def _probe_integrals(f, w, q: float, frames, which: np.ndarray, centre: np.ndarr
 
 
 _BRACKET, _CENTRE, _PLATEAU, _FRESH, _DONE = range(5)
-_SIDES = (-1.0, 1.0)
+
+
+def _spans(start: np.ndarray, n: np.ndarray):
+    """Indices of the runs start[i]:start[i] + n[i] laid end to end, and the run of each."""
+    owner = np.repeat(np.arange(len(n)), n)
+    return np.arange(len(owner)) + np.repeat(start - np.cumsum(n) + n, n), owner
+
+
+class _Pieces:
+    """Pieces laid end to end: piece t, read for cube cube[t], holds on
+    [lo[t], hi[t]], and its n[t] levels follow on in each array of levels:
+    v and s in chain order and, for q = 1, roots m and o and the _kinks."""
+
+    def __init__(self, *fields):
+        self.n, self.lo, self.hi, self.cube, *self.levels = self.fields = fields
+        self.start = np.cumsum(self.n) - self.n
+
+    def take(self, t: np.ndarray) -> _Pieces:
+        """The pieces t, in that order, their levels copied out."""
+        idx = _spans(self.start[t], self.n[t])[0]
+        return _Pieces(*(x[t] for x in self.fields[:4]), *(x[idx] for x in self.levels))
 
 
 def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
@@ -357,8 +376,9 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
     probes of all pending cubes, a group's in its own layer-cake calls,
     and then moves every cube on by masked array operations. Each cube
     keeps up to 4 probes (centre, side) for the next round, every probe
-    so far and, for each one-sided probe, its piece: bounds, value,
-    levels (v, s) in chain order and, for q = 1, kinks and roots.
+    so far with its value, and its bracket pieces until its plateau
+    starts; a round drops the other pieces it read, once it has kept per
+    cube what later rounds need: the bracket, its tangents and the edges.
     """
     K = start.shape[1]
     offsets = np.cumsum([0] + [len(which) for _, which in groups])
@@ -368,42 +388,28 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
     tangent = np.full((2, 3, K), math.nan)  # lines below F touching it at a and b: (point, value, slope)
     widths = np.full((3, K), math.nan)  # the bracket's last three widths, latest last
     widths[2] = b - a
-    # per side: the bound on the edge from outside (NaN once the edge is
-    # found) and its piece, the edge and its piece, and the (outer, inner)
-    # breakpoints around the edge
-    bound, ends = np.full((2, 2, K), math.nan)
-    bound_piece, edge = np.zeros((2, 2, K), dtype=np.intp)
-    seg = np.full((2, 2, K), math.nan)
+    # per side: the edge, and for q = 1 the (outer, inner) breakpoints around it
+    ends, seg = np.full((2, K), math.nan), np.full((2, 2, K), math.nan)
     slot, slot_side, ask = np.full((K, 4), math.nan), np.zeros((K, 4)), np.zeros((K, 4), dtype=bool)
     slot[:, 0], slot_side[:, 0], ask[:, 0] = c, 1.0, True
-    log_c, log_s, log_v, log_p = np.empty((4, K, 0))
-    store = [np.empty(0)] * 7  # v, s, the four _kinks arrays and the roots of every piece
-    p_lo, p_hi, p_value = np.empty((3, 0))
-    p_start, p_n, r_start, r_n = np.empty((4, 0), dtype=np.intp)
+    log_c, log_s, log_v = np.empty((3, K, 0))
+    pieces = _Pieces(*np.empty((4, 0), dtype=np.intp), *np.empty((8 if q == 1.0 else 2, 0)))
 
-    def spans(start, n):
-        """Store indices of the runs start[i]:start[i] + n[i], and the run of each."""
-        owner = np.repeat(np.arange(len(n)), n)
-        return np.arange(len(owner)) + np.repeat(start - np.cumsum(n) + n, n), owner
-
-    def first_in(pos, n, last=False):
-        """The first (or last) of the ascending positions pos in each run of
-        lengths n laid end to end, the run's start if none; and whether found."""
-        lo, hi = np.cumsum(n) - n, np.cumsum(n)
-        if not len(pos):
-            return lo, np.zeros(len(n), dtype=bool)
-        j = np.clip(np.searchsorted(pos, hi) - 1 if last else np.searchsorted(pos, lo), 0, len(pos) - 1)
-        found = (pos[j] >= lo) & (pos[j] < hi)
-        return np.where(found, pos[j], lo), found
+    def first_in(mask, n, last=False):
+        """The first (or last) place where mask holds in each run of lengths
+        n >= 1 laid end to end, the run's start if none; and whether found."""
+        at, none = np.cumsum(n) - n, -1 if last else len(mask)
+        k = (np.maximum if last else np.minimum).reduceat(np.where(mask, np.arange(len(mask)), none), at)
+        return np.where(k != none, k, at), k != none
 
     def by_length(p, terms, count):
         """count arrays over the pieces p: terms(V, S, i) for the pieces p[i]
         of each chain length, their levels the rows of V and S."""
-        out, n = np.empty((count, len(p))), p_n[p]
+        (v, s), out, n = pieces.levels[:2], np.empty((count, len(p))), pieces.n[p]
         for length in np.unique(n).tolist():
             i = np.flatnonzero(n == length)
-            idx = p_start[p[i], None] + np.arange(length)
-            out[:, i] = terms(store[0][idx], store[1][idx], i)
+            idx = pieces.start[p[i], None] + np.arange(length)
+            out[:, i] = terms(v[idx], s[idx], i)
         return out
 
     def dot(S, T):
@@ -419,8 +425,9 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
 
     def each(fn, p, *args):
         """fn(v, s, q, *args) for each piece p, for q > 1 other than 2."""
-        return np.array([fn(store[0][i : i + n], store[1][i : i + n], q, *x) for i, n, *x in
-                         zip(p_start[p].tolist(), p_n[p].tolist(), *(y.tolist() for y in args))])
+        v, s = pieces.levels[:2]
+        return np.array([fn(v[i : i + n], s[i : i + n], q, *x) for i, n, *x in
+                         zip(pieces.start[p].tolist(), pieces.n[p].tolist(), *(y.tolist() for y in args))])
 
     def level(p, ks, side):
         """The end on the given side of {phi <= thr} holding c_star, of each
@@ -433,70 +440,52 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
             return centre + side * np.sqrt(np.where(0.0 > room, 0.0, room) / total)
         if q != 1.0:
             return each(_level, p, thr[ks], c_star[ks], np.full(len(p), side))
-        idx, owner = spans(p_start[p], p_n[p])
-        k, found = first_in(np.flatnonzero(store[3][idx] <= thr[ks][owner]), p_n[p], last=side > 0)
+        kv, kphi, left, right = pieces.levels[4:]
+        idx, owner = _spans(pieces.start[p], pieces.n[p])
+        k, found = first_in(kphi[idx] <= thr[ks][owner], pieces.n[p], last=side > 0)
         k = idx[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = store[2][k] + (thr[ks] - store[3][k]) / store[4 if side < 0 else 5][k]
+            x = kv[k] + (thr[ks] - kphi[k]) / (left if side < 0 else right)[k]
         return np.where(found, x, c_star[ks])
 
     def emit(ks, j, x, side):
         slot[ks, j], slot_side[ks, j], ask[ks, j] = x, side, True
 
+    def settle(j, side, ks, p, x, found=False):
+        """x bounds the edge on the given side of cubes ks from outside: it
+        is the edge where found or on its own piece p, else ask there. For
+        q = 1 keep the breakpoints around each edge: F is linear between the
+        values and roots of p nearest to it on either side."""
+        found = found | ((pieces.lo[p] <= x) & (x <= pieces.hi[p]))
+        far = ~found & ~np.isnan(x)
+        emit(ks[far], j, x[far], -side)
+        ks, p, x = ks[found], p[found], x[found]
+        ends[j, ks] = x
+        if q != 1.0:
+            return
+        idx, at = _spans(pieces.start[p], pieces.n[p])
+        cand, at = np.concatenate([pieces.levels[i][idx] for i in (0, 2, 3)]), np.tile(at, 3)  # v and roots
+        below = (cand < x[at]) | ((side > 0) & (cand == x[at]))
+        top, bottom = np.full(len(ks), -math.inf), np.full(len(ks), math.inf)
+        np.maximum.at(top, at[below], cand[below])
+        np.fmin.at(bottom, at[~below], cand[~below])  # a NaN root is none
+        seg[j][:, ks] = np.where((top == -math.inf) | (bottom == math.inf), math.nan,
+                                 [top, bottom] if side < 0 else [bottom, top])
+
     def plateau(ks):
-        """Start the plateau search: the end of {phi <= thr} of every piece
-        read so far bounds each edge from outside; keep the innermost."""
+        """Start the plateau search: the end of {phi <= thr} of every
+        bracket piece bounds each edge from outside; keep the innermost."""
         lowest = np.fmin.reduce(log_v[ks], axis=1)
         min_value[ks], thr[ks] = lowest, lowest + tol
-        r, col = np.nonzero(log_p[ks] >= 0)  # the pieces of the bracket search, in order
-        sc, sp = ks[r], log_p[ks[r], col].astype(np.intp)
-        for j, side in enumerate(_SIDES):
+        sp = np.flatnonzero(np.isin(pieces.cube, ks))  # each cube's in round order
+        sc = pieces.cube[sp]
+        for j, side in enumerate((-1.0, 1.0)):
             x = level(sp, sc, side)
             best = np.full(K, side * math.inf)
             (np.maximum if side < 0 else np.minimum).at(best, sc, x)
             hit = np.flatnonzero(x == best[sc])
             first = hit[np.unique(sc[hit], return_index=True)[1]]  # the first piece on ties
-            bound[j, sc[first]], bound_piece[j, sc[first]] = x[first], sp[first]
-
-    def resolve(ks):
-        """A bound on its own piece is the edge; ask for the others. Cubes
-        asking nothing have both edges."""
-        for j, side in enumerate(_SIDES):
-            p, x = bound_piece[j, ks], bound[j, ks]
-            own = (p_lo[p] <= x) & (x <= p_hi[p])
-            ends[j, ks[own]], edge[j, ks[own]], bound[j, ks[own]] = x[own], p[own], math.nan
-            far = ks[~np.isnan(bound[j, ks])]
-            emit(far, j, bound[j, far], -side)
-        done = ks[~ask[ks, :2].any(axis=1)]
-        phase[ks] = _PLATEAU
-        phase[done] = _DONE
-        if q == 1.0 and len(done):
-            breakpoints(done)
-            if (phase[done] == _DONE).any():
-                interpolate(done[phase[done] == _DONE])
-
-    def breakpoints(ks):
-        """q = 1: F is linear between the breakpoints around each edge, the
-        values and roots of its piece nearest to it on either side; none
-        lies between them inside the piece. Probe those not probed yet."""
-        p, x, side = edge[:, ks].ravel(), ends[:, ks].ravel(), np.repeat(_SIDES, len(ks))
-        iv, ov = spans(p_start[p], p_n[p])
-        ir, orr = spans(r_start[p], r_n[p])
-        cand, own = np.concatenate([store[0][iv], store[6][ir]]), np.concatenate([ov, orr])
-        below = (cand < x[own]) | ((side[own] > 0) & (cand == x[own]))
-        top, bottom = np.full(len(p), -math.inf), np.full(len(p), math.inf)
-        np.maximum.at(top, own[below], cand[below])
-        np.minimum.at(bottom, own[~below], cand[~below])
-        pair = np.where(side < 0, [top, bottom], [bottom, top])
-        pair[:, (top == -math.inf) | (bottom == math.inf)] = math.nan
-        seg[:, :, ks] = pair.reshape(2, 2, len(ks)).transpose(1, 0, 2)
-        fresh = seg[:, :, ks].reshape(4, len(ks)).T.copy()
-        fresh[(fresh[:, :, None] == log_c[ks][:, None, :]).any(axis=2)] = math.nan
-        fresh.sort(axis=1)
-        fresh[:, 1:][fresh[:, 1:] == fresh[:, :-1]] = math.nan
-        fresh.sort(axis=1)
-        slot[ks], slot_side[ks], ask[ks] = fresh, 0.0, ~np.isnan(fresh)
-        phase[ks] = np.where(ask[ks].any(axis=1), _FRESH, _DONE)
+            settle(j, side, sc[first], sp[first], x[first])
 
     def interpolate(ks):
         """q = 1: each edge on the linear segment around it, from F at both
@@ -511,6 +500,17 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
                 on = ~np.isnan(x0) & (outer > t) & (t >= inner)
                 ends[j, ks[on]] = (x0 + (t - outer) / (inner - outer) * (x1 - x0))[on]
         phase[ks] = _DONE
+
+    def read(levels, sided):
+        """The fields of this round's pieces, of the one-sided probes sided."""
+        job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
+        bounds = np.searchsorted(job, np.append(sided, len(kk)))
+        below = np.append(H[1:], 0.0)
+        below[bounds[1:] - 1] = 0.0
+        s = (H - below) / norm[kk[job]] * wt
+        lo, hi, roots = _piece_bounds(v, wt if q == 1.0 else wt ** (1.0 / q), bounds, centre[sided])
+        rows = [v, s, *roots, *_kinks(v, s, bounds)] if q == 1.0 else [v, s]
+        return np.diff(bounds), lo, hi, kk[sided], *rows
 
     while ask.any():
         kk, jj = np.nonzero(ask)
@@ -530,25 +530,13 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
                 got[kk[probes], jj[probes]] = raw[len(mine) :] / norm[kk[probes]]
                 levels += [(job - len(mine) + probes.start, *rest) for job, *rest in part]
         if levels:
-            job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
             sided = np.flatnonzero(side)
-            bounds = np.searchsorted(job, np.append(sided, len(kk)))
-            below = np.append(H[1:], 0.0)
-            below[bounds[1:] - 1] = 0.0
-            s = (H - below) / norm[kk[job]] * wt
-            lo, hi, roots, rb = _piece_bounds(v, wt if q == 1.0 else wt ** (1.0 / q), bounds, centre[sided])
-            pid[kk[sided], jj[sided]] = len(p_lo) + np.arange(len(sided))
-            p_start, p_n, r_start, r_n = (np.concatenate([old, new]) for old, new in (
-                (p_start, len(store[0]) + bounds[:-1]), (p_n, np.diff(bounds)),
-                (r_start, len(store[6]) + rb[:-1]), (r_n, np.diff(rb))))
-            p_lo, p_hi = np.concatenate([p_lo, lo]), np.concatenate([p_hi, hi])
-            p_value = np.concatenate([p_value, got[kk[sided], jj[sided]]])
-            new = [v, s, *_kinks(v, s, bounds), roots] if q == 1.0 else [v, s]
-            store[: len(new)] = [np.concatenate([old, part]) for old, part in zip(store, new)]
+            # this round's pieces follow the carried ones
+            pid[kk[sided], jj[sided]] = len(pieces.n) + np.arange(len(sided))
+            pieces = _Pieces(*(np.concatenate(pair) for pair in zip(pieces.fields, read(levels, sided))))
         asked, probed, was = ask.copy(), slot.copy(), phase.copy()
         log_c = np.concatenate([log_c, np.where(asked, slot, math.nan)], axis=1)
-        log_s, log_v, log_p = (np.concatenate([old, new], axis=1) for old, new in
-                               ((log_s, slot_side), (log_v, got), (log_p, pid)))
+        log_s, log_v = (np.concatenate([old, new], axis=1) for old, new in ((log_s, slot_side), (log_v, got)))
         ask[:] = False
         starting = [np.flatnonzero(was == _CENTRE)]
 
@@ -558,20 +546,21 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         if len(ks):
             p = pid[ks, 0]
             A, B, x0 = a[ks], b[ks], c[ks]
-            lo = np.where(A > p_lo[p], A, p_lo[p])
-            hi = np.where(B < p_hi[p], B, p_hi[p])
+            lo = np.where(A > pieces.lo[p], A, pieces.lo[p])
+            hi = np.where(B < pieces.hi[p], B, pieces.hi[p])
             if q == 1.0:
                 # phi's slope past the kinks below a point: the right slope
                 # of the last of them, or -total; its minimum at the first
                 # kink where the right slope is >= 0
-                idx, owner = spans(p_start[p], p_n[p])
-                kv, total = store[2][idx], store[5][p_start[p] + p_n[p] - 1]
+                at, n, kright = pieces.start[p], pieces.n[p], pieces.levels[7]
+                idx, owner = _spans(at, n)
+                kv, total = pieces.levels[4][idx], kright[at + n - 1]
 
                 def slope(below):
                     k = np.bincount(owner[below], minlength=len(p))
-                    return np.where(k > 0, store[5][p_start[p] + k - 1], -total)
+                    return np.where(k > 0, kright[at + k - 1], -total)
                 left, right = slope(kv < hi[owner]), slope(kv <= lo[owner])
-                peak = store[2][idx[first_in(np.flatnonzero(store[5][idx] >= 0), p_n[p])[0]]]
+                peak = kv[first_in(kright[idx] >= 0, n)[0]]
             else:
                 # phi's slope at hi, lo and the centre, phi at hi and lo, and
                 # for q = 2 its minimiser, in one pass over each chain length
@@ -629,23 +618,33 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         # the end of {phi <= thr} bounds the edge from outside, and is the
         # edge once it lies on phi's own piece
         ks = np.flatnonzero(was == _PLATEAU)
-        for j, side in enumerate(_SIDES):
+        for j, side in enumerate((-1.0, 1.0)):
             k = ks[asked[ks, j]]
-            if not len(k):
-                continue
             p, x = pid[k, j], probed[k, j]
             nxt = level(p, k, side)
-            # inside the plateau, or no inward step left above rounding
-            done = (p_value[p] <= thr[k]) | ((nxt - x) * side >= 0)
-            ends[j, k[done]], edge[j, k[done]] = x[done], p[done]
-            bound[j, k], bound_piece[j, k] = np.where(done, math.nan, nxt), p
+            # the probe is the edge inside the plateau, or with no inward step left
+            done = (got[k, j] <= thr[k]) | ((nxt - x) * side >= 0)
+            settle(j, side, k, p, np.where(done, x, nxt), done)
         starting = np.concatenate(starting)
-        if len(starting):
-            plateau(starting)
-        if len(starting) or len(ks):
-            resolve(np.sort(np.concatenate([starting, ks])))
-        if (was == _FRESH).any():
-            interpolate(np.flatnonzero(was == _FRESH))
+        plateau(starting)
+        # cubes that ask for no edge have both; for q = 1 they then probe
+        # the breakpoints around the edges not probed yet
+        ks = np.concatenate([starting, ks])
+        done = ks[~ask[ks, :2].any(axis=1)]
+        phase[ks] = _PLATEAU
+        phase[done] = _DONE
+        if q == 1.0:
+            fresh = seg[:, :, done].reshape(4, len(done)).T.copy()
+            fresh[(fresh[:, :, None] == log_c[done][:, None, :]).any(axis=2)] = math.nan
+            fresh.sort(axis=1)
+            fresh[:, 1:][fresh[:, 1:] == fresh[:, :-1]] = math.nan
+            fresh.sort(axis=1)
+            slot[done], slot_side[done], ask[done] = fresh, 0.0, ~np.isnan(fresh)
+            phase[done] = np.where(ask[done].any(axis=1), _FRESH, _DONE)
+            interpolate(done[phase[done] == _DONE])
+        interpolate(np.flatnonzero(was == _FRESH))
+        # only a cube whose plateau has not started reads its pieces again
+        pieces = pieces.take(np.flatnonzero(phase[pieces.cube] < _PLATEAU))
     # evaluations: the distinct (centre, side) probes, and the normaliser
     order = np.lexsort((log_s, log_c))
     log_c, log_s = np.take_along_axis(log_c, order, 1), np.take_along_axis(log_s, order, 1)
