@@ -87,10 +87,10 @@ class ContentParams:
     def validate(self, grid: Grid) -> None:
         if self.delta > grid.n:
             raise ValueError(f"delta={self.delta} exceeds the dimension {grid.n}")
-        # the caps' power; every cube's side lies between the cell's and the root's
+        # the caps' power, a normal float; every cube's side lies between the cell's and the root's
         with np.errstate(over="ignore", under="ignore"):
             lo, hi = np.power([grid.cell_side, grid.root_side], self.delta)
-        if not (lo > 0 and hi < math.inf):
+        if not (lo >= np.finfo(float).tiny and hi < math.inf):
             raise ValueError(f"delta={self.delta} takes side**delta out of float range on this grid")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbmo import kernels
+from capbmo import bmo_seminorm, kernels
 from capbmo.content import (
     Chains,
     ContentParams,
@@ -424,6 +424,22 @@ def test_params_reject_a_delta_whose_side_powers_leave_float_range(root_side, de
     with pytest.raises(ValueError, match="float range"):
         ContentParams(delta=delta).validate(g)
     ContentParams(delta=0.5).validate(g)
+
+
+def test_params_reject_a_delta_whose_cell_cap_is_subnormal():
+    """A subnormal (cell side)**delta carries fewer than 53 significant
+    bits: the 2-D depth-2 bmo_seminorm of k**1.5 with delta 2 used to read
+    15.951904296875 at root side 2**-530 and 15.9375 at 2**-535. A root
+    scaled by a power of two with a normal cap keeps every bit."""
+    P = ContentParams(delta=2.0)
+
+    def seminorm(root_side):
+        return bmo_seminorm(step_function(build_grid(2, 2, root_side), np.arange(16) ** 1.5), P).value
+
+    assert seminorm(1.0) == seminorm(2.0**-500) == 15.951893049693194
+    for root_side in (2.0**-530, 2.0**-535):
+        with pytest.raises(ValueError, match="float range"):
+            seminorm(root_side)
 
 
 def per_job_integrals(grid, jobs, params):

@@ -329,6 +329,16 @@ def test_cli_delta_underflowing_the_cell_side_exits_2(capsys, tmp_path, command)
     assert "float range" in err
 
 
+def test_cli_delta_with_a_subnormal_cell_cap_exits_2(capsys, tmp_path):
+    """(2**-532)**2 is subnormal, with fewer than 53 significant bits:
+    content used to answer from it with exit 0."""
+    grid = write_json(tmp_path / "small.json", {"n": 2, "depth": 2, "root_side": 2.0**-530})
+    cell = write_json(tmp_path / "cell.json", {"cells": [[0, 0]]})
+    code, out, err = run_cli(capsys, ["content", "--grid", grid, "--set", cell, "--delta", "2"])
+    assert (code, out) == (2, "")
+    assert "float range" in err
+
+
 @pytest.mark.parametrize("q,exact", [("0.5", False), ("2", True)])
 def test_cli_seminorm_reports_whether_its_centres_are_exact(files, capsys, q, exact):
     """The q < 1 dense scan may miss the minimum; the report says so."""
