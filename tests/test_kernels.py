@@ -38,7 +38,7 @@ def reference_reduce(costs, ndim, depth, caps):
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_fallback_matches_reference_reduction(rng, ndim, depth):
+def test_reduce_tree_matches_reference_reduction(rng, ndim, depth):
     if ndim == 3 and depth == 3:
         depth = 2  # keep the 3-d case small
     costs, caps = random_tree_inputs(rng, ndim, depth, rows=17)
