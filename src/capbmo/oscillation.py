@@ -452,16 +452,15 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         slot[ks, j], slot_side[ks, j], ask[ks, j] = x, side, True
 
     def settle(j, side, ks, p, x, found=False):
-        """x bounds the edge on the given side of cubes ks from outside: it
-        is the edge where found or on its own piece p, else ask there. For
-        q = 1 keep the breakpoints around each edge: F is linear between the
-        values and roots of p nearest to it on either side."""
+        """x bounds the given side's edge of cubes ks from outside: it is the
+        edge where found or on its own piece p, else asked for. For q = 1
+        keep the values and roots of p around it: F is linear between them."""
         found = found | ((pieces.lo[p] <= x) & (x <= pieces.hi[p]))
         far = ~found & ~np.isnan(x)
         emit(ks[far], j, x[far], -side)
         ks, p, x = ks[found], p[found], x[found]
         ends[j, ks] = x
-        if q != 1.0:
+        if q != 1.0 or not len(ks):
             return
         idx, at = _spans(pieces.start[p], pieces.n[p])
         cand, at = np.concatenate([pieces.levels[i][idx] for i in (0, 2, 3)]), np.tile(at, 3)  # v and roots
@@ -620,20 +619,22 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         ks = np.flatnonzero(was == _PLATEAU)
         for j, side in enumerate((-1.0, 1.0)):
             k = ks[asked[ks, j]]
+            if not len(k):
+                continue
             p, x = pid[k, j], probed[k, j]
             nxt = level(p, k, side)
             # the probe is the edge inside the plateau, or with no inward step left
             done = (got[k, j] <= thr[k]) | ((nxt - x) * side >= 0)
             settle(j, side, k, p, np.where(done, x, nxt), done)
         starting = np.concatenate(starting)
-        plateau(starting)
-        # cubes that ask for no edge have both; for q = 1 they then probe
-        # the breakpoints around the edges not probed yet
+        if len(starting):
+            plateau(starting)
+        # cubes asking for no edge have both; q = 1 probes the breakpoints around them
         ks = np.concatenate([starting, ks])
         done = ks[~ask[ks, :2].any(axis=1)]
         phase[ks] = _PLATEAU
         phase[done] = _DONE
-        if q == 1.0:
+        if q == 1.0 and len(done):
             fresh = seg[:, :, done].reshape(4, len(done)).T.copy()
             fresh[(fresh[:, :, None] == log_c[done][:, None, :]).any(axis=2)] = math.nan
             fresh.sort(axis=1)
@@ -642,14 +643,13 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
             slot[done], slot_side[done], ask[done] = fresh, 0.0, ~np.isnan(fresh)
             phase[done] = np.where(ask[done].any(axis=1), _FRESH, _DONE)
             interpolate(done[phase[done] == _DONE])
-        interpolate(np.flatnonzero(was == _FRESH))
+        if (was == _FRESH).any():
+            interpolate(np.flatnonzero(was == _FRESH))
         # only a cube whose plateau has not started reads its pieces again
         pieces = pieces.take(np.flatnonzero(phase[pieces.cube] < _PLATEAU))
     # evaluations: the distinct (centre, side) probes, and the normaliser
-    order = np.lexsort((log_s, log_c))
-    log_c, log_s = np.take_along_axis(log_c, order, 1), np.take_along_axis(log_s, order, 1)
-    repeats = (log_c[:, 1:] == log_c[:, :-1]) & (log_s[:, 1:] == log_s[:, :-1])
-    evaluations = (~np.isnan(log_c)).sum(axis=1) - repeats.sum(axis=1) + 1
+    probes = np.sort(log_c + 1j * log_s, axis=1)  # by centre, then side; NaN centres last
+    evaluations = (~np.isnan(log_c)).sum(axis=1) - (probes[:, 1:] == probes[:, :-1]).sum(axis=1) + 1
     return ends[0], ends[1], min_value, evaluations
 
 
