@@ -501,7 +501,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
         phase[ks] = _DONE
 
     def read(levels, sided):
-        """The fields of this round's pieces, of the one-sided probes sided."""
+        """The fields of the pieces of this round's one-sided probes kk[sided]."""
         job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
         bounds = np.searchsorted(job, np.append(sided, len(kk)))
         below = np.append(H[1:], 0.0)
