@@ -36,17 +36,17 @@ two terms, which is the same float; the centre searches of
 ``oscillation`` read the chain itself.
 
 Every integral rides on a cube family, a ``CubeFamily`` of corner and
-side arrays: ``cube_frames`` checks it against the grid, finds every
-frame with ``_frames`` (which masks share) and groups the cubes by frame
-depth into ``CubeFrames``, all in whole-array operations; rows of
-different cubes in a group share layer-cake calls. ``cube_integrals``
+side arrays: ``cube_frames`` checks it against the grid and finds every
+frame with ``_frames`` (which masks share), all in whole-array
+operations, for one ``CubeFrames``. Its ``chunks`` groups any request of
+cubes by frame depth, at most ``_JOB_CELLS`` cells of job rows per
+layer-cake call, so no caller sees a depth group. ``cube_integrals``
 takes jobs common to every cube, ``superlevel_integrals`` each cube's
 chain of level sets of |f - c| (``LevelSets``, which ``LevelSets.at``
 reads at any level), and ``masked_integral_many`` any jobs, on the
-one-cube family of their mask union's frame. Callers stack at most
-``_JOB_CELLS`` cells of job rows per call (``job_chunks``). Both budgets
-bound memory only: a job's thresholds, frame and exactly rounded sum do
-not depend on which call it rides in, so results do not either.
+one-cube family of their mask union's frame. Both budgets bound memory
+only: a job's thresholds, frame and exactly rounded sum do not depend
+on which call it rides in, so results do not either.
 """
 
 from __future__ import annotations
@@ -126,12 +126,6 @@ def _caps(cell_side: float, depth: int, delta: float) -> np.ndarray:
     caps = np.power(np.ldexp(cell_side, depth - np.arange(depth + 1)), delta)
     caps.setflags(write=False)
     return caps
-
-
-def job_chunks(count: int, row_cells: int):
-    """Slices of at most _JOB_CELLS // row_cells jobs (at least one) covering count jobs."""
-    step = max(1, _JOB_CELLS // row_cells)
-    return [slice(s, s + step) for s in range(0, count, step)]
 
 
 def row_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,48 +314,65 @@ def _strides(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class CubeFrames:
-    """Frame-local rows for cubes whose frames share one depth.
+    """Frame-local rows for every cube of a family.
 
     Each cube is evaluated inside its own frame, as a one-cube call would
-    be, so rows of different cubes reduce in the same tree pass. offset
-    holds the flat grid index of each frame's corner, lo and hi each
-    cube's first and last frame-local cell per axis.
+    be; ``chunks`` groups the cubes of a request by frame depth, so rows of
+    different cubes of one depth reduce in the same tree pass, and chains
+    reads the depth from the row width. depth and offset hold each frame's
+    depth and the flat grid index of its corner, lo and hi each cube's
+    first and last frame-local cell per axis.
     """
 
-    def __init__(self, grid: Grid, depth: int, offset: np.ndarray, lo: np.ndarray,
+    def __init__(self, grid: Grid, depth: np.ndarray, offset: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, params: ContentParams):
-        self.ndim = grid.n
-        self.depth = depth
-        self.caps = level_caps(grid, depth, params.delta)
-        self._local, self._base = _frame_cells(grid.shape, depth)
-        self.cells = len(self._local)
-        self._offset, self._lo, self._hi = offset, lo, hi
+        self.ndim, self._shape, self._side, self._delta = grid.n, grid.shape, grid.cell_side, params.delta
+        self.depth, self._offset, self._lo, self._hi = depth, offset, lo, hi
 
-    def rows(self, flat: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """(len(which), cells) frame-local values of a flat grid array."""
-        return flat[self._offset[which][:, None] + self._base]
+    def __len__(self) -> int:
+        return len(self.depth)
 
-    def masks(self, which: np.ndarray) -> np.ndarray:
-        """(len(which), cells) membership of each cube within its frame."""
-        out = np.ones((len(which), self.cells), dtype=bool)
+    def chunks(self, cubes):
+        """(at, ids) of each layer-cake call's worth of a request of family
+        indices cubes (repeats allowed): ids = cubes[at], cubes of one frame
+        depth in request order, at most _JOB_CELLS cells of rows (or one
+        cube) per chunk. One stable sort groups the request by depth."""
+        cubes = np.asarray(cubes, dtype=np.intp)
+        order = np.argsort(self.depth[cubes], kind="stable")
+        depth = self.depth[cubes[order]]
+        cuts = (np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(order)] if len(order) else []):
+            step = max(1, _JOB_CELLS >> (self.ndim * int(depth[a])))
+            for s in range(a, b, step):
+                at = order[s : min(s + step, b)]
+                yield at, cubes[at]
+
+    def rows(self, flat: np.ndarray, ids) -> np.ndarray:
+        """(len(ids), cells) frame-local values of a flat grid array on the
+        cubes ids, whose frames share one depth."""
+        return flat[self._offset[ids][:, None] + _frame_cells(self._shape, int(self.depth[ids[0]]))[1]]
+
+    def masks(self, ids) -> np.ndarray:
+        """(len(ids), cells) membership of each cube ids within its frame."""
+        local = _frame_cells(self._shape, int(self.depth[ids[0]]))[0]
+        out = np.ones((len(ids), len(local)), dtype=bool)
         for a in range(self.ndim):
-            x = self._local[:, a]
-            out &= (x >= self._lo[which, a, None]) & (x <= self._hi[which, a, None])
+            x = local[:, a]
+            out &= (x >= self._lo[ids, a, None]) & (x <= self._hi[ids, a, None])
         return out
 
     def chains(self, values: np.ndarray, masks: np.ndarray, keys=None, table=None, nest=None) -> Chains:
-        return layer_cake(values, masks, self.ndim, self.depth, self.caps, keys, table, nest)
+        depth = (values.shape[1].bit_length() - 1) // self.ndim
+        return layer_cake(values, masks, self.ndim, depth, _caps(self._side, depth, self._delta), keys, table, nest)
 
 
-def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
-    """Group a family's cubes by frame depth: a list of (positions, CubeFrames),
-    positions ascending within each group."""
+def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams) -> CubeFrames:
+    """The ``CubeFrames`` of a family, every cube checked against the grid."""
     params.validate(grid)
     corners, sides = family.corners, family.sides
-    if not len(sides):
-        return []
-    if corners.shape[1] != grid.n:
+    if len(sides) and corners.shape[1] != grid.n:
         raise ValueError("cube corner dimension does not match the grid")
+    corners = corners.reshape(len(sides), grid.n)  # an empty family's may be flat
     last = corners + (sides - 1)[:, None]
     # a cell index lies in [0, 2**grid.depth) iff it has no bit at or above
     # bit grid.depth; a negative index has all of them
@@ -370,19 +381,7 @@ def cube_frames(grid: Grid, family: CubeFamily, params: ContentParams):
         i = int(np.flatnonzero(np.bitwise_or.reduce(span, axis=1) >> grid.depth)[0])
         raise ValueError(f"cube {family[i]} does not fit inside the grid")
     frames, depth = _frames(corners, last)
-    offset = frames @ _strides(grid.shape)
-    lo, hi = corners - frames, last - frames
-    counts = np.bincount(depth).tolist()
-    if counts[-1] == len(sides):  # one depth: the family is its only group
-        return [(np.arange(len(sides)), CubeFrames(grid, len(counts) - 1, offset, lo, hi, params))]
-    order = np.argsort(depth, kind="stable")
-    groups, start = [], 0
-    for d, k in enumerate(counts):
-        if k:
-            pos = order[start : start + k]
-            groups.append((pos, CubeFrames(grid, d, offset[pos], lo[pos], hi[pos], params)))
-            start += k
-    return groups
+    return CubeFrames(grid, depth, frames @ _strides(grid.shape), corners - frames, last - frames, params)
 
 
 def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray:
@@ -395,21 +394,18 @@ def cube_integrals(grid: Grid, cubes, jobs, params: ContentParams) -> np.ndarray
     family = CubeFamily.of(cubes)
     jobs = [(np.asarray(v, dtype=np.float64), m if m is None else np.asarray(m, dtype=bool))
             for v, m in jobs]
-    out = np.empty((len(family.sides), len(jobs)))
-    for positions, frames in cube_frames(grid, family, params):
-        k, total = len(positions), len(jobs) * len(positions)
-        for sl in job_chunks(total, frames.cells):
-            # (job, cube) pairs run job-major, so each job is one run of the chunk
-            job, which = np.divmod(np.arange(sl.start, min(sl.stop, total)), k)
-            inside = frames.masks(which)
-            values = []
-            for j in range(job[0], job[-1] + 1):
-                run = slice(max(j * k - sl.start, 0), (j + 1) * k - sl.start)
-                v, m = jobs[j]
-                values.append(frames.rows(v, which[run]))
-                if m is not None:
-                    inside[run] &= frames.rows(m, which[run])
-            out[positions[which], job] = frames.chains(np.concatenate(values), inside).integrals()
+    frames, count = cube_frames(grid, family, params), len(family)
+    out = np.empty((count, len(jobs)))
+    # (job, cube) pairs run job-major, so each job is one run of a chunk
+    for at, ids in frames.chunks(np.arange(count * len(jobs)) % count):
+        job, inside, values = at // count, frames.masks(ids), []
+        for j in range(job[0], job[-1] + 1):
+            run = slice(*np.searchsorted(job, [j, j + 1]))
+            v, m = jobs[j]
+            values.append(frames.rows(v, ids[run]))
+            if m is not None:
+                inside[run] &= frames.rows(m, ids[run])
+        out[ids, job] = frames.chains(np.concatenate(values), inside).integrals()
     return out
 
 
@@ -439,10 +435,10 @@ class LevelSets:
         return np.where(k < self.bounds[owner + 1], np.append(self.values, 0.0)[k], 0.0)
 
 
-def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
+def superlevel_integrals(frames: CubeFrames, values, centers, weights=None) -> LevelSets:
     """The ``LevelSets`` of |values - centers[i]| on each cube Q_i of a
-    family framed by ``cube_frames`` into groups: the integral of weights
-    over each level set, or its content with weights None.
+    family framed by ``cube_frames``: the integral of weights over each
+    level set, or its content with weights None.
 
     Each chunk of cubes builds its rows of the deviations and its cube
     masks once. Plain contents take a cube's sets from one chain of the
@@ -453,29 +449,27 @@ def superlevel_integrals(groups, values, centers, weights=None) -> LevelSets:
     """
     centers = np.asarray(centers, dtype=np.float64)
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # (levels, values, cube) per chunk
-    for positions, frames in groups:
-        for sl in job_chunks(len(positions), frames.cells):
-            which = np.arange(sl.start, min(sl.stop, len(positions)))
-            dev = np.abs(frames.rows(values, which) - centers[positions[which], None])
-            inside = frames.masks(which)
-            if weights is None:
-                chains = frames.chains(dev, inside, np.zeros(dev.shape))
-                d, out, count = chains.thresholds, chains.contents, np.diff(chains.bounds)
-            else:
-                # nest[i, x]: the index of cell x's deviation among cube i's
-                # distinct ones, so that its k-th set is {nest[i] >= k}
-                dev[~inside] = np.nan  # sorts last
-                order, by_row = np.argsort(dev, axis=1), np.arange(len(which))[:, None]
-                dev = dev[by_row, order]
-                new = ~np.isnan(dev)
-                new[:, 1:] &= dev[:, 1:] != dev[:, :-1]
-                nest = np.empty(dev.shape, dtype=np.int64)
-                nest[by_row, order] = np.where(np.isnan(dev), -1, np.cumsum(new, axis=1) - 1)
-                d, count = dev[new], new.sum(axis=1)
-                table, ranks = rank_rows(frames.rows(weights, which))
-                out = np.concatenate([frames.chains(ranks[rows], inside[rows], table=table, nest=sub).integrals()
-                                      for rows, sub in _set_blocks(nest, new, count)])
-            parts.append((d, out, np.repeat(positions[which], count)))
+    for _, ids in frames.chunks(np.arange(len(frames))):
+        dev = np.abs(frames.rows(values, ids) - centers[ids, None])
+        inside = frames.masks(ids)
+        if weights is None:
+            chains = frames.chains(dev, inside, np.zeros(dev.shape))
+            d, out, count = chains.thresholds, chains.contents, np.diff(chains.bounds)
+        else:
+            # nest[i, x]: the index of cell x's deviation among cube i's
+            # distinct ones, so that its k-th set is {nest[i] >= k}
+            dev[~inside] = np.nan  # sorts last
+            order, by_row = np.argsort(dev, axis=1), np.arange(len(ids))[:, None]
+            dev = dev[by_row, order]
+            new = ~np.isnan(dev)
+            new[:, 1:] &= dev[:, 1:] != dev[:, :-1]
+            nest = np.empty(dev.shape, dtype=np.int64)
+            nest[by_row, order] = np.where(np.isnan(dev), -1, np.cumsum(new, axis=1) - 1)
+            d, count = dev[new], new.sum(axis=1)
+            table, ranks = rank_rows(frames.rows(weights, ids))
+            out = np.concatenate([frames.chains(ranks[rows], inside[rows], table=table, nest=sub).integrals()
+                                  for rows, sub in _set_blocks(nest, new, count)])
+        parts.append((d, out, np.repeat(ids, count)))
     levels, vals, owner = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(owner, kind="stable")  # family order, each cube's levels ascending
     bounds = np.append(0, np.cumsum(np.bincount(owner, minlength=len(centers))))

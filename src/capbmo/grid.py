@@ -334,11 +334,22 @@ def lattice_cubes(grid: Grid) -> CubeFamily:
     return CubeFamily(np.concatenate(corners), np.repeat(np.arange(1, N + 1), [len(c) for c in corners]))
 
 
+def _lattice_count(grid: Grid) -> int:
+    """Cubes of lattice_cubes: the sum of k**n over k = 1..N, in closed form."""
+    N = grid.cells_per_axis
+    s = N * (N + 1) // 2
+    return (s, s * (2 * N + 1) // 3, s * s)[grid.n - 1]
+
+
 def enumerate_cubes(grid: Grid, policy: CubeFamilyPolicy) -> CubeFamily:
-    """Cube family for the policy; deterministic for a fixed seed."""
+    """Cube family for the policy; deterministic for a fixed seed. A lattice
+    family of more than MAX_CELLS cubes is rejected before it is built."""
     if policy.kind == "dyadic":
         return dyadic_cubes(grid)
     if policy.kind == "lattice":
+        if (count := _lattice_count(grid)) > MAX_CELLS:
+            raise ValueError(f"the lattice family of this grid has {count} cubes;"
+                             f" the limit is MAX_CELLS = {MAX_CELLS}")
         return lattice_cubes(grid)
     base = dyadic_cubes(grid)
     N = grid.cells_per_axis

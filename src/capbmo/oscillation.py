@@ -38,19 +38,18 @@ cell values and their midpoints is used, which may miss the minimum
 (``GammaInterval.used_fallback``; a report is then not ``exact``).
 
 Every integral of F runs through ``_probe_integrals``: (cube, centre,
-side) probes of one frame-depth group of ``cube_frames`` become rows
-|f - c|**q * w, the normalisers w(Q) first, in layer-cake calls split
-only at the integrator's cell budget; side 0 is a plain value, and side
-+1 or -1 also returns the probe's levels. Searches whose centres are
-known up front are array operations over each group: constant cubes
-need no integral, and ``_objective`` gives F on a NaN-padded (cubes x
-centres) matrix of plain probes, for one given centre per cube
-(``_values_at``) and for ``_scan``: the q = 1 breakpoints of small
-cubes and the q < 1 dense scan. The piecewise searches of all groups
-run together in ``_search``, in rounds of array operations. Each round
-integrates every pending probe and, in the first round, the normalisers;
-reads the pieces of all one-sided probes in one pass
-(``_piece_bounds``); moves every cube on by masked operations; and
+side) probes on a family's ``CubeFrames`` become rows |f - c|**q * w,
+the normalisers w(Q) first, in the layer-cake calls of its ``chunks``;
+side 0 is a plain value, and side +1 or -1 also returns the probe's
+levels. Searches whose centres are known up front are array operations
+over the family: constant cubes need no integral, and ``_objective``
+gives F on a NaN-padded (cubes x centres) matrix of plain probes, for
+one given centre per cube (``_values_at``) and for ``_scan``: the q = 1
+breakpoints of small cubes and the q < 1 dense scan. The piecewise
+searches of a family run together in ``_search``, in rounds of array
+operations. Each round integrates every pending probe and, in the first
+round, the normalisers; reads the pieces of all one-sided probes in one
+pass (``_piece_bounds``); moves every cube on by masked operations; and
 drops every piece but the bracket pieces of cubes whose plateau has not
 started, so a search holds a piece only while its cube can still read
 it. For q = 1 each piece's kinks come from column cumsums, one array per
@@ -71,7 +70,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .choquet import signed_averages
-from .content import ContentParams, cube_frames, job_chunks, row_unique
+from .content import ContentParams, cube_frames, row_unique
 from .grid import CubeFamily, CubeFamilyPolicy, CubeSpec, StepFunction, enumerate_cubes
 
 __all__ = [
@@ -146,23 +145,14 @@ def _check(q: float, f: StepFunction, w: StepFunction | None = None, c: float | 
         raise ValueError(f"q = {q} is too large: |f - c|**q * w overflows on this f")
 
 
-def _chunk_rows(frames, f: StepFunction, w: StepFunction | None, count: int):
-    """(slice, f rows, masks, w rows or None) of the group's cubes, in calls'
-    worth of at most _JOB_CELLS cells."""
-    for sl in job_chunks(count, frames.cells):
-        which = np.arange(sl.start, min(sl.stop, count))
-        yield (sl, frames.rows(f.values, which), frames.masks(which),
-               None if w is None else frames.rows(w.values, which))
-
-
-def _objective(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """F on cube which[r] at each centre cands[r, j], +inf where cands is NaN.
+def _objective(frames, f, w, q: float, cubes: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """F on cube cubes[r] at each centre cands[r, j], +inf where cands is NaN.
 
     The normalisers w(Q) take the first rows of the same layer-cake calls.
     """
     valid = ~np.isnan(cands)
-    per, count = valid.sum(axis=1), len(which)
-    cube = np.concatenate([which, np.repeat(which, per)])
+    per, count = valid.sum(axis=1), len(cubes)
+    cube = np.concatenate([cubes, np.repeat(cubes, per)])
     centre = np.concatenate([np.zeros(count), cands[valid]])
     raw = _probe_integrals(f, w, q, frames, cube, centre, np.zeros(len(cube)), count)[0]
     F = np.full(cands.shape, math.inf)
@@ -175,19 +165,15 @@ def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: Conten
     """(F, centres): F on each cube at centres[i], or at the cube's esinf
     (the minimum of f on it) when centres is None. F is 0 without an
     integral where f equals the centre on the whole cube."""
-    family = CubeFamily.of(cubes)
-    values = np.zeros(len(family))
-    at = np.empty(len(family)) if centres is None else np.asarray(centres, dtype=np.float64)
-    for positions, frames in cube_frames(f.grid, family, params):
-        lo, hi = np.empty(len(positions)), np.empty(len(positions))
-        for sl, fv, inside, _ in _chunk_rows(frames, f, None, len(positions)):
-            lo[sl] = np.where(inside, fv, np.inf).min(axis=1)
-            hi[sl] = np.where(inside, fv, -np.inf).max(axis=1)
-        if centres is None:
-            at[positions] = lo
-        c = at[positions]
-        probe = np.flatnonzero((lo != c) | (hi != c))
-        values[positions[probe]] = _objective(frames, f, w, q, probe, c[probe, None])[:, 0]
+    frames = cube_frames(f.grid, CubeFamily.of(cubes), params)
+    lo, hi, values = np.empty(len(frames)), np.empty(len(frames)), np.zeros(len(frames))
+    for _, ids in frames.chunks(np.arange(len(frames))):
+        fv, inside = frames.rows(f.values, ids), frames.masks(ids)
+        lo[ids] = np.where(inside, fv, np.inf).min(axis=1)
+        hi[ids] = np.where(inside, fv, -np.inf).max(axis=1)
+    at = lo if centres is None else np.asarray(centres, dtype=np.float64)
+    probe = np.flatnonzero((lo != at) | (hi != at))
+    values[probe] = _objective(frames, f, w, q, probe, at[probe, None])[:, 0]
     return values, at
 
 
@@ -307,37 +293,40 @@ def _kinks(v: np.ndarray, s: np.ndarray, bounds: np.ndarray):
     return v, phi, right - 2.0 * s, right
 
 
-def _probe_integrals(f, w, q: float, frames, which: np.ndarray, centre: np.ndarray,
+def _probe_integrals(f, w, q: float, frames, cubes: np.ndarray, centre: np.ndarray,
                      side: np.ndarray, norms: int):
-    """F's integrals at the probes (centre[j], side[j]) on the group's cubes
-    which[j], the first `norms` of them the normalisers w(Q) (rows of w,
-    or 1), and (probe, H, v, w) of each level of the one-sided probes.
-    Side 0 integrates without keys. Side +1 or -1 breaks ties between
+    """F's integrals at the probes (centre[j], side[j]) on the family's cubes
+    cubes[j], the first `norms` of them the normalisers w(Q) (rows of w,
+    or 1), and (j - norms, H, v, w) of each level of the one-sided probes,
+    by j. Side 0 integrates without keys. Side +1 or -1 breaks ties between
     cells of equal |f - c|**q * w by their order just beyond c on that
     side and includes the cells where f = c."""
-    raw, levels = np.empty(len(which)), []
-    for sl in job_chunks(len(which), frames.cells):
-        rows, n = which[sl], max(0, norms - sl.start)
-        fv = frames.rows(f.values, rows)
-        wv = np.ones(fv.shape) if w is None else frames.rows(w.values, rows)
-        dev = fv - centre[sl, None]
+    raw, levels = np.empty(len(cubes)), []
+    for at, ids in frames.chunks(cubes):
+        fv = frames.rows(f.values, ids)
+        wv = np.ones(fv.shape) if w is None else frames.rows(w.values, ids)
+        dev = fv - centre[at, None]
         vals = (np.abs(dev) if q == 1.0 else np.abs(dev) ** q) * wv
-        vals[:n] = wv[:n]
-        sided = side[sl] != 0
+        norm = at < norms  # a prefix of the chunk
+        vals[norm] = wv[norm]
+        sided = side[at] != 0
         keys = None
         if sided.any():
             # order of |f - x|**q * w just beyond c on side d: ties by
             # -d / (f - c), and the cells where f = c by their weight.
             # Keyed plain rows gain only zero-width levels.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                keys = np.where(dev == 0, wv, -side[sl, None] / dev)
-        chains = frames.chains(vals, frames.masks(rows), keys)
-        raw[sl] = chains.integrals()
+                keys = np.where(dev == 0, wv, -side[at, None] / dev)
+        chains = frames.chains(vals, frames.masks(ids), keys)
+        raw[at] = chains.integrals()
         if keys is not None:
-            job = np.repeat(np.arange(len(rows)), np.diff(chains.bounds))
+            job = np.repeat(np.arange(len(ids)), np.diff(chains.bounds))
             pick = sided[job]
             job, cells = job[pick], chains.cells[pick]
-            levels.append((job + sl.start, chains.contents[pick], fv[job, cells], wv[job, cells]))
+            levels.append((at[job] - norms, chains.contents[pick], fv[job, cells], wv[job, cells]))
+    if levels:  # chunks come depth by depth: sort by probe, each probe's levels in chain order
+        order = np.argsort(np.concatenate([part[0] for part in levels]), kind="stable")
+        levels = [np.concatenate(part)[order] for part in zip(*levels)]
     return raw, levels
 
 
@@ -365,23 +354,22 @@ class _Pieces:
         return _Pieces(*(x[t] for x in self.fields[:4]), *(x[idx] for x in self.levels))
 
 
-def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
+def _search(f: StepFunction, w: StepFunction | None, q: float, frames, cubes: np.ndarray,
             start: np.ndarray, tol: float) -> tuple:
     """The exact minimum and plateau of the convex F for q >= 1 on every
     searched cube, in rounds of array operations over all of them.
 
-    groups lists (frames, which), the searched cubes which[j] of each
-    frame-depth group, numbered on across the groups; start holds each
-    cube's min f, max f and first centre. Each round integrates the
-    probes of all pending cubes, a group's in its own layer-cake calls,
-    and then moves every cube on by masked array operations. Each cube
-    keeps up to 4 probes (centre, side) for the next round, every probe
-    so far with its value, and its bracket pieces until its plateau
-    starts; a round drops the other pieces it read, once it has kept per
-    cube what later rounds need: the bracket, its tangents and the edges.
+    Search j runs on the family's cube cubes[j]; start holds each cube's
+    min f, max f and first centre. Each round integrates the probes of
+    all pending cubes in one ``_probe_integrals`` request, the first
+    round's normalisers in front, and then moves every cube on by masked
+    array operations. Each cube keeps up to 4 probes (centre, side) for
+    the next round, every probe so far with its value, and its bracket
+    pieces until its plateau starts; a round drops the other pieces it
+    read, once it has kept per cube what later rounds need: the bracket,
+    its tangents and the edges.
     """
     K = start.shape[1]
-    offsets = np.cumsum([0] + [len(which) for _, which in groups])
     a, b, c = start.copy()
     phase = np.full(K, _BRACKET)
     c_star, thr, min_value, norm = np.full((4, K), math.nan)
@@ -502,7 +490,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
 
     def read(levels, sided):
         """The fields of the pieces of this round's one-sided probes kk[sided]."""
-        job, H, v, wt = (np.concatenate(part) for part in zip(*levels))
+        job, H, v, wt = levels
         bounds = np.searchsorted(job, np.append(sided, len(kk)))
         below = np.append(H[1:], 0.0)
         below[bounds[1:] - 1] = 0.0
@@ -514,20 +502,14 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, groups: list,
     while ask.any():
         kk, jj = np.nonzero(ask)
         centre, side = slot[kk, jj], slot_side[kk, jj]
-        cuts = np.searchsorted(kk, offsets)
-        got, pid, levels = np.full((K, 4), math.nan), np.full((K, 4), -1), []
-        for g, (frames, which) in enumerate(groups):
-            if cuts[g] < cuts[g + 1]:
-                probes = slice(cuts[g], cuts[g + 1])
-                # the first round integrates w (or 1) on every cube first
-                mine = np.arange(offsets[g], offsets[g + 1])[np.isnan(norm[offsets[g] : offsets[g + 1]])]
-                zeros = np.zeros(len(mine))
-                raw, part = _probe_integrals(
-                    f, w, q, frames, which[np.concatenate([mine, kk[probes]]) - offsets[g]],
-                    np.concatenate([zeros, centre[probes]]), np.concatenate([zeros, side[probes]]), len(mine))
-                norm[mine] = raw[: len(mine)]
-                got[kk[probes], jj[probes]] = raw[len(mine) :] / norm[kk[probes]]
-                levels += [(job - len(mine) + probes.start, *rest) for job, *rest in part]
+        got, pid = np.full((K, 4), math.nan), np.full((K, 4), -1)
+        # the first round integrates w (or 1) on every cube first
+        mine = np.flatnonzero(np.isnan(norm))
+        zeros = np.zeros(len(mine))
+        raw, levels = _probe_integrals(f, w, q, frames, cubes[np.concatenate([mine, kk])],
+                                       np.concatenate([zeros, centre]), np.concatenate([zeros, side]), len(mine))
+        norm[mine] = raw[: len(mine)]
+        got[kk, jj] = raw[len(mine) :] / norm[kk]
         if levels:
             sided = np.flatnonzero(side)
             # this round's pieces follow the carried ones
@@ -709,16 +691,16 @@ def _midpoints(fv: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return cands[:, : n.max()]
 
 
-def _scan(frames, f, w, q: float, which: np.ndarray, cands: np.ndarray,
+def _scan(frames, f, w, q: float, cubes: np.ndarray, cands: np.ndarray,
           tol: float) -> tuple:
-    """(lo, hi, min_value, evaluations): the plateau of F on cube which[r]
+    """(lo, hi, min_value, evaluations): the plateau of F on cube cubes[r]
     from F at every candidate cands[r].
 
     For q = 1 the candidates are _breakpoints and the ends are interpolated
     on the linear segments around them. For q < 1, where F need not be
     convex, they are _midpoints and the ends are the outermost candidates
     within tol of the minimum: the dense-scan fallback."""
-    F = _objective(frames, f, w, q, which, cands)
+    F = _objective(frames, f, w, q, cubes, cands)
     min_value = F.min(axis=1)
     thr = min_value + tol
     ok = F <= thr[:, None]
@@ -753,58 +735,56 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> np.ndarray:
     """The minimiser plateau of F on every cube of a family: rows lo, hi,
     min_value and evaluations, a column per cube in family order.
 
-    Per frame-depth group, constant cubes and the scans are array
-    operations; the piecewise searches of all groups run together.
+    Constant cubes and the starts of the searches are array operations
+    over each chunk of cubes; one ``_scan`` and one ``_search`` take the rest.
     """
     q = float(q)
     half = tol ** (1.0 / q)
-    family = CubeFamily.of(cubes)
-    out = np.zeros((4, len(family)))  # a constant cube needs no evaluation
-    groups, searched, starts = [], [], []
-    for positions, frames in cube_frames(f.grid, family, params):
-        scans, search = [], []
-        for sl, fv, inside, wv in _chunk_rows(frames, f, w, len(positions)):
-            corner = fv[np.arange(len(fv)), inside.argmax(axis=1)]  # f at the cube's first cell
-            flat = ((fv == corner[:, None]) | ~inside).all(axis=1)
-            out[:2, positions[sl.start + np.flatnonzero(flat)]] = corner[flat] - half, corner[flat] + half
-            rest = ~flat
+    frames = cube_frames(f.grid, CubeFamily.of(cubes), params)
+    out = np.zeros((4, len(frames)))  # a constant cube needs no evaluation
+    scans, search, starts = [], [], []
+    for _, ids in frames.chunks(np.arange(len(frames))):
+        fv, inside = frames.rows(f.values, ids), frames.masks(ids)
+        wv = None if w is None else frames.rows(w.values, ids)
+        corner = fv[np.arange(len(fv)), inside.argmax(axis=1)]  # f at the cube's first cell
+        flat = ((fv == corner[:, None]) | ~inside).all(axis=1)
+        out[:2, ids[flat]] = corner[flat] - half, corner[flat] + half
+        rest = ~flat
+        if q == 1.0:
+            count, pairs = _distinct_pairs(fv, inside, wv, _SCAN_PAIRS)
+            few = rest & (count <= _SCAN_PAIRS)
+            if few.any():
+                scans.append((ids[few], _breakpoints(pairs[:, few])))
+            rest &= ~few
+        elif q < 1.0 and rest.any():  # no search: every other cube scans
+            scans.append((ids[rest], _midpoints(fv[rest], inside[rest])))
+            continue
+        # F is non-increasing below min f and non-decreasing above max
+        # f, so a minimiser lies between them. The first centre is the
+        # median (q = 1) or the weighted mean; row-wise over cubes of one
+        # size, they are each cube's own floats.
+        size = inside.sum(axis=1)
+        for n in np.unique(size[rest]).tolist():
+            k = np.flatnonzero(rest & (size == n))
+            vals = fv[k][inside[k]].reshape(len(k), n)
+            a, b = vals.min(axis=1), vals.max(axis=1)
             if q == 1.0:
-                count, pairs = _distinct_pairs(fv, inside, wv, _SCAN_PAIRS)
-                few = rest & (count <= _SCAN_PAIRS)
-                if few.any():
-                    scans.append((sl.start + np.flatnonzero(few), _breakpoints(pairs[:, few])))
-                rest &= ~few
-            elif q < 1.0 and rest.any():  # no search: every other cube scans
-                scans.append((sl.start + np.flatnonzero(rest), _midpoints(fv[rest], inside[rest])))
-                continue
-            # F is non-increasing below min f and non-decreasing above max
-            # f, so a minimiser lies between them. The first centre is the
-            # median (q = 1) or the weighted mean; row-wise over cubes of one
-            # size, they are each cube's own floats.
-            size = inside.sum(axis=1)
-            for n in np.unique(size[rest]).tolist():
-                k = np.flatnonzero(rest & (size == n))
-                vals = fv[k][inside[k]].reshape(len(k), n)
-                a, b = vals.min(axis=1), vals.max(axis=1)
-                if q == 1.0:
-                    c = np.median(vals, axis=1)
-                else:
-                    wts = np.ones(vals.shape) if wv is None else wv[k][inside[k]].reshape(len(k), n)
-                    c = np.matmul(wts[:, None, :], vals[:, :, None])[:, 0, 0] / wts.sum(axis=1)
-                c = np.where(a > c, a, c)
-                search.append(sl.start + k)
-                starts.append([a, b, np.where(b < c, b, c)])
-        if scans:
-            which = np.concatenate([k for k, _ in scans])
-            width = max(c.shape[1] for _, c in scans)
-            cands = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=math.nan)
-                                    for _, c in scans])
-            out[:, positions[which]] = _scan(frames, f, w, q, which, cands, tol)
-        if search:
-            groups.append((frames, np.concatenate(search)))
-            searched.append(positions[groups[-1][1]])
-    if groups:
-        out[:, np.concatenate(searched)] = _search(f, w, q, groups, np.hstack(starts), tol)
+                c = np.median(vals, axis=1)
+            else:
+                wts = np.ones(vals.shape) if wv is None else wv[k][inside[k]].reshape(len(k), n)
+                c = np.matmul(wts[:, None, :], vals[:, :, None])[:, 0, 0] / wts.sum(axis=1)
+            c = np.where(a > c, a, c)
+            search.append(ids[k])
+            starts.append([a, b, np.where(b < c, b, c)])
+    if scans:
+        which = np.concatenate([k for k, _ in scans])
+        width = max(c.shape[1] for _, c in scans)
+        cands = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=math.nan)
+                                for _, c in scans])
+        out[:, which] = _scan(frames, f, w, q, which, cands, tol)
+    if search:
+        which = np.concatenate(search)
+        out[:, which] = _search(f, w, q, frames, which, np.hstack(starts), tol)
     return out
 
 

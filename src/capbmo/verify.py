@@ -373,8 +373,8 @@ def _forward_characterization(kind, weight, p, params, policy):
 
 
 def _reverse_characterization(kind, function_family, depths, gamma_grid, p, params, policy):
-    if not depths:
-        raise ValueError("reverse characterization needs a list of depths")
+    if len(depths or ()) < 2:
+        raise ValueError("reverse characterization needs at least two depths")
     gammas = sorted(gamma_grid or (2.0**-k for k in range(0, 11)), reverse=True)
     seminorm = bmo_seminorm if kind == "bmo_ap" else blo_seminorm
     scaled = []  # (f, seminorm of f) per depth; neither depends on gamma
@@ -533,6 +533,9 @@ def verify_inclusions(
     if thresholds:
         thr.update(thresholds)
     depths = list(depth_range)
+    # the checks compare neighbouring depths
+    if len(depths) < 2 or any(b <= a for a, b in zip(depths, depths[1:])):
+        raise ValueError(f"verify_inclusions needs at least two strictly increasing depths, got {depths}")
     for depth in depths:
         fixtures.log_grid(n, depth)  # reject an oversized depth before any work
     blo_neg, sup_neg, bmo_pos, chain_pos = [], [], [], []

@@ -6,9 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
+import capbmo.grid
+
 from capbmo.choquet import signed_averages
 from capbmo.content import ContentParams, cube_integrals
-from capbmo.grid import CubeFamily, CubeFamilyPolicy, CubeSpec, build_grid, enumerate_cubes, step_function
+from capbmo.grid import (
+    MAX_CELLS, CubeFamily, CubeFamilyPolicy, CubeSpec, _lattice_count, build_grid, enumerate_cubes, lattice_cubes,
+    step_function,
+)
 from capbmo.oscillation import blo_values
 from capbmo.verify import survival_curves
 from capbmo.weights import cube_averages
@@ -72,6 +77,27 @@ def test_enumeration_matches_itertools_oracle(n, kind):
         grid = build_grid(n, depth, 1.0)
         policy = CubeFamilyPolicy(kind)
         assert_same_family(enumerate_cubes(grid, policy), oracle_cubes(grid, policy), n)
+
+
+@pytest.mark.parametrize("n", sorted(MAX_DEPTH))
+def test_lattice_count_is_the_family_size(n):
+    for depth in range(MAX_DEPTH[n] + 2):
+        grid = build_grid(n, depth, 1.0)
+        assert _lattice_count(grid) == len(lattice_cubes(grid))
+
+
+def test_oversized_lattice_family_is_rejected_before_it_is_built(monkeypatch):
+    def built(grid):
+        raise AssertionError("the lattice family was built")
+
+    monkeypatch.setattr(capbmo.grid, "lattice_cubes", built)
+    lattice = CubeFamilyPolicy("lattice")
+    for n, depth, count in [(2, 8, 5_625_216), (1, 11, 2_098_176), (1, 20, 549_756_338_176)]:
+        with pytest.raises(ValueError, match=f"has {count} cubes; the limit is MAX_CELLS"):
+            enumerate_cubes(build_grid(n, depth, 1.0), lattice)
+    assert _lattice_count(build_grid(2, 7, 1.0)) == 707_264 <= MAX_CELLS
+    with pytest.raises(AssertionError, match="built"):  # allowed, so built
+        enumerate_cubes(build_grid(2, 7, 1.0), lattice)
 
 
 @pytest.mark.parametrize("n", sorted(MAX_DEPTH))

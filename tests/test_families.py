@@ -9,6 +9,7 @@ whose frame is the cube's own, and every comparison is bit for bit.
 import itertools
 import math
 import re
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -80,26 +81,38 @@ def scalar_frame(Q):
 def test_array_frames_match_scalar_definition(n, kind, data):
     depth = data.draw(st.integers(0, {1: 5, 2: 3, 3: 2}[n]), label="depth")
     seed = data.draw(st.integers(0, 2**16), label="seed")
+    budget = data.draw(st.sampled_from([1, 8, 64, content._JOB_CELLS]), label="budget")
     policy = CubeFamilyPolicy(kind, sample_count=9, rng_seed=seed) if kind == "sampled" else CubeFamilyPolicy(kind)
     grid = build_grid(n, depth, 1.0)
     cubes = enumerate_cubes(grid, policy)
-    # shuffled, so that groups interleave in the family
-    cubes = [cubes[i] for i in np.random.default_rng(seed).permutation(len(cubes))]
+    # shuffled, so that depths interleave in the family
+    rng = np.random.default_rng(seed)
+    cubes = [cubes[i] for i in rng.permutation(len(cubes))]
+    frames = cube_frames(grid, CubeFamily.of(cubes), ContentParams(delta=1.0))
     cells = np.arange(grid.num_cells)
-    seen = []
-    groups = cube_frames(grid, CubeFamily.of(cubes), ContentParams(delta=1.0))
-    assert len({frames.depth for _, frames in groups}) == len(groups)
-    for positions, frames in groups:
-        assert list(positions) == sorted(positions)
-        seen += list(positions)
-        for k, i in enumerate(positions):
-            corner, j = scalar_frame(cubes[i])
-            assert frames.depth == j
-            # the row of the cell indices is the frame's cells, the mask the cube's
-            frame_cells = frames.rows(cells, [k])[0]
-            assert np.array_equal(np.sort(frame_cells), np.flatnonzero(CubeSpec(corner, 1 << j).mask(grid)))
-            assert np.array_equal(np.sort(frame_cells[frames.masks([k])[0]]), np.flatnonzero(cubes[i].mask(grid)))
-    assert sorted(seen) == list(range(len(cubes)))
+    for i, Q in enumerate(cubes):
+        corner, j = scalar_frame(Q)
+        assert frames.depth[i] == j
+        # the row of the cell indices is the frame's cells, the mask the cube's
+        frame_cells = frames.rows(cells, [i])[0]
+        assert np.array_equal(np.sort(frame_cells), np.flatnonzero(CubeSpec(corner, 1 << j).mask(grid)))
+        assert np.array_equal(np.sort(frame_cells[frames.masks([i])[0]]), np.flatnonzero(Q.mask(grid)))
+    # a request repeats cubes, as probes do; chunks hold every occurrence
+    # once, one frame depth each, in request order within a depth, and at
+    # most the budget's cells of rows unless they hold one cube
+    request = rng.integers(0, len(cubes), size=rng.integers(0, 3 * len(cubes) + 1))
+    with unittest.mock.patch.object(content, "_JOB_CELLS", budget):
+        chunks = list(frames.chunks(request))
+    seen, last = [], {}
+    for at, ids in chunks:
+        assert np.array_equal(ids, request[at]) and len(ids) > 0
+        (d,) = set(frames.depth[ids].tolist())
+        assert len(ids) * (1 << (n * d)) <= budget or len(ids) == 1
+        assert last.get(d, -1) < at[0] and (np.diff(at) > 0).all()
+        last[d] = at[-1]
+        seen += at.tolist()
+    assert sorted(seen) == list(range(len(request)))
+    assert list(frames.chunks([])) == []
 
 
 def raised(fn):
@@ -201,7 +214,7 @@ def test_survival_curves_match_per_cube_reference(n, policy, weighted):
 
 @pytest.mark.parametrize("n,policy", CASES, ids=IDS)
 def test_survival_samples_match_per_cube_unique(n, policy):
-    """The samples built per frame-depth group are each cube's own: t_grid,
+    """The samples built per chunk of cubes are each cube's own: t_grid,
     every distinct |f - c| and a point 1e-9 below each positive jump, as
     one np.unique per cube gives them. Centres on a cell value put a jump
     at 0, and t_grid values meet jumps and the points below them."""
@@ -258,7 +271,7 @@ def test_family_fit_matches_per_curve_polyfit(n, policy, weighted):
     curve's c and C within 1e-12 relative of np.polyfit on that curve
     alone, with the same passed and witness, and fit_envelope, its one-curve
     case, the same floats as the family pass. Shuffled families interleave
-    frame-depth groups; degenerate curves (no positive survival, one
+    frame depths; degenerate curves (no positive survival, one
     sample, every sample at one t) sit between the others."""
     grid, f, w, params = inputs(n, 8)
     rng = np.random.default_rng(8)
@@ -384,8 +397,8 @@ def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
         return chains[-1]
 
     monkeypatch.setattr(content, "layer_cake", counted)
-    groups = cube_frames(grid, CubeFamily.of(cubes), params)
-    superlevel_integrals(groups, f.values, centers, w.values)
+    frames = cube_frames(grid, CubeFamily.of(cubes), params)
+    superlevel_integrals(frames, f.values, centers, w.values)
     sets = 0
     for Q, c, t in zip(cubes, centers, levels):
         inside = np.abs(f.values[Q.mask(grid)] - c)
@@ -394,7 +407,7 @@ def test_superlevel_integrals_integrate_each_set_once(monkeypatch):
     assert sum(len(ch.bounds) - 1 for ch in chains) == sets < sum(map(len, levels))
     assert all((np.diff(ch.bounds) > 0).all() for ch in chains)  # w > 0: no chain is empty
     jobs.clear()
-    superlevel_integrals(groups, f.values, centers)
+    superlevel_integrals(frames, f.values, centers)
     assert sum(jobs) == len(cubes)
 
     weak_jobs = []
@@ -420,9 +433,9 @@ def test_weighted_level_sets_ride_in_calls_of_bounded_set_cells(monkeypatch):
     rng = np.random.default_rng(7)
     f, w = rng.permutation(64) / 8.0, rng.permutation(64) / 16.0 + 0.25
     family = CubeFamily.of(enumerate_cubes(grid, CubeFamilyPolicy("lattice")))
-    groups = cube_frames(grid, family, ContentParams(1.0))
+    frames = cube_frames(grid, family, ContentParams(1.0))
     centers = rng.random(len(family)) * 8.0
-    whole = superlevel_integrals(groups, f, centers, w)
+    whole = superlevel_integrals(frames, f, centers, w)
     real, calls = content.layer_cake, []
 
     def spied(values, masks, *args):
@@ -432,7 +445,7 @@ def test_weighted_level_sets_ride_in_calls_of_bounded_set_cells(monkeypatch):
 
     monkeypatch.setattr(content, "layer_cake", spied)
     monkeypatch.setattr(content, "_ROW_CELLS", 50)
-    split = superlevel_integrals(groups, f, centers, w)
+    split = superlevel_integrals(frames, f, centers, w)
     for name in ("levels", "values", "bounds"):
         assert getattr(split, name).tobytes() == getattr(whole, name).tobytes(), name
     assert all(cells <= 50 or sets == 1 for _, cells, sets in calls)

@@ -651,7 +651,7 @@ def dense_oracle(vals, F_at, tol):
 @given(data=st.data())
 def test_array_searches_match_per_cube_oracle(n, policy, data):
     """Constant cubes, the q = 1 scan, the q < 1 dense scan and F at one
-    centre per cube run as array operations over each frame-depth group;
+    centre per cube run as array operations over each chunk of cubes;
     each result must be the float a per-cube computation gives, on the
     same frames."""
     g = build_grid(n, {1: 4, 2: 2, 3: 2}[n], 1.0)

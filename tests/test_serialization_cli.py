@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import capbmo.fixtures
+import capbmo.grid
 import capbmo.weights
 from capbmo.cli import main
 from capbmo.grid import MAX_CELLS, CubeFamilyPolicy, CubeSpec, build_grid
@@ -557,6 +558,28 @@ def test_cli_verify_failure_exit_code(files, capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "inclusions", "--fixture", fx])
     assert code == 1
     assert "FAIL" in out or "passed=False" in out or "false" in out.lower()
+
+
+def test_cli_rejects_one_depth_and_oversized_lattice_families(capsys, tmp_path, monkeypatch):
+    fx = write_json(
+        tmp_path / "fx.json",
+        {
+            "grid": {"n": 1, "depth": 1, "root_side": 2.0},
+            "parameters": {"delta": 1.0, "n": 1, "depth_range": [3, 3]},
+        },
+    )
+    code, out, err = run_cli(capsys, ["verify", "inclusions", "--fixture", fx])
+    assert (code, out) == (2, "") and "at least two strictly increasing depths" in err
+
+    def built(grid):
+        raise AssertionError("the lattice family was built")
+
+    # 2,098,176 lattice cubes on 2,048 cells: refused before it is built
+    monkeypatch.setattr(capbmo.grid, "lattice_cubes", built)
+    grid = write_json(tmp_path / "grid11.json", {"n": 1, "depth": 11, "root_side": 1.0})
+    fn = write_json(tmp_path / "f11.json", {"values": [0.0] * 2048})
+    code, out, err = run_cli(capsys, ["seminorm", "--grid", grid, "--fn", fn, "--family", "lattice"])
+    assert (code, out) == (2, "") and "2098176 cubes" in err and "MAX_CELLS" in err
 
 
 def test_cli_verify_error_paths(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -100,8 +101,7 @@ def test_survival_curves_build_rows_and_masks_once_per_chunk(monkeypatch, weight
     params = ContentParams(delta=1.0)
     cubes = enumerate_cubes(f.grid, CubeFamilyPolicy("dyadic"))
     weight = random_positive_weight(f.grid, np.random.default_rng(3)) if weighted else None
-    chunks = sum(len(capbmo.content.job_chunks(len(positions), frames.cells))
-                 for positions, frames in capbmo.content.cube_frames(f.grid, cubes, params))
+    chunks = len(list(capbmo.content.cube_frames(f.grid, cubes, params).chunks(np.arange(len(cubes)))))
     calls = {"masks": 0, "rows": 0}
     for name in calls:
         real = getattr(capbmo.content.CubeFrames, name)
@@ -456,6 +456,18 @@ def test_verify_inclusions_passes_and_respects_overrides():
     tightened = verify_inclusions((3, 4), params, thresholds={"bmo_pos_max": 1e-9})
     assert not tightened.passed
     assert any("mean-oscillation" in w["issue"] for w in tightened.witnesses)
+
+
+def test_depth_checks_need_two_increasing_depths():
+    """The depth checks compare neighbouring depths, so one depth would pass
+    them vacuously and none would leave nothing to report."""
+    params = ContentParams(delta=1.0)
+    for depths in ([], [3], range(3, 4), (4, 3), (3, 3), (3, 5, 4)):
+        with pytest.raises(ValueError, match="at least two strictly increasing depths"):
+            verify_inclusions(depths, params)
+    for kind, depths in itertools.product(("bmo_ap", "blo_a1"), (None, (), (3,))):
+        with pytest.raises(ValueError, match="at least two depths"):
+            verify_characterization(kind, params, function_family=lambda d: log_abs_function(1, d), depths=depths)
 
 
 def test_verify_factorization(rng):
