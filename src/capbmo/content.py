@@ -111,18 +111,11 @@ def _frame_for_mask(grid: Grid, membership: np.ndarray) -> tuple[np.ndarray, int
     return corners[0], int(depth[0])
 
 
-def level_caps(grid: Grid, sub_depth: int, delta: float) -> np.ndarray:
-    """caps[k] = (side length of a level-k cube of the subtree)**delta.
-
-    Sides are exact powers of two times the cell side, so identical sets
-    evaluated in different frames see bit-identical cap values.
-    """
-    return _caps(grid.cell_side, sub_depth, delta)
-
-
 @lru_cache(maxsize=256)
 def _caps(cell_side: float, depth: int, delta: float) -> np.ndarray:
-    """level_caps, read-only and shared: every one-cube call needs them."""
+    """caps[k] = (side of a level-k cube of a depth-`depth` subtree)**delta,
+    read-only and shared. Sides are exact powers of two times the cell side,
+    so identical sets evaluated in different frames see bit-identical caps."""
     caps = np.power(np.ldexp(cell_side, depth - np.arange(depth + 1)), delta)
     caps.setflags(write=False)
     return caps
@@ -347,14 +340,21 @@ class CubeFrames:
                 at = order[s : min(s + step, b)]
                 yield at, cubes[at]
 
+    def _one_depth(self, ids) -> int:
+        """The frame depth shared by the cubes ids, as in a chunk; mixed depths raise."""
+        depth = self.depth[ids]
+        if (depth != depth[0]).any():
+            raise ValueError("rows and masks need cubes of one frame depth; use chunks")
+        return int(depth[0])
+
     def rows(self, flat: np.ndarray, ids) -> np.ndarray:
         """(len(ids), cells) frame-local values of a flat grid array on the
         cubes ids, whose frames share one depth."""
-        return flat[self._offset[ids][:, None] + _frame_cells(self._shape, int(self.depth[ids[0]]))[1]]
+        return flat[self._offset[ids][:, None] + _frame_cells(self._shape, self._one_depth(ids))[1]]
 
     def masks(self, ids) -> np.ndarray:
-        """(len(ids), cells) membership of each cube ids within its frame."""
-        local = _frame_cells(self._shape, int(self.depth[ids[0]]))[0]
+        """(len(ids), cells) membership of each cube ids within its frame of one depth."""
+        local = _frame_cells(self._shape, self._one_depth(ids))[0]
         out = np.ones((len(ids), len(local)), dtype=bool)
         for a in range(self.ndim):
             x = local[:, a]

@@ -736,14 +736,15 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> np.ndarray:
     min_value and evaluations, a column per cube in family order.
 
     Constant cubes and the starts of the searches are array operations
-    over each chunk of cubes; one ``_scan`` and one ``_search`` take the rest.
+    over each chunk of cubes; one ``_scan`` per frame depth and one ``_search`` take the rest.
     """
     q = float(q)
     half = tol ** (1.0 / q)
     frames = cube_frames(f.grid, CubeFamily.of(cubes), params)
     out = np.zeros((4, len(frames)))  # a constant cube needs no evaluation
-    scans, search, starts = [], [], []
+    scans, search, starts = {}, [], []  # scans per frame depth: rows pad to their depth's widest
     for _, ids in frames.chunks(np.arange(len(frames))):
+        depth_scans = scans.setdefault(int(frames.depth[ids[0]]), [])
         fv, inside = frames.rows(f.values, ids), frames.masks(ids)
         wv = None if w is None else frames.rows(w.values, ids)
         corner = fv[np.arange(len(fv)), inside.argmax(axis=1)]  # f at the cube's first cell
@@ -754,10 +755,10 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> np.ndarray:
             count, pairs = _distinct_pairs(fv, inside, wv, _SCAN_PAIRS)
             few = rest & (count <= _SCAN_PAIRS)
             if few.any():
-                scans.append((ids[few], _breakpoints(pairs[:, few])))
+                depth_scans.append((ids[few], _breakpoints(pairs[:, few])))
             rest &= ~few
         elif q < 1.0 and rest.any():  # no search: every other cube scans
-            scans.append((ids[rest], _midpoints(fv[rest], inside[rest])))
+            depth_scans.append((ids[rest], _midpoints(fv[rest], inside[rest])))
             continue
         # F is non-increasing below min f and non-decreasing above max
         # f, so a minimiser lies between them. The first centre is the
@@ -776,11 +777,11 @@ def _gamma_intervals(f, w, q, cubes, params, tol=1e-9) -> np.ndarray:
             c = np.where(a > c, a, c)
             search.append(ids[k])
             starts.append([a, b, np.where(b < c, b, c)])
-    if scans:
-        which = np.concatenate([k for k, _ in scans])
-        width = max(c.shape[1] for _, c in scans)
+    for part in filter(None, scans.values()):
+        which = np.concatenate([k for k, _ in part])
+        width = max(c.shape[1] for _, c in part)
         cands = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=math.nan)
-                                for _, c in scans])
+                                for _, c in part])
         out[:, which] = _scan(frames, f, w, q, which, cands, tol)
     if search:
         which = np.concatenate(search)

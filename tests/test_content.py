@@ -9,11 +9,11 @@ from capbmo import bmo_seminorm, kernels
 from capbmo.content import (
     Chains,
     ContentParams,
+    _caps,
     _frame_for_mask,
     cube_content,
     dyadic_content,
     layer_cake,
-    level_caps,
     masked_integral,
     masked_integral_many,
     rank_rows,
@@ -162,9 +162,9 @@ def test_content_equals_exhaustive_cover_search_1d_3d(n, depth, delta_of_n):
 def cover_search_cost(grid, cells, delta):
     """Minimal cost of covering the given cells by dyadic subcubes of the
     root, found by trying every set of the dyadic cubes that meet them (a
-    cube that meets none only adds cost). Cube costs are level_caps; a
+    cube that meets none only adds cost). Cube costs are the caps; a
     cover's cost is summed along the tree as in cover_search_minimum."""
-    caps = level_caps(grid, grid.depth, delta)
+    caps = _caps(grid.cell_side, grid.depth, delta)
     points = np.array(np.unravel_index(cells, grid.shape)).T
     cubes = []  # preorder: (level, cells inside, child positions)
 
@@ -248,7 +248,7 @@ def test_sparse_and_dense_reductions_agree_bit_for_bit(data):
     else:
         values = rng.integers(0, data.draw(st.integers(1, 9), label="levels"), size=(jobs, cells)) * 0.75
         keys = None
-    caps = level_caps(g, depth, delta)
+    caps = _caps(g.cell_side, depth, delta)
     chains = {}
     for path in ("dense", "sparse"):
         with forced_reduction(path):
@@ -271,7 +271,7 @@ def test_keyless_chains_equal_zero_keyed_chains_of_positive_cells(data):
     values = rng.integers(-2, 5, size=(jobs, cells)) * 0.75
     values[rng.random((jobs, cells)) < 0.1] = -0.0
     masks = rng.random((jobs, cells)) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="density")
-    caps = level_caps(build_grid(n, depth, 2.0), depth, 0.5 * n)
+    caps = _caps(build_grid(n, depth, 2.0).cell_side, depth, 0.5 * n)
     keyless = layer_cake(values, masks, n, depth, caps)
     keyed = layer_cake(values, masks & (values > 0), n, depth, caps, np.zeros(values.shape))
     for name in ("thresholds", "contents", "cells", "bounds"):
@@ -294,7 +294,7 @@ def test_ranked_chains_equal_float_sorted_chains(data):
     values[rng.random((jobs, cells)) < 0.1] = -0.0
     values[rng.random((jobs, cells)) < 0.05] = np.nan
     masks = rng.random((jobs, cells)) < data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="density")
-    caps = level_caps(build_grid(n, depth, 2.0), depth, 0.5 * n)
+    caps = _caps(build_grid(n, depth, 2.0).cell_side, depth, 0.5 * n)
     table, ranks = rank_rows(values)
     with forced_reduction(data.draw(st.sampled_from(["dense", "sparse"]), label="path")):
         floated = layer_cake(values, masks, n, depth, caps)
@@ -402,7 +402,7 @@ def test_weighted_content_matches_layer_cake(rng):
 
 def test_level_caps_exact_powers():
     g = build_grid(1, 3, 8.0)
-    caps = level_caps(g, 3, 0.5)
+    caps = _caps(g.cell_side, 3, 0.5)
     assert caps == pytest.approx([8**0.5, 4**0.5, 2**0.5, 1.0], abs=0.0)
 
 
@@ -453,7 +453,7 @@ def per_job_integrals(grid, jobs, params):
         return [0.0] * len(jobs)
     corner, depth = _frame_for_mask(grid, union)
     frame = tuple(slice(c, c + (1 << depth)) for c in corner)
-    caps = level_caps(grid, depth, params.delta)
+    caps = _caps(grid.cell_side, depth, params.delta)
     out = []
     for values, mask in jobs:
         sub_vals = values.reshape(grid.shape)[frame].ravel()

@@ -115,6 +115,17 @@ def test_array_frames_match_scalar_definition(n, kind, data):
     assert list(frames.chunks([])) == []
 
 
+def test_rows_and_masks_refuse_cubes_of_mixed_frame_depths():
+    grid = build_grid(2, 2, 1.0)
+    frames = cube_frames(grid, CubeFamily.of([CubeSpec((0, 0), 1), CubeSpec((0, 0), 2)]),
+                         ContentParams(delta=1.0))
+    cells = np.arange(grid.num_cells)
+    assert frames.rows(cells, [1, 1]).shape == frames.masks([1, 1]).shape == (2, 4)
+    for read in (lambda ids: frames.rows(cells, ids), frames.masks):
+        with pytest.raises(ValueError, match="one frame depth"):
+            read([0, 1])
+
+
 def raised(fn):
     with pytest.raises(ValueError) as info:
         fn()

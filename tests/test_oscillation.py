@@ -446,6 +446,26 @@ def test_sub_half_q_uses_dense_fallback(grid_1d):
     assert gi.min_value > 0
 
 
+def test_dense_scan_pads_candidates_only_within_a_frame_depth(monkeypatch):
+    """Each q < 1 scan takes cubes of one frame depth, so a cube's row of
+    candidates is no wider than its depth's 2 * cells - 1: padding every
+    row to the root's width would grow as cubes * num_cells."""
+    g = build_grid(2, 3, 1.0)
+    f = step_function(g, np.random.default_rng(4).permutation(g.num_cells).astype(float))
+    cubes = enumerate_cubes(g, CubeFamilyPolicy("dyadic"))
+    scan, seen = capbmo.oscillation._scan, []
+
+    def spy(frames, f, w, q, which, cands, tol):
+        seen.append((set(frames.depth[which].tolist()), cands.shape))
+        return scan(frames, f, w, q, which, cands, tol)
+
+    monkeypatch.setattr(capbmo.oscillation, "_scan", spy)
+    _gamma_intervals(f, None, 0.5, cubes, ContentParams(delta=1.0))
+    assert sorted(shape[0] for _, shape in seen) == [1, 4, 16]  # single cells are constant
+    for (d,), (rows, width) in seen:
+        assert width <= 2 * 4**d - 1
+
+
 # ------------------------------------------------- family = loop of one-cube calls
 
 FAMILIES = [
