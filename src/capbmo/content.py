@@ -361,6 +361,14 @@ class CubeFrames:
             out &= (x >= self._lo[ids, a, None]) & (x <= self._hi[ids, a, None])
         return out
 
+    def extremes(self, flat: np.ndarray) -> np.ndarray:
+        """Rows min and max of a flat grid array on each cube, from its frame rows."""
+        out = np.empty((2, len(self)))
+        for _, ids in self.chunks(np.arange(len(self))):
+            rows, inside = self.rows(flat, ids), self.masks(ids)
+            out[:, ids] = np.where(inside, rows, np.inf).min(axis=1), np.where(inside, rows, -np.inf).max(axis=1)
+        return out
+
     def chains(self, values: np.ndarray, masks: np.ndarray, keys=None, table=None, nest=None) -> Chains:
         depth = (values.shape[1].bit_length() - 1) // self.ndim
         return layer_cake(values, masks, self.ndim, depth, _caps(self._side, depth, self._delta), keys, table, nest)

@@ -23,11 +23,12 @@ Each step reads one chain per pending cube, takes the minimum of its
 piece's sum over the piece, and stops if that minimum lies inside the
 piece; otherwise the slope at the piece's end cuts the bracket. The next
 centre is the minimiser of the sum (a weighted mean for q = 2, a slope
-bisection for other q > 1) or, for q = 1, where the lines touching F at
-both bracket ends cross, with bisection whenever the bracket fails to
-halve in two steps. The plateau {F <= min + tol} is solved from outside
-in: the end of {phi <= tol + min} bounds the edge for every chain read
-so far, and is the edge once it lies on its own piece. For q = 1, F is
+bisection in lockstep for other q > 1) or, for q = 1, where the lines
+touching F at both bracket ends cross, with bisection whenever the
+bracket fails to halve in two steps. The plateau {F <= min + tol} is
+solved from outside in: the end of {phi <= tol + min} bounds the edge
+for every chain read so far, and is the edge once it lies on its own
+piece. For q = 1, F is
 linear between breakpoints (cell values and crossings), so each edge is
 interpolated between the integrals at its two neighbouring breakpoints,
 and cubes with at most ``_SCAN_PAIRS`` distinct (value, weight) pairs
@@ -56,9 +57,9 @@ it. For q = 1 each piece's kinks come from column cumsums, one array per
 power-of-two class of chain length (``_kinks``), which add in the order
 of a 1-D cumsum. Dots and sums of the levels, which a padded row would
 round differently, are matmuls and row sums over the chains of one
-length; the bisections of q other than 1 and 2 run per chain. A family's
-plateaus stay arrays; the one-cube entry points run the same code on a
-one-cube family and alone build a ``GammaInterval``.
+length, and the bisections of other q > 1 step all chains in lockstep.
+A family's plateaus stay arrays; the one-cube entry points run the same
+code on a one-cube family and alone build a ``GammaInterval``.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ _SCAN_PAIRS = 10
 
 def _check(q: float, f: StepFunction, w: StepFunction | None = None, c: float | None = None) -> None:
     """The q, weight and centre checks of the public entry points: q keeps
-    |f - x|**q * max w finite for every x a search probes (``_level``), or c."""
+    |f - x|**q * max w finite for every x a search probes, or c."""
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")
     if w is not None and w.grid != f.grid:
@@ -166,11 +167,7 @@ def _values_at(f: StepFunction, w: StepFunction | None, q: float, params: Conten
     (the minimum of f on it) when centres is None. F is 0 without an
     integral where f equals the centre on the whole cube."""
     frames = cube_frames(f.grid, CubeFamily.of(cubes), params)
-    lo, hi, values = np.empty(len(frames)), np.empty(len(frames)), np.zeros(len(frames))
-    for _, ids in frames.chunks(np.arange(len(frames))):
-        fv, inside = frames.rows(f.values, ids), frames.masks(ids)
-        lo[ids] = np.where(inside, fv, np.inf).min(axis=1)
-        hi[ids] = np.where(inside, fv, -np.inf).max(axis=1)
+    (lo, hi), values = frames.extremes(f.values), np.zeros(len(frames))
     at = lo if centres is None else np.asarray(centres, dtype=np.float64)
     probe = np.flatnonzero((lo != at) | (hi != at))
     values[probe] = _objective(frames, f, w, q, probe, at[probe, None])[:, 0]
@@ -231,41 +228,6 @@ def _piece_bounds(v: np.ndarray, a: np.ndarray, bounds: np.ndarray, centre: np.n
     roots = np.full((2, len(v)), math.nan)
     roots[:, p] = m, o
     return piece_lo, piece_hi, roots
-
-
-def _bisect(lo: float, hi: float, go_right) -> tuple[float, float]:
-    """Halve [lo, hi] toward the side go_right picks until no float lies between."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo, hi
-        if go_right(mid):
-            lo = mid
-        else:
-            hi = mid
-
-
-def _argmin(v: np.ndarray, s: np.ndarray, q: float) -> float:
-    """For q > 1 other than 2, a minimiser of one chain's phi(x) =
-    sum_k s_k * |v_k - x|**q, by bisection on its slope."""
-    def falling(x):
-        return q * (s @ (np.abs(x - v) ** (q - 1.0) * np.sign(x - v))) < 0
-    return _bisect(float(v.min()), float(v.max()), falling)[0]
-
-
-def _level(v: np.ndarray, s: np.ndarray, q: float, thr: float, inner: float, side: float) -> float:
-    """For q > 1 other than 2, the end on the given side of the interval
-    {phi <= thr} holding inner, by doubling and bisection."""
-    def phi(x):
-        return s @ np.abs(v - x) ** q
-    step = max(float(v.max() - v.min()), 1.0)
-    out = inner + side * step
-    while phi(out) <= thr:
-        step *= 2.0
-        out = inner + side * step
-    if side < 0:
-        return _bisect(out, inner, lambda x: phi(x) > thr)[1]
-    return _bisect(inner, out, lambda x: phi(x) <= thr)[0]
 
 
 def _kinks(v: np.ndarray, s: np.ndarray, bounds: np.ndarray):
@@ -384,11 +346,15 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, frames, cubes: np
     pieces = _Pieces(*np.empty((4, 0), dtype=np.intp), *np.empty((8 if q == 1.0 else 2, 0)))
 
     def first_in(mask, n, last=False):
-        """The first (or last) place where mask holds in each run of lengths
-        n >= 1 laid end to end, the run's start if none; and whether found."""
-        at, none = np.cumsum(n) - n, -1 if last else len(mask)
-        k = (np.maximum if last else np.minimum).reduceat(np.where(mask, np.arange(len(mask)), none), at)
-        return np.where(k != none, k, at), k != none
+        """The first place where mask holds in each run of lengths n >= 1
+        laid end to end, or the last in the runs where last holds; the run's
+        start if none; and whether found."""
+        at, i = np.cumsum(n) - n, np.arange(len(mask))
+        k = np.minimum.reduceat(np.where(mask, i, len(mask)), at)
+        if np.any(last):
+            k = np.where(last, np.maximum.reduceat(np.where(mask, i, -1), at), k)
+        found = (0 <= k) & (k < len(mask))
+        return np.where(found, k, at), found
 
     def by_length(p, terms, count):
         """count arrays over the pieces p: terms(V, S, i) for the pieces p[i]
@@ -411,15 +377,40 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, frames, cubes: np
         total = S.sum(axis=1)
         return dot(S, V) / total, total
 
-    def each(fn, p, *args):
-        """fn(v, s, q, *args) for each piece p, for q > 1 other than 2."""
-        v, s = pieces.levels[:2]
-        return np.array([fn(v[i : i + n], s[i : i + n], q, *x) for i, n, *x in
-                         zip(pieces.start[p].tolist(), pieces.n[p].tolist(), *(y.tolist() for y in args))])
+    def bisect(p, lo, hi, g, right):
+        """Halve the brackets [lo, hi] of the pieces p in lockstep, bracket r
+        toward the side right(y, r) picks for y = sum_k s_k * g(x - v_k) at
+        its midpoint x, each until no float lies inside it. The live pieces'
+        levels are laid out by chain length, so each step takes g of all of
+        them at once, then a dot over the rows of each length."""
+        r = np.argsort(pieces.n[p], kind="stable")
+        sub, a, b, lo, hi = _Pieces(*pieces.fields[:6]).take(p[r]), lo[r], hi[r], lo.copy(), hi.copy()
+        while len(r):
+            x = 0.5 * (a + b)
+            live = (a < x) & (x < b)
+            if not live.all():
+                lo[r], hi[r] = a, b
+                r, a, b, x, sub = r[live], a[live], b[live], x[live], sub.take(np.flatnonzero(live))
+            (v, s), n, y = sub.levels, sub.n, np.empty(len(r))
+            t, cut = g(np.repeat(x, n) - v), (np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()
+            for i, j in zip([0, *cut], [*cut, len(n)] if len(n) else []):
+                at, shape = slice(sub.start[i], sub.start[j - 1] + n[i]), (j - i, n[i])
+                y[i:j] = dot(s[at].reshape(shape), t[at].reshape(shape))
+            go = right(y, r)
+            a, b = np.where(go, x, a), np.where(go, b, x)
+        return lo, hi
+
+    def extent(p):
+        """min v and max v of each piece p."""
+        return by_length(p, lambda V, S, i: (V.min(axis=1), V.max(axis=1)), 2)
+
+    def argmin(p):
+        """q > 1 other than 2: a minimiser of each piece p's phi, by bisection on its slope."""
+        return bisect(p, *extent(p), lambda d: np.abs(d) ** (q - 1.0) * np.sign(d), lambda y, r: y < 0)[0]
 
     def level(p, ks, side):
-        """The end on the given side of {phi <= thr} holding c_star, of each
-        piece p, read for cube ks."""
+        """The end on side side[i] (-1 or 1) of {phi <= thr} holding c_star,
+        of each piece p[i], read for cube ks[i]."""
         if q == 2.0:
             def terms(V, S, i):
                 centre, total = mean(V, S)
@@ -427,13 +418,24 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, frames, cubes: np
             centre, total, room = by_length(p, terms, 3)
             return centre + side * np.sqrt(np.where(0.0 > room, 0.0, room) / total)
         if q != 1.0:
-            return each(_level, p, thr[ks], c_star[ks], np.full(len(p), side))
+            def phi(p, x):
+                return by_length(p, lambda V, S, i: dot(S, np.abs(V - x[i, None]) ** q), 1)[0]
+            # step out from c_star, doubling the step until phi exceeds thr;
+            # then bisect between, phi <= thr at the inner end
+            (lo, hi), t, inner = extent(p), thr[ks], c_star[ks]
+            step, r = np.maximum(hi - lo, 1.0), np.arange(len(p))
+            while len(r := r[phi(p[r], inner[r] + side[r] * step[r]) <= t[r]]):
+                step[r] *= 2.0
+            up, far = side > 0, inner + side * step
+            lo, hi = bisect(p, np.where(up, inner, far), np.where(up, far, inner), lambda d: np.abs(d) ** q,
+                            lambda y, r: np.where(up[r], y <= t[r], y > t[r]))
+            return np.where(up, lo, hi)
         kv, kphi, left, right = pieces.levels[4:]
         idx, owner = _spans(pieces.start[p], pieces.n[p])
         k, found = first_in(kphi[idx] <= thr[ks][owner], pieces.n[p], last=side > 0)
         k = idx[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = kv[k] + (thr[ks] - kphi[k]) / (left if side < 0 else right)[k]
+            x = kv[k] + (thr[ks] - kphi[k]) / np.where(side < 0, left[k], right[k])
         return np.where(found, x, c_star[ks])
 
     def emit(ks, j, x, side):
@@ -458,21 +460,6 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, frames, cubes: np
         np.fmin.at(bottom, at[~below], cand[~below])  # a NaN root is none
         seg[j][:, ks] = np.where((top == -math.inf) | (bottom == math.inf), math.nan,
                                  [top, bottom] if side < 0 else [bottom, top])
-
-    def plateau(ks):
-        """Start the plateau search: the end of {phi <= thr} of every
-        bracket piece bounds each edge from outside; keep the innermost."""
-        lowest = np.fmin.reduce(log_v[ks], axis=1)
-        min_value[ks], thr[ks] = lowest, lowest + tol
-        sp = np.flatnonzero(np.isin(pieces.cube, ks))  # each cube's in round order
-        sc = pieces.cube[sp]
-        for j, side in enumerate((-1.0, 1.0)):
-            x = level(sp, sc, side)
-            best = np.full(K, side * math.inf)
-            (np.maximum if side < 0 else np.minimum).at(best, sc, x)
-            hit = np.flatnonzero(x == best[sc])
-            first = hit[np.unique(sc[hit], return_index=True)[1]]  # the first piece on ties
-            settle(j, side, sc[first], sp[first], x[first])
 
     def interpolate(ks):
         """q = 1: each edge on the linear segment around it, from F at both
@@ -567,7 +554,7 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, frames, cubes: np
             both = ~np.isnan(tangent[:, 0, ks]).any(axis=0)
             need = go & ~both if q == 1.0 else go
             if q not in (1.0, 2.0):
-                peak[stop | need] = each(_argmin, p[stop | need])
+                peak[stop | need] = argmin(p[stop | need])
             # phi, so F, has its minimum on [lo, hi]; for q = 1 at a breakpoint
             best = np.where(lo > peak, lo, peak)
             best = np.where(hi < best, hi, best)
@@ -597,20 +584,29 @@ def _search(f: StepFunction, w: StepFunction | None, q: float, frames, cubes: np
 
         # the plateau edges, from outside in: every sum phi lies below F, so
         # the end of {phi <= thr} bounds the edge from outside, and is the
-        # edge once it lies on phi's own piece
-        ks = np.flatnonzero(was == _PLATEAU)
-        for j, side in enumerate((-1.0, 1.0)):
-            k = ks[asked[ks, j]]
-            if not len(k):
-                continue
-            p, x = pid[k, j], probed[k, j]
-            nxt = level(p, k, side)
-            # the probe is the edge inside the plateau, or with no inward step left
-            done = (got[k, j] <= thr[k]) | ((nxt - x) * side >= 0)
-            settle(j, side, k, p, np.where(done, x, nxt), done)
-        starting = np.concatenate(starting)
-        if len(starting):
-            plateau(starting)
+        # edge once it lies on phi's own piece. A plateau cube reads it from
+        # its probe on that side; a starting cube from each of its bracket
+        # pieces, and keeps the innermost
+        ks, starting = np.flatnonzero(was == _PLATEAU), np.concatenate(starting)
+        if len(ks) or len(starting):
+            lowest = np.fmin.reduce(log_v[starting], axis=1)
+            min_value[starting], thr[starting] = lowest, lowest + tol
+            j, k = np.nonzero(asked[ks, :2].T)
+            k, sp = ks[k], np.flatnonzero(np.isin(pieces.cube, starting))  # each cube's in round order
+            sc, sides = pieces.cube[sp], np.array([-1.0, 1.0])
+            x = level(np.concatenate([pid[k, j], sp, sp]), np.concatenate([k, sc, sc]),
+                      np.concatenate([sides[j], np.repeat(sides, len(sp))]))
+            x, xs = x[: len(k)], x[len(k) :].reshape(2, len(sp))
+            for i, side in enumerate(sides.tolist()):
+                kk, probe, nxt = k[j == i], probed[k[j == i], i], x[j == i]
+                # the probe is the edge inside the plateau, or with no inward step left
+                done = (got[kk, i] <= thr[kk]) | ((nxt - probe) * side >= 0)
+                settle(i, side, kk, pid[kk, i], np.where(done, probe, nxt), done)
+                best = np.full(K, side * math.inf)
+                (np.maximum if side < 0 else np.minimum).at(best, sc, xs[i])
+                hit = np.flatnonzero(xs[i] == best[sc])
+                first = hit[np.unique(sc[hit], return_index=True)[1]]  # the first piece on ties
+                settle(i, side, sc[first], sp[first], xs[i][first])
         # cubes asking for no edge have both; q = 1 probes the breakpoints around them
         ks = np.concatenate([starting, ks])
         done = ks[~ask[ks, :2].any(axis=1)]

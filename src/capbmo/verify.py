@@ -327,11 +327,9 @@ def _forward_characterization(kind, weight, p, params, policy):
     jensen_ok = not any(bad.any() for _, _, bad in checks)
     percube_ok, worst_percube = True, 0.0
     if kind == "blo_a1":  # [w]_A1 from M w of the same (w, 1) integrals
-        avg_w, w_cells = int_w / content, wv.reshape(grid.shape)
+        avg_w = int_w / content
         a1 = _a1_report(weight, _largest_averages(grid, family, avg_w), policy).ap_constant
-        min_w = np.array([w_cells[tuple(slice(c, c + side) for c in corner)].min()
-                          for corner, side in zip(family.corners.tolist(), family.sides.tolist())])
-        lhs = avg_w / min_w
+        lhs = avg_w / cube_frames(grid, family, params).extremes(wv)[0]
         used, over = lhs / a1, lhs > a1 * (1 + _REL)
         checks.append(("per-cube A1 bound", used, over))
         percube_ok, worst_percube = not over.any(), max(0.0, float(used.max()))

@@ -343,6 +343,28 @@ def test_q2_centre_search_outputs_keep_their_pinned_bits():
 
 
 PINNED_POWER_SEARCH = {
+    1.25: {
+        "gamma_1.0_unweighted_0,0:8": ["0x1.7fffffcb5f6e3p-2", "0x1.80000019d72fdp-2", "0x1.6d1d97b98ae56p+0", 7],
+        "gamma_1.0_unweighted_2,1:4": ["0x1.f00d676ce58dbp-2", "0x1.f0392d77002dap-2", "0x1.2eadaffe251ecp+0", 3],
+        "gamma_1.0_unweighted_4,4:4": ["0x1.84f9d4e922e93p-2", "0x1.85265cc6bd09ap-2", "0x1.3e086a14d5464p+0", 8],
+        "seminorm_1.0_unweighted_dyadic": ["0x1.5416ba1dfdf76p+0", "18e002980e36c3612029a6aab227107f3da1b1816cb43737077d9951e9b7d7c6"],
+        "seminorm_1.0_unweighted_lattice": ["0x1.5416ba1dfdf76p+0", "aa06712b7e24f9514753eac27eb0074c263efdef00f7a9f96ad25da9d868d9bc"],
+        "gamma_1.0_weighted_0,0:8": ["0x1.83fb4bfe455dbp-2", "0x1.842ac93b6db12p-2", "0x1.32031ff470790p+0", 7],
+        "gamma_1.0_weighted_2,1:4": ["0x1.016cd45e1ae27p-1", "0x1.016cd532d3ef5p-1", "0x1.0de2c7f4ae41dp+0", 8],
+        "gamma_1.0_weighted_4,4:4": ["0x1.bffffaec77c3ep-2", "0x1.c000002376352p-2", "0x1.25266c2ef7948p+0", 10],
+        "seminorm_1.0_weighted_dyadic": ["0x1.2beee64aa5b8bp+0", "adbec2d9b7f6e70e090a6449951d43b796ca158016f088ced311bffe2e223f51"],
+        "seminorm_1.0_weighted_lattice": ["0x1.2beee64aa5b8bp+0", "3f9b8a377bc586a0af520aa02223e0af5cd64a04cd59da43065a155cfe5e5543"],
+        "gamma_0.5_unweighted_0,0:8": ["0x1.7fffffe15bc76p-2", "0x1.8000000cb12edp-2", "0x1.7d2b6f99b6689p+0", 7],
+        "gamma_0.5_unweighted_2,1:4": ["0x1.ffffffd24a7c6p-2", "0x1.0000000f5faedp-1", "0x1.617ea6baf32fap+0", 7],
+        "gamma_0.5_unweighted_4,4:4": ["0x1.3fe8c6ed7c68bp-2", "0x1.401739128b0b2p-2", "0x1.67a30446e9cbap+0", 5],
+        "seminorm_0.5_unweighted_dyadic": ["0x1.6000000000001p+0", "4c202addc96396b426c4ac607af54c9137aeaf6b5cbf64ec2aa90e02fa932f1d"],
+        "seminorm_0.5_unweighted_lattice": ["0x1.6000000000001p+0", "9bef5d76b3104df1aa5fc0cfef2a568a12deaea83a21ccc8fb48456fe65b3a93"],
+        "gamma_0.5_weighted_0,0:8": ["0x1.66533d1e1f34bp-2", "0x1.66533d849fb75p-2", "0x1.4ea648429c9c5p+0", 11],
+        "gamma_0.5_weighted_2,1:4": ["0x1.1863391c97a82p-1", "0x1.18633956140fap-1", "0x1.162e77d15b9a7p+0", 9],
+        "gamma_0.5_weighted_4,4:4": ["0x1.2378ab9871617p-1", "0x1.2378ac0cc47cap-1", "0x1.4c730624b40a4p+0", 9],
+        "seminorm_0.5_weighted_dyadic": ["0x1.3d30c4f814620p+0", "a7211eb8578c91c525aced119d8269a2b6cb61c9ccbbde9cd075dda6a6b08ddd"],
+        "seminorm_0.5_weighted_lattice": ["0x1.3ecbbc5f6b72ap+0", "fb816c7fcd17adc4af4a4d96d708b141e5c59b612551f2ceab48ff548b4da376"],
+    },
     1.5: {
         "gamma_1.0_unweighted_0,0:8": ["0x1.7fffffd5ffa3bp-2", "0x1.800000143dbfdp-2", "0x1.88230edb3b526p+0", 7],
         "gamma_1.0_unweighted_2,1:4": ["0x1.f012af56b8b2bp-2", "0x1.f02e8f2665fc2p-2", "0x1.3a1cbd038854fp+0", 3],
@@ -390,12 +412,14 @@ PINNED_POWER_SEARCH = {
 }
 
 
-@pytest.mark.parametrize("q", [1.5, 3.0])
+@pytest.mark.parametrize("q", [1.25, 1.5, 3.0])
 def test_power_centre_search_outputs_keep_their_pinned_bits(q):
-    """The q = 1.5 and q = 3 centre searches (_power_search_bits), which
-    bisect each chain's own sum, pinned as recorded. These values go
-    through libm pow (|v - x|**q in the slopes, sums and levels), so they
-    hold for the libm they were recorded with."""
+    """The q = 1.25, 1.5 and 3 centre searches (_power_search_bits), whose
+    bisections step all pending chains in lockstep, each chain's sum one
+    matmul row, pinned as recorded. These values go through libm pow
+    (|v - x|**q in the slopes, sums and levels), so they hold for the libm
+    they were recorded with. Only q = 1.25 also sends the slope power
+    q - 1 through pow: NumPy takes 0.5 as sqrt and 2 as square."""
     assert _power_search_bits(q) == PINNED_POWER_SEARCH[q]
 
 

@@ -549,6 +549,24 @@ def test_family_seminorms_equal_one_cube_calls(n, policy, delta, data):
         assert as_tuple(family(policy)) == one_cube_loop(cubes, one), name
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_a_subnormal_slope_bisection_keeps_every_cube_its_own_bits(weighted):
+    """At q = 1.5 one cube's first slope bisection finds a minimiser of
+    exactly 0.0: it walks its lower end up through the subnormals, 1,075
+    halvings, while the four other chains of that lockstep end after
+    about 55. Every cube's seminorm centre, and the seminorm, must still
+    be the floats of its own one-cube search."""
+    g = build_grid(2, 2, 2.0)
+    f = step_function(g, [1.0, 1.0, 0.0, 1.0, 0.0, -2.0, 1.0, 0.0, 2.0, -1.0, 0.0, -1.0, 1.0, 2.0, -1.0, -2.0])
+    w = step_function(g, [2.0, 2.0, 0.5, 2.0, 1.0, 1.0, 1.0, 0.5, 2.0, 0.5, 0.5, 1.0, 1.0, 1.0, 0.5, 0.5]
+                      if weighted else np.ones(16))
+    P, q = ContentParams(delta=1.0), 1.5
+    rep = weighted_bmo_seminorm(f, w, q, P)
+    one = [gamma_interval(f, w if weighted else None, q, Q, P) for Q in rep.family]
+    assert rep.centers.tolist() == [0.5 * (gi.lo + gi.hi) for gi in one]
+    assert rep.value == max(gi.min_value ** (1.0 / q) for gi in one)
+
+
 def test_seminorms_match_recorded_values():
     """Exact values recorded while every cube still ran its own searches;
     drift in the searches the one-cube and family calls share shows here."""
